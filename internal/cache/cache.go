@@ -75,100 +75,80 @@ type Stats struct {
 	PrefetchHits uint64 // demand hits on lines brought in by the prefetcher
 }
 
-type way struct {
-	tag        uint64
-	lru        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool // line was filled by the prefetcher and not yet demanded
-}
-
+// level is one set-associative array stored flat: way w of set s is
+// slot s*ways+w of every column. tags holds line+1, so 0 marks an empty
+// way. lru holds the stamp of the slot's last fill or hit: 0 while the
+// way is empty, at least 1 once filled.
 type level struct {
-	sets  [][]way
-	mask  uint64
-	shift uint // set-index shift (LineShift)
-	stamp uint64
-	stats Stats
+	tags       []uint64
+	lru        []uint64
+	prefetched []bool // line was filled by the prefetcher and not yet demanded
+	ways       int
+	mask       uint64
+	stamp      uint64
+	stats      Stats
 }
 
 func newLevel(c Config) *level {
-	sets := c.Lines() / c.Ways
-	l := &level{sets: make([][]way, sets), mask: uint64(sets - 1), shift: LineShift}
-	for i := range l.sets {
-		l.sets[i] = make([]way, c.Ways)
+	n := c.Lines()
+	return &level{
+		tags:       make([]uint64, n),
+		lru:        make([]uint64, n),
+		prefetched: make([]bool, n),
+		ways:       c.Ways,
+		mask:       uint64(n/c.Ways - 1),
 	}
-	return l
 }
 
-// lookup probes for the line; on a hit it refreshes LRU and clears the
-// prefetched flag (returning whether it had been set).
-func (l *level) lookup(line uint64) (hit, wasPrefetch bool) {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			l.stamp++
-			set[i].lru = l.stamp
-			wasPrefetch = set[i].prefetched
-			set[i].prefetched = false
-			l.stats.Hits++
-			if wasPrefetch {
-				l.stats.PrefetchHits++
-			}
-			return true, wasPrefetch
+// probe scans line's set without touching LRU or stats. On a hit it
+// returns the line's slot. On a miss it returns the victim slot: the
+// first way with the smallest stamp, which is the first empty way if
+// there is one and the least recently used way otherwise.
+func (l *level) probe(line uint64) (slot int, hit bool) {
+	base := int(line&l.mask) * l.ways
+	tag := line + 1
+	for i, t := range l.tags[base : base+l.ways] {
+		if t == tag {
+			return base + i, true
 		}
 	}
-	l.stats.Misses++
-	return false, false
-}
-
-// contains probes without updating LRU or stats.
-func (l *level) contains(line uint64) bool {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
-
-// fill installs the line, returning the evicted victim line and whether
-// a valid victim existed.
-func (l *level) fill(line uint64, dirty, prefetched bool) (victim uint64, evicted bool) {
-	set := l.sets[line&l.mask]
+	lru := l.lru[base : base+l.ways]
 	v := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			// Already present (e.g. prefetch raced demand): refresh.
-			if dirty {
-				set[i].dirty = true
-			}
-			return 0, false
-		}
-	}
-	for i := range set {
-		if !set[i].valid {
-			v = i
-			break
-		}
-		if set[i].lru < set[v].lru {
+	for i := 1; i < len(lru); i++ {
+		if lru[i] < lru[v] {
 			v = i
 		}
 	}
-	old := set[v]
-	l.stamp++
-	set[v] = way{tag: line, lru: l.stamp, valid: true, dirty: dirty, prefetched: prefetched}
-	return old.tag, old.valid
+	return base + v, false
 }
 
-func (l *level) setDirty(line uint64) {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].dirty = true
-			return
-		}
+// lookup is a demand probe. On a hit it refreshes LRU and clears the
+// prefetched flag (returning whether it had been set); on a miss it
+// returns the victim slot for fill.
+func (l *level) lookup(line uint64) (slot int, hit, wasPrefetch bool) {
+	slot, hit = l.probe(line)
+	if !hit {
+		l.stats.Misses++
+		return slot, false, false
 	}
+	l.stamp++
+	l.lru[slot] = l.stamp
+	wasPrefetch = l.prefetched[slot]
+	l.prefetched[slot] = false
+	l.stats.Hits++
+	if wasPrefetch {
+		l.stats.PrefetchHits++
+	}
+	return slot, true, wasPrefetch
+}
+
+// fill installs line into slot, a victim returned by probe or lookup
+// with no access to the level in between.
+func (l *level) fill(slot int, line uint64, prefetched bool) {
+	l.stamp++
+	l.tags[slot] = line + 1
+	l.lru[slot] = l.stamp
+	l.prefetched[slot] = prefetched
 }
 
 // Hierarchy is one core's L1/L2 plus a shared LLC. Multiple cores
@@ -232,10 +212,11 @@ type Result struct {
 
 // Access performs a demand access to a physical byte address, filling
 // all levels on a miss (inclusive hierarchy), training the prefetcher
-// with (ip, line), and returning where the data came from.
+// with (ip, line), and returning where the data came from. Loads and
+// stores are served alike: no write-back traffic is modelled.
 func (h *Hierarchy) Access(paddr uint64, ip uint64, isStore bool) Result {
 	line := paddr >> LineShift
-	res := h.access(line, isStore)
+	res := h.access(line)
 	if h.pf != nil {
 		for _, pline := range h.pf.Train(ip, line) {
 			h.prefetchFill(pline)
@@ -244,40 +225,49 @@ func (h *Hierarchy) Access(paddr uint64, ip uint64, isStore bool) Result {
 	return res
 }
 
-func (h *Hierarchy) access(line uint64, isStore bool) Result {
-	if hit, pf := h.l1.lookup(line); hit {
-		if isStore {
-			h.l1.setDirty(line)
-		}
+// access probes each level once. A miss leaves that level's victim
+// slot, which the fill writes directly: nothing touches the set in
+// between.
+func (h *Hierarchy) access(line uint64) Result {
+	s1, hit, pf := h.l1.lookup(line)
+	if hit {
 		return Result{Level: HitL1, PrefetchHit: pf}
 	}
-	if hit, pf := h.l2.lookup(line); hit {
-		h.l1.fill(line, isStore, false)
+	s2, hit, pf := h.l2.lookup(line)
+	if hit {
+		h.l1.fill(s1, line, false)
 		return Result{Level: HitL2, PrefetchHit: pf}
 	}
-	if hit, pf := h.llc.lvl.lookup(line); hit {
-		h.l2.fill(line, false, false)
-		h.l1.fill(line, isStore, false)
+	s3, hit, pf := h.llc.lvl.lookup(line)
+	if hit {
+		h.l2.fill(s2, line, false)
+		h.l1.fill(s1, line, false)
 		return Result{Level: HitLLC, PrefetchHit: pf}
 	}
 	// Memory access; fill inclusively.
-	h.llc.lvl.fill(line, false, false)
-	h.l2.fill(line, false, false)
-	h.l1.fill(line, isStore, false)
+	h.llc.lvl.fill(s3, line, false)
+	h.l2.fill(s2, line, false)
+	h.l1.fill(s1, line, false)
 	return Result{Level: MissAll}
 }
 
 // prefetchFill stages a line into the LLC and L2 without touching L1,
 // marking it prefetched. Lines already cached anywhere are skipped.
 func (h *Hierarchy) prefetchFill(line uint64) {
-	if h.l1.contains(line) || h.l2.contains(line) || h.llc.lvl.contains(line) {
+	if _, hit := h.l1.probe(line); hit {
 		return
 	}
-	h.llc.lvl.fill(line, false, true)
-	h.l2.fill(line, false, true)
-	if h.pf != nil {
-		h.pf.Issued++
+	s2, hit := h.l2.probe(line)
+	if hit {
+		return
 	}
+	s3, hit := h.llc.lvl.probe(line)
+	if hit {
+		return
+	}
+	h.llc.lvl.fill(s3, line, true)
+	h.l2.fill(s2, line, true)
+	h.pf.Issued++
 }
 
 // L1Stats returns the private L1 counters.

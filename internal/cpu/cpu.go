@@ -173,6 +173,7 @@ type Machine struct {
 
 	tables    map[int]*pagetable.Table
 	coreOf    map[int]int // pid -> core index
+	procs     []proc      // PID-indexed copy of coreOf and tables for Execute
 	nextCore  int
 	opsPerRef int
 
@@ -373,13 +374,36 @@ func (m *Machine) FlushPage(vpn mem.VPN) int64 {
 // owns its PID and returns the outcome. The returned pointer is reused
 // by the next Execute call on the same core.
 func (m *Machine) Execute(r trace.Ref) (*trace.Outcome, error) {
-	core := m.CoreFor(r.PID)
-	return core.execute(r)
+	if uint(r.PID) < uint(len(m.procs)) {
+		if p := m.procs[r.PID]; p.core != nil {
+			return p.core.execute(r, p.table)
+		}
+	}
+	p := proc{core: m.CoreFor(r.PID), table: m.Table(r.PID)}
+	if r.PID >= 0 && r.PID < maxDensePID {
+		if r.PID >= len(m.procs) {
+			m.procs = append(m.procs, make([]proc, r.PID+1-len(m.procs))...)
+		}
+		m.procs[r.PID] = p
+	}
+	return p.core.execute(r, p.table)
 }
 
+// proc is a PID's execution slot: the core that runs its references
+// and its page table.
+type proc struct {
+	core  *Core
+	table *pagetable.Table
+}
+
+// maxDensePID bounds the PID-indexed slots. A negative or larger PID,
+// which a recorded trace may carry, is looked up in the maps each time.
+const maxDensePID = 1 << 16
+
 // execute performs translation, cache access, accounting, and
-// observer notification for one reference.
-func (c *Core) execute(r trace.Ref) (*trace.Outcome, error) {
+// observer notification for one reference of the process whose page
+// table is table.
+func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, error) {
 	m := c.machine
 	o := &c.outcome
 	*o = trace.Outcome{Ref: r, CPU: c.ID}
@@ -399,7 +423,6 @@ func (c *Core) execute(r trace.Ref) (*trace.Outcome, error) {
 	}
 
 	vpn := mem.VPNOf(r.VAddr)
-	table := m.Table(r.PID)
 
 	var pfn mem.PFN
 	entry, tlbLevel := c.TLB.Lookup(vpn)

@@ -162,6 +162,54 @@ func TestPIDToCoreAffinity(t *testing.T) {
 	}
 }
 
+// TestExecuteRunsPIDOnItsCore checks that Execute runs each PID on the
+// core CoreFor assigns it, inside the dense PID slots and outside them.
+func TestExecuteRunsPIDOnItsCore(t *testing.T) {
+	m := testMachine(t, 64, 64)
+	for _, pid := range []int{5, -3, maxDensePID + 7, 0, 5, -3} {
+		o, err := m.Execute(load(pid, 0x1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := m.CoreFor(pid).ID; o.CPU != want {
+			t.Errorf("pid %d ran on core %d, CoreFor says %d", pid, o.CPU, want)
+		}
+	}
+	if got := len(m.Tables()); got != 4 {
+		t.Errorf("%d page tables, want 4 (one per PID)", got)
+	}
+}
+
+// TestExecuteSteadyStateZeroAlloc pins the per-reference path
+// allocation-free once every page is mapped and every PID has been
+// seen, with stores, prefetching and context switches in the mix.
+func TestExecuteSteadyStateZeroAlloc(t *testing.T) {
+	cfg := testConfig()
+	cfg.CtxSwitchNS = 500
+	cfg.PrefetchDegree = 2
+	m, err := NewMachine(cfg, mem.DefaultTiers(64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []trace.Ref
+	for pid := 1; pid <= 3; pid++ {
+		for page := uint64(0); page < 8; page++ {
+			refs = append(refs, load(pid, page*4096+uint64(pid)*64), store(pid, page*4096+512))
+		}
+	}
+	run := func() {
+		for _, r := range refs {
+			if _, err := m.Execute(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // map every page and give every PID its slot
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("Execute allocated %v times per %d warmed references, want 0", allocs, len(refs))
+	}
+}
+
 func TestClockAdvancesMonotonically(t *testing.T) {
 	m := testMachine(t, 64, 64)
 	var last int64

@@ -72,7 +72,7 @@ type PMU struct {
 	slots     []slot
 	index     [numEvents]int // event -> slot position, -1 if untracked
 	rrStart   int            // round-robin rotation cursor
-	lastRot   int64          // virtual time of last rotation
+	last      int64          // virtual time of the last Tick
 	quantum   int64          // rotation quantum in virtual ns
 }
 
@@ -121,14 +121,15 @@ func (p *PMU) resident(slotIdx int) bool {
 	return off < p.registers
 }
 
-// Tick advances multiplexing bookkeeping to virtual time now and
-// rotates the register assignment when the quantum has elapsed.
+// Tick advances multiplexing bookkeeping to virtual time now and,
+// when multiplexed, rotates the register assignment once per quantum
+// boundary crossed since the last tick.
 func (p *PMU) Tick(now int64) {
 	if len(p.slots) == 0 {
-		p.lastRot = now
+		p.last = now
 		return
 	}
-	elapsed := now - p.lastRot
+	elapsed := now - p.last
 	if elapsed <= 0 {
 		return
 	}
@@ -138,11 +139,11 @@ func (p *PMU) Tick(now int64) {
 			p.slots[i].enabled += elapsed
 		}
 	}
-	p.lastRot = now
-	if p.Multiplexed() && elapsed >= 0 {
-		// Rotate once per quantum boundary crossing.
-		p.rrStart = (p.rrStart + 1) % len(p.slots)
+	if p.Multiplexed() {
+		crossed := now/p.quantum - p.last/p.quantum
+		p.rrStart = int((int64(p.rrStart) + crossed) % int64(len(p.slots)))
 	}
+	p.last = now
 }
 
 // Add records increments for an event; lost when the event is not

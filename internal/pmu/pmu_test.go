@@ -78,6 +78,23 @@ func TestMultiplexingLosesAndScales(t *testing.T) {
 	}
 }
 
+// TestRotationFollowsQuantum pins multiplexing to its quantum: with
+// ticks a tenth of a quantum apart, the register assignment rotates on
+// every tenth tick and holds in between.
+func TestRotationFollowsQuantum(t *testing.T) {
+	const tick = 100
+	p := New(1, 10*tick)
+	p.Track(EvLLCMiss)
+	p.Track(EvDTLBMiss)
+	for i := 1; i <= 50; i++ {
+		before := p.rrStart
+		p.Tick(int64(i) * tick)
+		if rotated := p.rrStart != before; rotated != (i%10 == 0) {
+			t.Fatalf("tick %d: rotated = %v, want a rotation on every 10th tick only", i, rotated)
+		}
+	}
+}
+
 func TestTickMonotonic(t *testing.T) {
 	p := New(1, 100)
 	p.Track(EvLLCMiss)

@@ -23,7 +23,7 @@ type Entry struct {
 	// entry with Dirty=false must perform a page walk to set the PTE
 	// D bit and then sets Dirty here.
 	Dirty bool
-	valid bool
+	gen   uint64 // the entry is valid while gen equals its level's
 	lru   uint64
 }
 
@@ -50,12 +50,17 @@ type Stats struct {
 	Misses uint64
 }
 
-// level is one set-associative TLB array.
+// level is one set-associative TLB array stored flat: way w of set s
+// is entries[s*ways+w]. An entry is valid while its gen equals the
+// level's, so invalidating the whole level is one increment. A level's
+// gen starts at 1; 0 marks an entry never filled or flushed alone.
 type level struct {
-	sets  [][]Entry
-	mask  uint64
-	stamp uint64
-	stats Stats
+	entries []Entry
+	ways    int
+	mask    uint64
+	gen     uint64
+	stamp   uint64
+	stats   Stats
 }
 
 func newLevel(c Config) *level {
@@ -63,17 +68,19 @@ func newLevel(c Config) *level {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("tlb: set count %d must be a power of two", nsets))
 	}
-	l := &level{sets: make([][]Entry, nsets), mask: uint64(nsets - 1)}
-	for i := range l.sets {
-		l.sets[i] = make([]Entry, c.Ways)
-	}
-	return l
+	return &level{entries: make([]Entry, c.Entries), ways: c.Ways, mask: uint64(nsets - 1), gen: 1}
+}
+
+// set returns the ways vpn maps to.
+func (l *level) set(vpn mem.VPN) []Entry {
+	base := int(uint64(vpn)&l.mask) * l.ways
+	return l.entries[base : base+l.ways]
 }
 
 func (l *level) lookup(vpn mem.VPN) *Entry {
-	set := l.sets[uint64(vpn)&l.mask]
+	set := l.set(vpn)
 	for i := range set {
-		if set[i].valid && set[i].VPN == vpn {
+		if set[i].gen == l.gen && set[i].VPN == vpn {
 			l.stamp++
 			set[i].lru = l.stamp
 			l.stats.Hits++
@@ -84,13 +91,13 @@ func (l *level) lookup(vpn mem.VPN) *Entry {
 	return nil
 }
 
-// insert fills the translation, evicting the LRU way; it returns the
-// evicted entry (valid=false when the victim slot was empty).
-func (l *level) insert(e Entry) Entry {
-	set := l.sets[uint64(e.VPN)&l.mask]
+// insert fills the translation into the first invalid way, else the
+// least recently used one, and returns the filled slot.
+func (l *level) insert(e Entry) *Entry {
+	set := l.set(e.VPN)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].gen != l.gen {
 			victim = i
 			break
 		}
@@ -98,31 +105,22 @@ func (l *level) insert(e Entry) Entry {
 			victim = i
 		}
 	}
-	old := set[victim]
 	l.stamp++
-	e.valid = true
+	e.gen = l.gen
 	e.lru = l.stamp
 	set[victim] = e
-	return old
+	return &set[victim]
 }
 
 func (l *level) flushPage(vpn mem.VPN) bool {
-	set := l.sets[uint64(vpn)&l.mask]
+	set := l.set(vpn)
 	for i := range set {
-		if set[i].valid && set[i].VPN == vpn {
-			set[i].valid = false
+		if set[i].gen == l.gen && set[i].VPN == vpn {
+			set[i].gen = 0
 			return true
 		}
 	}
 	return false
-}
-
-func (l *level) flushAll() {
-	for _, set := range l.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
 }
 
 // TLB is a two-level per-core translation cache.
@@ -182,13 +180,9 @@ func (t *TLB) Lookup(vpn mem.VPN) (*Entry, HitLevel) {
 		return e, HitL1
 	}
 	if e := t.l2.lookup(vpn); e != nil {
-		promoted := t.l1.insert(*e)
-		_ = promoted // L1 victims are simply dropped; L2 is inclusive here
-		// Return the L1 copy so Dirty updates land in the closest level.
-		l1e := t.l1.lookup(vpn)
-		// The L1 lookup above counted a hit; undo the double count.
-		t.l1.stats.Hits--
-		return l1e, HitL2
+		// L1 victims are simply dropped; L2 is inclusive here. Return
+		// the L1 copy so Dirty updates land in the closest level.
+		return t.l1.insert(*e), HitL2
 	}
 	return nil, HitNone
 }
@@ -212,19 +206,20 @@ func (t *TLB) MarkDirty(vpn mem.VPN) {
 	}
 }
 
-// FlushPage invalidates one translation (invlpg).
+// FlushPage invalidates one translation (invlpg) in both levels.
 func (t *TLB) FlushPage(vpn mem.VPN) {
-	if t.l1.flushPage(vpn) || t.l2.flushPage(vpn) {
+	inL1 := t.l1.flushPage(vpn)
+	inL2 := t.l2.flushPage(vpn)
+	if inL1 || inL2 {
 		t.FlushedPages++
 	}
-	// Both levels must be cleared even if only one held it.
-	t.l2.flushPage(vpn)
 }
 
-// FlushAll invalidates every translation (CR3 reload / IPI shootdown).
+// FlushAll invalidates every translation (CR3 reload / IPI shootdown)
+// by moving both levels to a new generation.
 func (t *TLB) FlushAll() {
-	t.l1.flushAll()
-	t.l2.flushAll()
+	t.l1.gen++
+	t.l2.gen++
 	t.Flushes++
 }
 

@@ -11,11 +11,12 @@
 // base predates them); benchmarks present only in old.txt are
 // reported as "gone". Neither fails the comparison. The one hard
 // gate is the allocation guard: any benchmark whose name matches
-// -allocs-guard (default HarvestSteadyState|MergeHarvests) and whose
-// allocs/op increased over the base exits 1 — the steady-state
-// harvest and the sharded pipeline's epoch-cut merge are
-// contractually allocation-free and a regression there silently
-// re-inflates every epoch of every experiment cell.
+// -allocs-guard (default HarvestSteadyState|MergeHarvests|MachineExecute)
+// and whose allocs/op increased over the base exits 1 — the
+// steady-state harvest, the sharded pipeline's epoch-cut merge and the
+// per-reference Machine.Execute path are contractually
+// allocation-free, and a regression there silently re-inflates every
+// epoch (or every reference) of every experiment cell.
 package main
 
 import (
@@ -76,7 +77,7 @@ func parseFile(path string) (map[string]result, error) {
 }
 
 func main() {
-	guard := flag.String("allocs-guard", "HarvestSteadyState|MergeHarvests",
+	guard := flag.String("allocs-guard", "HarvestSteadyState|MergeHarvests|MachineExecute",
 		"fail when a benchmark matching this regexp regresses in allocs/op")
 	flag.Parse()
 	if flag.NArg() != 2 {
