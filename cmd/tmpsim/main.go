@@ -44,7 +44,7 @@ func main() {
 		ratio    = flag.Int("ratio", 16, "footprint:fast-tier capacity ratio")
 		polName  = flag.String("policy", "history", "placement policy: history, decay, none (baseline only)")
 		method   = flag.String("method", "tmp", "profiling evidence: abit, ibs, tmp, devprof (devprof needs a device tier)")
-		tiers    = flag.String("tiers", "", "tier chain: a depth (2-4, workload-sized) or an explicit spec like 'dram:1024/cxl:2048:140:180:dev/nvm:8192'; device tiers get the device-side tracker; empty keeps the legacy two-tier sizing from -ratio")
+		tiers    = flag.String("tiers", "", "tier chain: a depth (2-4, workload-sized) or an explicit spec like 'dram:1024/cxl:2048:140:180:dev/nvm:8192'; device tiers get the device-side tracker; empty means depth 2 sized from -ratio for each machine (each cell under -shards)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		scale    = flag.Int("scale", 0, "footprint scale shift")
 		period   = flag.Int("period", 4096, "IBS op period (4x-rate scaled default)")
@@ -117,8 +117,9 @@ func main() {
 		return workload.MustNew(*name, workload.Config{Seed: *seed, ScaleShift: *scale, FirstPID: 100})
 	}
 
-	// -tiers accepts either a chain depth (sized for the workload the
-	// same way -ratio sizes the two-tier machine) or a full spec.
+	// -tiers accepts either a chain depth (sized for the workload from
+	// -ratio) or a full spec; empty leaves each machine to size its own
+	// 2-tier chain.
 	var chain mem.TierChain
 	if *tiers != "" {
 		var cerr error
@@ -297,7 +298,7 @@ func main() {
 		for i, r := range results {
 			tab := report.FaultTable(
 				fmt.Sprintf("\nFault attribution (%s, spec %q): %s", armNames[i], faultSpec, r.Arm),
-				sim.MergedFaultAttribution(planes[i], r))
+				sim.FaultAttribution(planes[i], r))
 			fmt.Println(tab.Render())
 			if len(r.Quarantined) > 0 {
 				fmt.Printf("quarantined: %s\n", strings.Join(r.Quarantined, ", "))

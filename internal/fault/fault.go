@@ -163,10 +163,11 @@ func (s Spec) Zero() bool {
 	return true
 }
 
-// Validate reports out-of-range rates.
+// Validate reports out-of-range rates. NaN is out of range: it fails
+// every comparison, so a NaN-rate site would fire on every draw.
 func (s Spec) Validate() error {
 	for site, r := range s.Rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("fault: %s rate %v outside [0,1]", Site(site), r)
 		}
 	}
@@ -219,7 +220,7 @@ func ParseSpec(text string) (Spec, error) {
 		if err != nil {
 			return Spec{}, fmt.Errorf("fault: bad rate in %q: %v", field, err)
 		}
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) { // NaN fails both comparisons
 			return Spec{}, fmt.Errorf("fault: rate in %q outside [0,1]", field)
 		}
 		if key == "all" {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -51,12 +52,59 @@ func TestParseSpecErrors(t *testing.T) {
 		"ibs.drop=x",       // non-numeric
 		"ibs.drop=1.5",     // out of range
 		"ibs.drop=-0.1",    // out of range
+		"ibs.drop=NaN",     // not a rate
+		"all=NaN",          // not a rate
+		"ibs.drop=+Inf",    // out of range
 		"no.such.site=0.1", // unknown site
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// TestValidateRejectsNaN pins the NaN hole: a NaN rate fails every
+// comparison, so a range check written as r < 0 || r > 1 passes it and
+// the site then fires on every draw.
+func TestValidateRejectsNaN(t *testing.T) {
+	var spec Spec
+	spec.Rates[SiteIBSDrop] = math.NaN()
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN rate")
+	}
+}
+
+// FuzzParseSpec drives the -faults grammar with arbitrary text: every
+// accepted spec holds rates in [0,1] only, passes Validate, and its
+// canonical String form parses back to an equal spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"ibs.drop=NaN", "all=NaN", "all=1", ",,", "no.such.site=0.1",
+		"mem.enomem=5e-324", "ibs.drop=0.05, mem.enomem=0.2 ,abit.abort=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		for site, r := range spec.Rates {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted %s rate %v outside [0,1]", text, Site(site), r)
+			}
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted spec %q fails Validate: %v", text, err)
+		}
+		back, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("String() of accepted %q does not reparse: %q: %v", text, spec.String(), err)
+		}
+		if back != spec {
+			t.Fatalf("round trip of %q changed the spec: %v -> %v", text, spec, back)
+		}
+	})
 }
 
 func TestParseSpecEmpty(t *testing.T) {

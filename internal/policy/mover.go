@@ -39,7 +39,7 @@ var ErrSplitFailed = errors.New("policy: THP split failed")
 type Mover struct {
 	machine *cpu.Machine
 	// CostPerPageNS is the per-page migration expense (copy + fixups)
-	// charged to the core running the mover; the paper's emulation
+	// charged to core 0, which runs the mover; the paper's emulation
 	// uses 50 us.
 	CostPerPageNS int64
 	// MinPromoteRank gates promotions: a slow-tier page is only
@@ -49,8 +49,6 @@ type Mover struct {
 	// observation plus at least one trace sample, or repeated
 	// samples. 0 disables the gate.
 	MinPromoteRank uint64
-	// MoverCore pays migration costs.
-	MoverCore int
 	// MaxRetries caps how many times one page's transient failure is
 	// attempted in total (initial try included) before the mover gives
 	// up on it.
@@ -126,7 +124,7 @@ type Mover struct {
 
 	epoch   uint64
 	retries []retryEntry
-	charged int64 // portion of OverheadNS already charged to MoverCore
+	charged int64 // portion of OverheadNS already charged to core 0
 	// Per-direction admission spend this epoch; each direction owns
 	// half of AdmissionBudgetNS (see admit).
 	admSpentPromote int64
@@ -143,33 +141,21 @@ type Mover struct {
 	// inter-arrival histogram.
 	lastMigNS int64
 
-	// Telemetry (nil handles no-op when telemetry is off).
+	// Telemetry (nil handles no-op when telemetry is off). counters
+	// pairs each mover/* counter with the field it mirrors; overhead_ns
+	// mirrors the signed OverheadNS, so it stands apart.
 	tel          *telemetry.Tracer
-	ctrPromote   *telemetry.Counter
-	ctrDemote    *telemetry.Counter
-	ctrSplits    *telemetry.Counter
-	ctrShootdown *telemetry.Counter
-	ctrFailed    *telemetry.Counter
-	ctrFailCap   *telemetry.Counter
-	ctrFailPin   *telemetry.Counter
-	ctrFailVan   *telemetry.Counter
-	ctrFailSplit *telemetry.Counter
-	ctrRetried   *telemetry.Counter
-	ctrRetryOK   *telemetry.Counter
-	ctrRetryDrop *telemetry.Counter
+	counters     []mirroredCounter
 	ctrOverhead  *telemetry.Counter
-	ctrTxStart   *telemetry.Counter
-	ctrTxCommit  *telemetry.Counter
-	ctrTxAbort   *telemetry.Counter
-	ctrShadowHit *telemetry.Counter
-	ctrShadowSta *telemetry.Counter
-	ctrAdmProm   *telemetry.Counter
-	ctrAdmDem    *telemetry.Counter
-	ctrAdmDefer  *telemetry.Counter
-	ctrRejProm   *telemetry.Counter
-	ctrRejDem    *telemetry.Counter
 	histRetryLat *telemetry.Histogram
 	histInter    *telemetry.Histogram
+}
+
+// mirroredCounter is one mover/* telemetry counter and the Mover field
+// it mirrors after every ApplySelection.
+type mirroredCounter struct {
+	ctr   *telemetry.Counter
+	field *uint64
 }
 
 // retryEntry is one deferred migration: re-attempt moving key in the
@@ -192,29 +178,33 @@ type retryEntry struct {
 // unchanged.
 func (mv *Mover) SetTracer(t *telemetry.Tracer) {
 	mv.tel = t
-	mv.ctrPromote = t.Counter("mover/promotions")
-	mv.ctrDemote = t.Counter("mover/demotions")
-	mv.ctrSplits = t.Counter("mover/splits")
-	mv.ctrShootdown = t.Counter("mover/shootdowns")
-	mv.ctrFailed = t.Counter("mover/failed")
-	mv.ctrFailCap = t.Counter("mover/failed_capacity")
-	mv.ctrFailPin = t.Counter("mover/failed_pinned")
-	mv.ctrFailVan = t.Counter("mover/failed_vanished")
-	mv.ctrFailSplit = t.Counter("mover/failed_split")
-	mv.ctrRetried = t.Counter("mover/retries")
-	mv.ctrRetryOK = t.Counter("mover/retry_succeeded")
-	mv.ctrRetryDrop = t.Counter("mover/retry_dropped")
+	mv.counters = []mirroredCounter{
+		{t.Counter("mover/promotions"), &mv.Promotions},
+		{t.Counter("mover/demotions"), &mv.Demotions},
+		{t.Counter("mover/splits"), &mv.Splits},
+		{t.Counter("mover/shootdowns"), &mv.Shootdowns},
+		{t.Counter("mover/failed"), &mv.Failed},
+		{t.Counter("mover/failed_capacity"), &mv.FailedCapacity},
+		{t.Counter("mover/failed_pinned"), &mv.FailedPinned},
+		{t.Counter("mover/failed_vanished"), &mv.FailedVanished},
+		{t.Counter("mover/failed_split"), &mv.FailedSplit},
+		{t.Counter("mover/retries"), &mv.Retried},
+		{t.Counter("mover/retry_succeeded"), &mv.RetrySucceeded},
+		{t.Counter("mover/retry_superseded"), &mv.RetrySuperseded},
+		{t.Counter("mover/retry_dropped"), &mv.RetryDropped},
+		{t.Counter("mover/tx_started"), &mv.TxStarted},
+		{t.Counter("mover/tx_committed"), &mv.TxCommitted},
+		{t.Counter("mover/aborted_dirty"), &mv.AbortedDirty},
+		{t.Counter("mover/tx_remap_failed"), &mv.TxRemapFailed},
+		{t.Counter("mover/shadow_hits"), &mv.ShadowHits},
+		{t.Counter("mover/shadow_stale"), &mv.ShadowStale},
+		{t.Counter("mover/admitted_promotions"), &mv.AdmittedPromotions},
+		{t.Counter("mover/admitted_demotions"), &mv.AdmittedDemotions},
+		{t.Counter("mover/deferred_admission"), &mv.DeferredAdmission},
+		{t.Counter("mover/rejected_promotions"), &mv.RejectedPromotions},
+		{t.Counter("mover/rejected_demotions"), &mv.RejectedDemotions},
+	}
 	mv.ctrOverhead = t.Counter("mover/overhead_ns")
-	mv.ctrTxStart = t.Counter("mover/tx_started")
-	mv.ctrTxCommit = t.Counter("mover/tx_committed")
-	mv.ctrTxAbort = t.Counter("mover/aborted_dirty")
-	mv.ctrShadowHit = t.Counter("mover/shadow_hits")
-	mv.ctrShadowSta = t.Counter("mover/shadow_stale")
-	mv.ctrAdmProm = t.Counter("mover/admitted_promotions")
-	mv.ctrAdmDem = t.Counter("mover/admitted_demotions")
-	mv.ctrAdmDefer = t.Counter("mover/deferred_admission")
-	mv.ctrRejProm = t.Counter("mover/rejected_promotions")
-	mv.ctrRejDem = t.Counter("mover/rejected_demotions")
 	mv.histRetryLat = t.Histogram("mover/retry_latency_epochs")
 	mv.histInter = t.Histogram("mover/interarrival_ns")
 }
@@ -284,14 +274,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	if err != nil {
 		return err
 	}
-	// Preserve accumulated profiling state across the move: hotness
-	// belongs to the logical page, not the frame.
-	newPD := phys.Page(newPFN)
-	newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-	newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-	newPD.DevTotal, newPD.DevEpoch = oldPD.DevTotal, oldPD.DevEpoch
-	newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
-	newPD.Flags |= oldPD.Flags & mem.FlagPoisoned
+	carryProfile(phys.Page(newPFN), oldPD)
 
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
@@ -300,6 +283,16 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	phys.Free(oldPFN)
 	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
 	return nil
+}
+
+// carryProfile preserves accumulated profiling state across a move:
+// hotness belongs to the logical page, not the frame.
+func carryProfile(dst, src *mem.PageDescriptor) {
+	dst.AbitTotal, dst.TraceTotal = src.AbitTotal, src.TraceTotal
+	dst.AbitEpoch, dst.TraceEpoch = src.AbitEpoch, src.TraceEpoch
+	dst.DevTotal, dst.DevEpoch = src.DevTotal, src.DevEpoch
+	dst.TrueTotal, dst.TrueEpoch = src.TrueTotal, src.TrueEpoch
+	dst.Flags |= src.Flags & mem.FlagPoisoned
 }
 
 // migrateTx is the transactional migration engine (the Nomad model):
@@ -361,12 +354,7 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 		phys.Free(newPFN)
 		return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
 	}
-	newPD := phys.Page(newPFN)
-	newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-	newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-	newPD.DevTotal, newPD.DevEpoch = oldPD.DevTotal, oldPD.DevEpoch
-	newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
-	newPD.Flags |= oldPD.Flags & mem.FlagPoisoned
+	carryProfile(phys.Page(newPFN), oldPD)
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
 		mv.TxRemapFailed++
@@ -614,60 +602,34 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		if t > 0 {
 			incoming += plan[t-1]
 		}
-		n := incoming - phys.FreeFrames(mem.TierID(t))
-		if n < 0 {
-			n = 0
-		}
-		if n > len(demoteByTier[t]) {
-			n = len(demoteByTier[t])
-		}
-		plan[t] = n
+		plan[t] = min(max(incoming-phys.FreeFrames(mem.TierID(t)), 0), len(demoteByTier[t]))
 	}
 
 	// Deep demote pre-pass, deepest tier first (n-2 .. 1), so every
 	// spilled frame lands in its lower tier before that tier's own
 	// spill capacity is consumed. Empty on a two-tier machine.
 	for t := nt - 2; t >= 1; t-- {
-		if plan[t] == 0 {
-			continue
-		}
 		for _, cand := range core.TopKFunc(demoteByTier[t], plan[t], coldest) {
-			if gated && !mv.admit(false, mv.migrationCostNS(cand.key, mem.TierID(t)+1)) {
-				mv.deferAdmission(cand.key, false, 0, mv.epoch)
-				continue
+			if mv.migrateFresh(cand.key, false, mem.TierID(t)+1, gated) {
+				demoted++
 			}
-			if err := mv.migrate(cand.key, mem.TierID(t)+1); err != nil {
-				mv.failAndMaybeRetry(cand.key, false, err, 1, mv.epoch)
-				continue
-			}
-			demoted++
-			mv.noteSuccess(cand.key, false, mem.TierID(t)+1)
 		}
 	}
 
-	// Top-of-chain exchange (tiers 0 and 1), the legacy two-tier
-	// hot path.
-	demote := demoteByTier[0]
-	promote := promoteByTier[1]
-	// Only demote as many pages as needed to fit the promotions plus
-	// any fast-tier overflow: that bound is known up front, so
-	// bounded selection pulls just the needed coldest candidates out
-	// of the (much larger) resident set instead of fully sorting it.
-	// Every candidate past the bound is only ever consumed when a
-	// migration fails (vanished mapping, full target tier); the
+	// Top-of-chain demotions make room in tier 0 for the promotions
+	// climbing out of tier 1. Only demote as many pages as needed to
+	// fit them plus any fast-tier overflow: that bound is known up
+	// front, so bounded selection pulls just the needed coldest
+	// candidates out of the (much larger) resident set instead of fully
+	// sorting it. Every candidate past the bound is only ever consumed
+	// when a migration fails (vanished mapping, full target tier); the
 	// fallback below sorts the remainder lazily so the demotion
-	// sequence stays exactly the coldest-first order a full sort
-	// would have produced.
-	head := core.TopKFunc(demote, plan[0], coldest)
-	rest := demote[len(head):]
+	// sequence stays exactly the coldest-first order a full sort would
+	// have produced.
+	head := core.TopKFunc(demoteByTier[0], plan[0], coldest)
+	rest := demoteByTier[0][len(head):]
 	restSorted := false
-
-	demotedFresh, promotedFresh := 0, 0
-	next := 0
-	for {
-		if phys.FreeFrames(mem.FastTier) >= len(promote)-promotedFresh {
-			break
-		}
+	for next := 0; phys.FreeFrames(mem.FastTier) < len(promoteByTier[1]); next++ {
 		var cand demoteCand
 		if next < len(head) {
 			cand = head[next]
@@ -682,68 +644,20 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			}
 			cand = rest[j]
 		}
-		next++
-		if gated && !mv.admit(false, mv.migrationCostNS(cand.key, mem.SlowTier)) {
-			mv.deferAdmission(cand.key, false, 0, mv.epoch)
-			continue
+		if mv.migrateFresh(cand.key, false, mem.SlowTier, gated) {
+			demoted++
 		}
-		if err := mv.migrate(cand.key, mem.SlowTier); err != nil {
-			mv.failAndMaybeRetry(cand.key, false, err, 1, mv.epoch)
-			continue
-		}
-		demotedFresh++
-		mv.noteSuccess(cand.key, false, mem.SlowTier)
 	}
-	for _, key := range promote {
-		if gated && !mv.admit(true, mv.migrationCostNS(key, mem.FastTier)) {
-			mv.deferAdmission(key, true, 0, mv.epoch)
-			continue
-		}
-		if phys.FreeFrames(mem.FastTier) == 0 {
-			mv.Failed++
-			mv.FailedCapacity++
-			mv.prov.NoteFail(key, provenance.FailCapacity)
-			if mv.deferRetry(key, true, 1, mv.epoch) {
-				mv.prov.NoteDeferred(key)
-			}
-			continue
-		}
-		if err := mv.migrate(key, mem.FastTier); err != nil {
-			mv.failAndMaybeRetry(key, true, err, 1, mv.epoch)
-			continue
-		}
-		promotedFresh++
-		mv.noteSuccess(key, true, mem.FastTier)
-	}
-	promoted += promotedFresh
-	demoted += demotedFresh
 
-	// Deep promote pass (tiers 2 .. n-1), each column climbing one
-	// tier. The pre-pass planned room in the destination tiers; when
-	// it fell short the capacity failure defers the climb to the next
-	// epoch, the same backpressure the top-of-chain exchange applies.
-	// Empty on a two-tier machine.
-	for t := mem.TierID(2); t <= last; t++ {
+	// One promote pass, tier 1 first, each column climbing one tier.
+	// The demotions above planned room in the destination tiers; when
+	// they fell short the capacity failure defers the climb to the next
+	// epoch.
+	for t := mem.TierID(1); t <= last; t++ {
 		for _, key := range promoteByTier[t] {
-			if gated && !mv.admit(true, mv.migrationCostNS(key, t-1)) {
-				mv.deferAdmission(key, true, 0, mv.epoch)
-				continue
+			if mv.migrateFresh(key, true, t-1, gated) {
+				promoted++
 			}
-			if phys.FreeFrames(t-1) == 0 {
-				mv.Failed++
-				mv.FailedCapacity++
-				mv.prov.NoteFail(key, provenance.FailCapacity)
-				if mv.deferRetry(key, true, 1, mv.epoch) {
-					mv.prov.NoteDeferred(key)
-				}
-				continue
-			}
-			if err := mv.migrate(key, t-1); err != nil {
-				mv.failAndMaybeRetry(key, true, err, 1, mv.epoch)
-				continue
-			}
-			promoted++
-			mv.noteSuccess(key, true, t-1)
 		}
 	}
 	mv.Promotions += uint64(promoted)
@@ -757,34 +671,37 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		mv.tel.EmitShootdown(mv.machine.Now(), cost, promoted+demoted)
 	}
 	if mv.OverheadNS > 0 {
-		mv.machine.Core(mv.MoverCore).AdvanceClock(mv.chargeDelta())
+		mv.machine.Core(0).AdvanceClock(mv.chargeDelta())
 	}
-	if mv.tel.Enabled() {
-		mv.ctrPromote.Set(mv.Promotions)
-		mv.ctrDemote.Set(mv.Demotions)
-		mv.ctrSplits.Set(mv.Splits)
-		mv.ctrShootdown.Set(mv.Shootdowns)
-		mv.ctrFailed.Set(mv.Failed)
-		mv.ctrFailCap.Set(mv.FailedCapacity)
-		mv.ctrFailPin.Set(mv.FailedPinned)
-		mv.ctrFailVan.Set(mv.FailedVanished)
-		mv.ctrFailSplit.Set(mv.FailedSplit)
-		mv.ctrRetried.Set(mv.Retried)
-		mv.ctrRetryOK.Set(mv.RetrySucceeded)
-		mv.ctrRetryDrop.Set(mv.RetryDropped)
-		mv.ctrOverhead.Set(uint64(mv.OverheadNS))
-		mv.ctrTxStart.Set(mv.TxStarted)
-		mv.ctrTxCommit.Set(mv.TxCommitted)
-		mv.ctrTxAbort.Set(mv.AbortedDirty)
-		mv.ctrShadowHit.Set(mv.ShadowHits)
-		mv.ctrShadowSta.Set(mv.ShadowStale)
-		mv.ctrAdmProm.Set(mv.AdmittedPromotions)
-		mv.ctrAdmDem.Set(mv.AdmittedDemotions)
-		mv.ctrAdmDefer.Set(mv.DeferredAdmission)
-		mv.ctrRejProm.Set(mv.RejectedPromotions)
-		mv.ctrRejDem.Set(mv.RejectedDemotions)
+	for _, c := range mv.counters {
+		c.ctr.Set(*c.field)
 	}
+	mv.ctrOverhead.Set(uint64(mv.OverheadNS))
 	return promoted, demoted
+}
+
+// migrateFresh runs one fresh (not retried) migration of key to the
+// adjacent target tier and reports whether it landed. The side effects
+// keep a fixed order, because every fault site is one deterministic
+// stream: admission first, then for a promotion the capacity check (a
+// full target tier fails as capacity without drawing), then migrate's
+// fault draws. Failures route through the retry queue as first
+// attempts.
+func (mv *Mover) migrateFresh(key core.PageKey, promote bool, target mem.TierID, gated bool) bool {
+	if gated && !mv.admit(promote, mv.migrationCostNS(key, target)) {
+		mv.deferAdmission(key, promote, 0, mv.epoch)
+		return false
+	}
+	if promote && mv.machine.Phys.FreeFrames(target) == 0 {
+		mv.failAndMaybeRetry(key, true, mem.ErrTierFull, 1, mv.epoch)
+		return false
+	}
+	if err := mv.migrate(key, target); err != nil {
+		mv.failAndMaybeRetry(key, promote, err, 1, mv.epoch)
+		return false
+	}
+	mv.noteSuccess(key, promote, target)
+	return true
 }
 
 // chargeDelta charges newly accumulated overhead exactly once.

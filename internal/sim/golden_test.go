@@ -3,13 +3,17 @@ package sim
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/policy"
+	"tieredmem/internal/report"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/workload"
 )
@@ -17,11 +21,14 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata goldens")
 
 // checkGolden compares got against the named fixture, rewriting it
-// under -update. The fixtures were generated on the two-tier seed tree
-// before the tier-chain generalization landed: they are the
+// under -update. The seed_* fixtures were generated on the two-tier
+// seed tree before the tier-chain generalization landed: they are the
 // differential contract that an N-tier-capable simulator configured
 // with the legacy two tiers is a strict superset of the seed — same
 // ranks, same placement results, same telemetry stream, byte for byte.
+// The sharded_* and chain_* fixtures pin width-1 sharded runs and
+// 3-/4-tier chains the same way, where the width and repeat tests
+// only compare runs with each other.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -130,14 +137,24 @@ func TestGoldenSeedReport(t *testing.T) {
 	if placementDump(res) != placementDump(res2) {
 		t.Fatal("re-derived faulted run diverged from placementUnderFaults")
 	}
-	var b bytes.Buffer
-	for _, row := range FaultAttribution(cfg.Faults, res2) {
-		b.WriteString(row.Name)
-		b.WriteString("=")
-		b.WriteString(uitoa(row.Value))
-		b.WriteString("\n")
+	checkGolden(t, "seed_report.golden", attributionDump(FaultAttribution([]*fault.Plane{cfg.Faults}, res2)))
+}
+
+// digestLine pins a byte stream too large to commit by its fnv64a
+// digest and line count, the way seed_provenance_digest.golden does.
+func digestLine(name, s string) string {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return fmt.Sprintf("%s fnv64a=%016x lines=%d\n", name, h.Sum64(), strings.Count(s, "\n"))
+}
+
+// attributionDump renders fault-attribution rows one name=value a line.
+func attributionDump(rows []report.FaultRow) string {
+	var b strings.Builder
+	for _, row := range rows {
+		b.WriteString(row.Name + "=" + uitoa(row.Value) + "\n")
 	}
-	checkGolden(t, "seed_report.golden", b.String())
+	return b.String()
 }
 
 // uitoa formats without strconv to keep the dump trivially stable.

@@ -27,11 +27,10 @@ type PlacementConfig struct {
 	// Ratio is the footprint:fast-tier ratio (the paper's 4 GB fast /
 	// 60 GB slow testbed is ~1/16).
 	Ratio int
-	// Tiers, when non-nil, is the machine's full tier chain and takes
-	// the place of the legacy footprint/Ratio two-tier sizing (use
-	// DefaultChain for a workload-sized chain). The policy's tier-1
-	// capacity is the chain's top tier less the huge-fault slack. nil
-	// keeps the two-tier path bit-for-bit.
+	// Tiers is the machine's full tier chain (use DefaultChain for a
+	// workload-sized one); nil means DefaultChain(w, Ratio, 2) for this
+	// machine, which a sharded run resolves per cell. The policy's
+	// tier-1 capacity is the chain's top tier less the huge-fault slack.
 	Tiers mem.TierChain
 	// Policy drives migrations at epoch horizons; nil runs the
 	// first-come-first-allocate baseline with no mover and no
@@ -103,14 +102,14 @@ func DefaultPlacementConfig(w workload.Workload, ibsPeriod, totalRefs, ratio int
 	}
 }
 
-// DefaultChain sizes an n-tier chain (2 ≤ n ≤ 4) for a workload the
-// way the legacy sizing carves a two-tier machine: the top tier holds
-// 1/ratio of the footprint (plus huge-fault slack), the bottom tier
-// alone can absorb the whole footprint with 25% headroom, and middle
-// tiers step geometrically between them. The 3- and 4-tier shapes
-// place a device-profiled CXL expander directly under DRAM, so a
-// devprof tracker has a tier to observe. n == 2 reproduces the legacy
-// DefaultTiers layout element for element.
+// DefaultChain sizes an n-tier chain (2 ≤ n ≤ 4) for a workload: the
+// top tier holds 1/ratio of the footprint (plus huge-fault slack), the
+// bottom tier alone can absorb the whole footprint with 25% headroom,
+// and middle tiers step geometrically between them. The 3- and 4-tier
+// shapes place a device-profiled CXL expander directly under DRAM, so a
+// devprof tracker has a tier to observe. n == 2 is the DefaultTiers
+// layout element for element, and is what RunPlacement builds when
+// Tiers is nil.
 func DefaultChain(w workload.Workload, ratio, n int) (mem.TierChain, error) {
 	if ratio <= 0 {
 		ratio = 16
@@ -188,12 +187,67 @@ func (r PlacementResult) Hitrate() float64 {
 	return float64(r.Tier1Hits) / float64(r.MemAccesses)
 }
 
-// FaultAttribution assembles the fault-attribution section for one
-// placement run: per-site injection counts from the plane, then the
-// mover's reason-partitioned failures and retry-queue outcomes, in a
-// fixed order so the rendered report is deterministic.
-func FaultAttribution(p *fault.Plane, res PlacementResult) []report.FaultRow {
-	return MergedFaultAttribution([]*fault.Plane{p}, res)
+// moverCounter is one mover counter a placement run reports.
+type moverCounter struct {
+	row string  // its fault-attribution row; "" for none
+	res *uint64 // the PlacementResult field
+	mv  *uint64 // the Mover field it copies
+}
+
+// moverCounters lists the mover counters a placement run reports, in
+// fault-attribution order, as fields of res and of mv (a zero Mover
+// when nil). RunPlacement's copy, RunShardedPlacement's cell-order sum
+// and FaultAttribution's rows all range over this one list.
+func moverCounters(res *PlacementResult, mv *policy.Mover) []moverCounter {
+	if mv == nil {
+		mv = &policy.Mover{}
+	}
+	return []moverCounter{
+		{"", &res.Promotions, &mv.Promotions},
+		{"", &res.Demotions, &mv.Demotions},
+		{"mover/failed", &res.Failed, &mv.Failed},
+		{"mover/failed_capacity", &res.FailedCapacity, &mv.FailedCapacity},
+		{"mover/failed_pinned", &res.FailedPinned, &mv.FailedPinned},
+		{"mover/failed_vanished", &res.FailedVanished, &mv.FailedVanished},
+		{"mover/failed_split", &res.FailedSplit, &mv.FailedSplit},
+		{"mover/retries", &res.Retried, &mv.Retried},
+		{"mover/retry_succeeded", &res.RetrySucceeded, &mv.RetrySucceeded},
+		{"mover/retry_superseded", &res.RetrySuperseded, &mv.RetrySuperseded},
+		{"mover/retry_dropped", &res.RetryDropped, &mv.RetryDropped},
+		{"mover/tx_started", &res.TxStarted, &mv.TxStarted},
+		{"mover/tx_committed", &res.TxCommitted, &mv.TxCommitted},
+		{"mover/aborted_dirty", &res.AbortedDirty, &mv.AbortedDirty},
+		{"mover/shadow_hits", &res.ShadowHits, &mv.ShadowHits},
+		{"mover/shadow_stale", &res.ShadowStale, &mv.ShadowStale},
+		{"mover/admitted_promotions", &res.AdmittedPromotions, &mv.AdmittedPromotions},
+		{"mover/admitted_demotions", &res.AdmittedDemotions, &mv.AdmittedDemotions},
+		{"mover/deferred_admission", &res.DeferredAdmission, &mv.DeferredAdmission},
+		{"mover/rejected_promotions", &res.RejectedPromotions, &mv.RejectedPromotions},
+		{"mover/rejected_demotions", &res.RejectedDemotions, &mv.RejectedDemotions},
+	}
+}
+
+// FaultAttribution assembles the fault-attribution section of a
+// placement run from its fault planes (one per cell when sharded, in
+// cell order): per-site injection counts summed over the planes, then
+// the mover's reason-partitioned failures, retry-queue, transaction and
+// admission outcomes, then quarantined mechanisms, in a fixed order so
+// the rendered report is deterministic.
+func FaultAttribution(planes []*fault.Plane, res PlacementResult) []report.FaultRow {
+	rows := make([]report.FaultRow, 0, 32)
+	for _, s := range fault.Sites() {
+		var total uint64
+		for _, p := range planes {
+			total += p.Injected(s)
+		}
+		rows = append(rows, report.FaultRow{Name: "fault/" + s.String() + "_injected", Value: total})
+	}
+	for _, c := range moverCounters(&res, nil) {
+		if c.row != "" {
+			rows = append(rows, report.FaultRow{Name: c.row, Value: *c.res})
+		}
+	}
+	return append(rows, report.FaultRow{Name: "quarantined_mechanisms", Value: uint64(len(res.Quarantined))})
 }
 
 // RunPlacement executes an end-to-end tiered run and returns its
@@ -212,22 +266,17 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = 16
 	}
-	footPages := int(w.FootprintBytes() >> mem.PageShift)
-	tiers := []mem.TierSpec(cfg.Tiers)
+	if cfg.Tiers == nil {
+		chain, err := DefaultChain(w, cfg.Ratio, 2)
+		if err != nil {
+			return PlacementResult{}, err
+		}
+		cfg.Tiers = chain
+	}
 	// Capacity the policy may fill: leave the huge-fault slack out so
 	// promotions never fail on a full tier.
-	capacity := footPages / cfg.Ratio
-	if tiers == nil {
-		fast := footPages/cfg.Ratio + mem.HugePages // slack so huge faults can land
-		slow := footPages + footPages/4 + mem.HugePages
-		tiers = mem.DefaultTiers(fast, slow)
-	} else {
-		capacity = cfg.Tiers[0].Frames - mem.HugePages
-		if capacity < 0 {
-			capacity = 0
-		}
-	}
-	m, err := cpu.NewMachine(cfg.CPU, tiers)
+	capacity := max(cfg.Tiers[0].Frames-mem.HugePages, 0)
+	m, err := cpu.NewMachine(cfg.CPU, cfg.Tiers)
 	if err != nil {
 		return PlacementResult{}, err
 	}
@@ -400,27 +449,13 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	res.Refs = executed
 	res.DurationNS = m.Now()
 	if mover != nil {
-		res.Promotions = mover.Promotions
-		res.Demotions = mover.Demotions
-		res.Failed = mover.Failed
-		res.FailedCapacity = mover.FailedCapacity
-		res.FailedPinned = mover.FailedPinned
-		res.FailedVanished = mover.FailedVanished
-		res.FailedSplit = mover.FailedSplit
-		res.Retried = mover.Retried
-		res.RetrySucceeded = mover.RetrySucceeded
-		res.RetrySuperseded = mover.RetrySuperseded
-		res.RetryDropped = mover.RetryDropped
-		res.TxStarted = mover.TxStarted
-		res.TxCommitted = mover.TxCommitted
-		res.AbortedDirty = mover.AbortedDirty
-		res.ShadowHits = mover.ShadowHits
-		res.ShadowStale = mover.ShadowStale
-		res.AdmittedPromotions = mover.AdmittedPromotions
-		res.AdmittedDemotions = mover.AdmittedDemotions
-		res.DeferredAdmission = mover.DeferredAdmission
-		res.RejectedPromotions = mover.RejectedPromotions
-		res.RejectedDemotions = mover.RejectedDemotions
+		// Copy through a temporary: taking res's address would move it,
+		// and the per-reference counters above, to the heap.
+		counts := res
+		for _, c := range moverCounters(&counts, mover) {
+			*c.res = *c.mv
+		}
+		res = counts
 	}
 	if prof != nil {
 		res.Quarantined = prof.QuarantinedMechanisms()

@@ -8,7 +8,6 @@ import (
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
 	"tieredmem/internal/provenance"
-	"tieredmem/internal/report"
 	"tieredmem/internal/runner"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/workload"
@@ -90,12 +89,13 @@ func (r ShardedResult) FaultsInjectedTotal() uint64 {
 // shardTiers carves a whole-machine tier sizing into one cell's share:
 // every tier keeps 1/cells of its frames plus the huge-fault slack
 // (the same slack rule the whole-machine sizing applies once). nil in,
-// nil out — sim.New then sizes tiers from the cell's own footprint.
-func shardTiers(tiers []mem.TierSpec, cells int) []mem.TierSpec {
+// nil out — New or RunPlacement then sizes the cell's machine from its
+// own slice of the workload.
+func shardTiers(tiers mem.TierChain, cells int) mem.TierChain {
 	if tiers == nil {
 		return nil
 	}
-	out := make([]mem.TierSpec, len(tiers))
+	out := make(mem.TierChain, len(tiers))
 	for i, t := range tiers {
 		t.Frames = t.Frames/cells + mem.HugePages
 		out[i] = t
@@ -122,6 +122,68 @@ func prefixQuarantined(dst []string, label string, cell int, mechs []string) []s
 	return dst
 }
 
+// shardPlan is a sharded run's partition and per-cell observability,
+// fixed in cell order before any cell runs, so exports never depend on
+// completion order and a cell with no references still has its tracer
+// and fault plane.
+type shardPlan struct {
+	probe   workload.Workload // a fresh instance: name and process count
+	label   string
+	cells   int
+	tracers []*telemetry.Tracer // nil entries unless traced
+	labeled []telemetry.Labeled // the tracers under their cell labels
+	planes  []*fault.Plane      // nil entries when the spec is zero
+}
+
+// planShards probes mk for the partition (one cell per core with
+// processes to run) and derives each cell's tracer and fault plane,
+// the plane seeded seed+cell.
+func planShards(mk func() workload.Workload, cores int, label string, trace bool, spec fault.Spec, seed int64) (*shardPlan, error) {
+	probe := mk()
+	if !workload.Sliceable(probe) {
+		return nil, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	}
+	cells := workload.Cells(probe, cores)
+	if cells < 1 {
+		return nil, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
+	}
+	p := &shardPlan{probe: probe, label: label, cells: cells,
+		tracers: make([]*telemetry.Tracer, cells), planes: make([]*fault.Plane, cells)}
+	for c := range cells {
+		if trace {
+			p.tracers[c] = telemetry.New()
+			p.labeled = append(p.labeled, telemetry.Labeled{Label: cellLabel(label, c), Tracer: p.tracers[c]})
+		}
+		if !spec.Zero() {
+			p.planes[c] = fault.New(spec, seed+int64(c))
+		}
+	}
+	return p, nil
+}
+
+// runShards fans a plan's cells out on a pool of the given width and
+// returns their results in cell order. A cell with references runs
+// run on its share of totalRefs and its slice of a fresh mk()
+// instance; a cell without any yields the zero R.
+func runShards[R any](p *shardPlan, width int, nowNS func() int64, totalRefs int, mk func() workload.Workload,
+	run func(cell, refs int, w workload.Workload) (R, error)) ([]R, runner.Stats, error) {
+	procs := len(p.probe.Processes())
+	return runner.ShardGroup(
+		runner.Config{Workers: width, NowNS: nowNS}, p.cells,
+		func(c int) string { return cellLabel(p.label, c) },
+		func(cell int) (zero R, err error) {
+			refs := workload.SliceRefs(int64(totalRefs), procs, cell, p.cells)
+			if refs == 0 {
+				return zero, nil
+			}
+			sliced, err := workload.Slice(mk(), cell, p.cells)
+			if err != nil {
+				return zero, err
+			}
+			return run(cell, int(refs), sliced)
+		})
+}
+
 // RunSharded executes a profiling run sharded per core and fuses the
 // result. mk must build a fresh workload from the seed on every call
 // (cells slice private instances; generators carry live RNG state).
@@ -133,50 +195,20 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 	if scfg.Base.Tracer != nil || scfg.Base.Faults != nil {
 		return ShardedResult{}, fmt.Errorf("sim: sharded runs derive per-cell tracers and fault planes; set ShardedConfig.Trace/FaultSpec, not Base.Tracer/Base.Faults")
 	}
-	probe := mk()
-	if !workload.Sliceable(probe) {
-		return ShardedResult{}, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	p, err := planShards(mk, scfg.Base.CPU.Cores, scfg.Label, scfg.Trace, scfg.FaultSpec, scfg.FaultSeed)
+	if err != nil {
+		return ShardedResult{}, err
 	}
-	cells := workload.Cells(probe, scfg.Base.CPU.Cores)
-	if cells < 1 {
-		return ShardedResult{}, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
-	}
-	procs := len(probe.Processes())
-
-	sres := ShardedResult{Cells: cells}
-	// Per-cell observability is allocated up front, in cell order, so
-	// exports never depend on completion order.
-	tracers := make([]*telemetry.Tracer, cells)
-	sres.Planes = make([]*fault.Plane, cells)
-	for c := 0; c < cells; c++ {
-		if scfg.Trace {
-			tracers[c] = telemetry.New()
-			sres.Telemetry = append(sres.Telemetry, telemetry.Labeled{Label: cellLabel(scfg.Label, c), Tracer: tracers[c]})
-		}
-		if !scfg.FaultSpec.Zero() {
-			sres.Planes[c] = fault.New(scfg.FaultSpec, scfg.FaultSeed+int64(c))
-		}
-	}
-
-	results, stats, err := runner.ShardGroup(
-		runner.Config{Workers: scfg.Shards, NowNS: scfg.NowNS}, cells,
-		func(c int) string { return cellLabel(scfg.Label, c) },
-		func(cell int) (Result, error) {
-			refs := workload.SliceRefs(int64(scfg.Base.TotalRefs), procs, cell, cells)
-			if refs == 0 {
-				return Result{}, nil
-			}
-			sliced, err := workload.Slice(mk(), cell, cells)
-			if err != nil {
-				return Result{}, err
-			}
+	sres := ShardedResult{Cells: p.cells, Telemetry: p.labeled, Planes: p.planes}
+	results, stats, err := runShards(p, scfg.Shards, scfg.NowNS, scfg.Base.TotalRefs, mk,
+		func(cell, refs int, w workload.Workload) (Result, error) {
 			cfg := scfg.Base
 			cfg.CPU.Cores = 1
-			cfg.TotalRefs = int(refs)
-			cfg.Tiers = shardTiers(scfg.Base.Tiers, cells)
-			cfg.Tracer = tracers[cell]
-			cfg.Faults = sres.Planes[cell]
-			r, err := New(cfg, sliced)
+			cfg.TotalRefs = refs
+			cfg.Tiers = shardTiers(scfg.Base.Tiers, p.cells)
+			cfg.Tracer = p.tracers[cell]
+			cfg.Faults = p.planes[cell]
+			r, err := New(cfg, w)
 			if err != nil {
 				return Result{}, err
 			}
@@ -191,8 +223,8 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 	// across cells through the Merger, sum counters, keep the slowest
 	// cell's virtual duration (cells run concurrently in the modeled
 	// machine, so the machine's duration is the critical path).
-	sres.Workload = probe.Name()
-	sres.NumCores = cells
+	sres.Workload = p.probe.Name()
+	sres.NumCores = p.cells
 	maxEpochs := 0
 	for _, r := range results {
 		if len(r.Epochs) > maxEpochs {
@@ -200,7 +232,7 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 		}
 	}
 	merger := core.NewMerger(0)
-	scratch := make([]core.EpochStats, 0, cells)
+	scratch := make([]core.EpochStats, 0, p.cells)
 	for k := 0; k < maxEpochs; k++ {
 		scratch = scratch[:0]
 		for _, r := range results {
@@ -278,64 +310,39 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 	if scfg.Base.Policy != nil || scfg.Base.Tracer != nil || scfg.Base.Faults != nil || scfg.Base.Prov != nil {
 		return ShardedPlacementResult{}, fmt.Errorf("sim: sharded placement derives per-cell policy/tracer/faults/prov; set MkPolicy/Trace/FaultSpec/Prov on ShardedPlacementConfig, not Base")
 	}
-	probe := mk()
-	if !workload.Sliceable(probe) {
-		return ShardedPlacementResult{}, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	p, err := planShards(mk, scfg.Base.CPU.Cores, scfg.Label, scfg.Trace, scfg.FaultSpec, scfg.FaultSeed)
+	if err != nil {
+		return ShardedPlacementResult{}, err
 	}
-	cells := workload.Cells(probe, scfg.Base.CPU.Cores)
-	if cells < 1 {
-		return ShardedPlacementResult{}, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
-	}
-	procs := len(probe.Processes())
-
-	sres := ShardedPlacementResult{Cells: cells}
-	tracers := make([]*telemetry.Tracer, cells)
-	recorders := make([]*provenance.Recorder, cells)
-	sres.Planes = make([]*fault.Plane, cells)
-	for c := 0; c < cells; c++ {
-		if scfg.Trace {
-			tracers[c] = telemetry.New()
-			sres.Telemetry = append(sres.Telemetry, telemetry.Labeled{Label: cellLabel(scfg.Label, c), Tracer: tracers[c]})
-		}
-		if scfg.Prov && scfg.MkPolicy != nil {
+	recorders := make([]*provenance.Recorder, p.cells)
+	if scfg.Prov && scfg.MkPolicy != nil {
+		for c := range recorders {
 			recorders[c] = provenance.New()
 		}
-		if !scfg.FaultSpec.Zero() {
-			sres.Planes[c] = fault.New(scfg.FaultSpec, scfg.FaultSeed+int64(c))
-		}
 	}
-
-	results, stats, err := runner.ShardGroup(
-		runner.Config{Workers: scfg.Shards, NowNS: scfg.NowNS}, cells,
-		func(c int) string { return cellLabel(scfg.Label, c) },
-		func(cell int) (PlacementResult, error) {
-			refs := workload.SliceRefs(int64(scfg.Base.TotalRefs), procs, cell, cells)
-			if refs == 0 {
-				return PlacementResult{}, nil
-			}
-			sliced, err := workload.Slice(mk(), cell, cells)
-			if err != nil {
-				return PlacementResult{}, err
-			}
+	sres := ShardedPlacementResult{Cells: p.cells, Telemetry: p.labeled, Planes: p.planes}
+	results, stats, err := runShards(p, scfg.Shards, scfg.NowNS, scfg.Base.TotalRefs, mk,
+		func(cell, refs int, w workload.Workload) (PlacementResult, error) {
 			cfg := scfg.Base
 			cfg.CPU.Cores = 1
-			cfg.TotalRefs = int(refs)
-			cfg.Tiers = mem.TierChain(shardTiers(scfg.Base.Tiers, cells))
+			cfg.TotalRefs = refs
+			cfg.Tiers = shardTiers(scfg.Base.Tiers, p.cells)
 			if scfg.MkPolicy != nil {
 				cfg.Policy = scfg.MkPolicy()
 			}
-			cfg.Tracer = tracers[cell]
-			cfg.Faults = sres.Planes[cell]
+			cfg.Tracer = p.tracers[cell]
+			cfg.Faults = p.planes[cell]
 			cfg.Prov = recorders[cell]
-			return RunPlacement(cfg, sliced)
+			return RunPlacement(cfg, w)
 		})
 	sres.Stats = stats
 	if err != nil {
 		return sres, err
 	}
 
-	sres.Workload = probe.Name()
-	sres.NumCores = cells
+	sres.Workload = p.probe.Name()
+	sres.NumCores = p.cells
+	fused := moverCounters(&sres.PlacementResult, nil)
 	for c, r := range results {
 		if r.Arm != "" {
 			sres.Arm = r.Arm
@@ -346,34 +353,16 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 		}
 		sres.MemAccesses += r.MemAccesses
 		sres.Tier1Hits += r.Tier1Hits
-		sres.Promotions += r.Promotions
-		sres.Demotions += r.Demotions
 		sres.EmulInjected += r.EmulInjected
 		sres.EmulFaults += r.EmulFaults
-		sres.Failed += r.Failed
-		sres.FailedCapacity += r.FailedCapacity
-		sres.FailedPinned += r.FailedPinned
-		sres.FailedVanished += r.FailedVanished
-		sres.FailedSplit += r.FailedSplit
-		sres.Retried += r.Retried
-		sres.RetrySucceeded += r.RetrySucceeded
-		sres.RetrySuperseded += r.RetrySuperseded
-		sres.RetryDropped += r.RetryDropped
-		sres.TxStarted += r.TxStarted
-		sres.TxCommitted += r.TxCommitted
-		sres.AbortedDirty += r.AbortedDirty
-		sres.ShadowHits += r.ShadowHits
-		sres.ShadowStale += r.ShadowStale
-		sres.AdmittedPromotions += r.AdmittedPromotions
-		sres.AdmittedDemotions += r.AdmittedDemotions
-		sres.DeferredAdmission += r.DeferredAdmission
-		sres.RejectedPromotions += r.RejectedPromotions
-		sres.RejectedDemotions += r.RejectedDemotions
+		for i, cc := range moverCounters(&r, nil) {
+			*fused[i].res += *cc.res
+		}
 		sres.FaultsInjected += r.FaultsInjected
 		sres.Quarantined = prefixQuarantined(sres.Quarantined, scfg.Label, c, r.Quarantined)
 	}
 	if scfg.Prov && scfg.MkPolicy != nil {
-		parts := make([]provenance.Log, 0, cells)
+		parts := make([]provenance.Log, 0, p.cells)
 		for c, rec := range recorders {
 			if rec.Enabled() {
 				parts = append(parts, rec.Snapshot(cellLabel(scfg.Label, c)))
@@ -383,41 +372,4 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 		sres.HasProv = true
 	}
 	return sres, nil
-}
-
-// MergedFaultAttribution is FaultAttribution over a sharded run's
-// per-cell planes: per-site injections sum in cell order, the
-// mover/quarantine rows come from the fused result.
-func MergedFaultAttribution(planes []*fault.Plane, res PlacementResult) []report.FaultRow {
-	rows := make([]report.FaultRow, 0, 16)
-	for _, s := range fault.Sites() {
-		var total uint64
-		for _, p := range planes {
-			total += p.Injected(s)
-		}
-		rows = append(rows, report.FaultRow{Name: "fault/" + s.String() + "_injected", Value: total})
-	}
-	rows = append(rows,
-		report.FaultRow{Name: "mover/failed", Value: res.Failed},
-		report.FaultRow{Name: "mover/failed_capacity", Value: res.FailedCapacity},
-		report.FaultRow{Name: "mover/failed_pinned", Value: res.FailedPinned},
-		report.FaultRow{Name: "mover/failed_vanished", Value: res.FailedVanished},
-		report.FaultRow{Name: "mover/failed_split", Value: res.FailedSplit},
-		report.FaultRow{Name: "mover/retries", Value: res.Retried},
-		report.FaultRow{Name: "mover/retry_succeeded", Value: res.RetrySucceeded},
-		report.FaultRow{Name: "mover/retry_superseded", Value: res.RetrySuperseded},
-		report.FaultRow{Name: "mover/retry_dropped", Value: res.RetryDropped},
-		report.FaultRow{Name: "mover/tx_started", Value: res.TxStarted},
-		report.FaultRow{Name: "mover/tx_committed", Value: res.TxCommitted},
-		report.FaultRow{Name: "mover/aborted_dirty", Value: res.AbortedDirty},
-		report.FaultRow{Name: "mover/shadow_hits", Value: res.ShadowHits},
-		report.FaultRow{Name: "mover/shadow_stale", Value: res.ShadowStale},
-		report.FaultRow{Name: "mover/admitted_promotions", Value: res.AdmittedPromotions},
-		report.FaultRow{Name: "mover/admitted_demotions", Value: res.AdmittedDemotions},
-		report.FaultRow{Name: "mover/deferred_admission", Value: res.DeferredAdmission},
-		report.FaultRow{Name: "mover/rejected_promotions", Value: res.RejectedPromotions},
-		report.FaultRow{Name: "mover/rejected_demotions", Value: res.RejectedDemotions},
-		report.FaultRow{Name: "quarantined_mechanisms", Value: uint64(len(res.Quarantined))},
-	)
-	return rows
 }

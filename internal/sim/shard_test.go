@@ -272,6 +272,80 @@ func TestShardedTxAdmissionChaosIdenticalAcrossWidths(t *testing.T) {
 	}
 }
 
+// shardedGoldenDump renders a width-1 sharded placement run for a
+// golden: the fused placement dump and fault-attribution rows as text,
+// the per-cell telemetry export and fused provenance log as digests.
+func shardedGoldenDump(t *testing.T, res ShardedPlacementResult) string {
+	t.Helper()
+	return shardedPlacementDump(res) +
+		attributionDump(FaultAttribution(res.Planes, res.PlacementResult)) +
+		fmt.Sprintf("tracers=%d prov=%v pages=%d\n", len(res.Telemetry), res.HasProv, len(res.Prov.Pages)) +
+		digestLine("telemetry", telemetryDump(t, res.Telemetry)) +
+		digestLine("provenance", provDump(t, res.Prov))
+}
+
+// TestShardedGoldenPlacement pins the fused output of width-1 sharded
+// placement runs to fixtures, where the width tests above only compare
+// widths with each other: a change that moves every width alike (the
+// cell driver, the counter fusion, the mover) fails here.
+func TestShardedGoldenPlacement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("placement runs are slow")
+	}
+	for _, tc := range []struct {
+		name, spec string
+		mutate     func(*PlacementConfig)
+	}{
+		{"unfaulted", "", nil},
+		{"faulted", "all=0.1", nil},
+		{"txadmission", "mem.copyabort=0.3,mem.shadowstale=0.2", func(cfg *PlacementConfig) {
+			cfg.TxMigration = true
+			cfg.AdmissionFrac = 0.25
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := fault.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runShardedPlacementCfg(t, 1, spec, tc.mutate)
+			checkGolden(t, "sharded_placement_"+tc.name+".golden", shardedGoldenDump(t, res))
+		})
+	}
+}
+
+// TestShardedGoldenEmptyCells pins a 3-reference sharded run: most
+// cells get no references, yet each still exports its tracer and
+// snapshots its recorder, so the exports keep one entry per cell.
+func TestShardedGoldenEmptyCells(t *testing.T) {
+	res := runShardedPlacementCfg(t, 1, fault.Spec{}, func(cfg *PlacementConfig) { cfg.TotalRefs = 3 })
+	if len(res.Telemetry) != res.Cells || res.Cells <= 3 {
+		t.Fatalf("%d tracers for %d cells; want one per cell and more cells than references", len(res.Telemetry), res.Cells)
+	}
+	checkGolden(t, "sharded_placement_emptycells.golden", shardedGoldenDump(t, res))
+}
+
+// TestShardedGoldenRanks pins width-1 sharded profiling runs: the
+// fused ranks and per-cell telemetry as digests, the fused totals as
+// text.
+func TestShardedGoldenRanks(t *testing.T) {
+	for _, tc := range []struct{ name, spec string }{{"unfaulted", ""}, {"faulted", "all=0.1"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := fault.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runShardedOnce(t, 1, spec)
+			got := fmt.Sprintf("cells=%d refs=%d dur=%d minor=%d huge=%d inj=%d quar=%v\n",
+				res.Cells, res.Refs, res.DurationNS, res.MinorFaults, res.HugeFaults,
+				res.FaultsInjectedTotal(), res.Quarantined) +
+				digestLine("ranks", rankDump(res.Result)) +
+				digestLine("telemetry", telemetryDump(t, res.Telemetry))
+			checkGolden(t, "sharded_ranks_"+tc.name+".golden", got)
+		})
+	}
+}
+
 // TestShardedConfigRejectsSharedState pins the anti-race guard: base
 // configs carrying a shared tracer, plane, recorder, or policy are
 // rejected rather than silently shared across cells.

@@ -21,8 +21,9 @@ import (
 // Config assembles a run.
 type Config struct {
 	CPU cpu.Config
-	// Tiers sizes physical memory; when nil, SlackRatio sizes a
-	// fast tier holding the whole footprint (profiling-only runs).
+	// Tiers sizes physical memory; when nil, the machine gets
+	// DefaultConfig's sizing: a fast tier holding the whole footprint
+	// (profiling-only runs).
 	Tiers []mem.TierSpec
 	TMP   core.Config
 	// EpochNS is the placement epoch (the paper uses 1 virtual
@@ -62,10 +63,6 @@ const ScaledSecond = int64(1_000_000) // 1 virtual ms
 // IBS base period scaled for multi-million-reference streams,
 // scaled-second epochs, THP on.
 func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
-	footPages := int(w.FootprintBytes() >> mem.PageShift)
-	// Fast tier big enough for everything plus slack: profiling runs
-	// measure detection, not placement.
-	tiers := mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
 	cpuCfg := cpu.DefaultConfig()
 	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
 	tmp := core.DefaultConfig(ibsPeriod)
@@ -74,13 +71,21 @@ func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
 	tmp.HWPC.Window = ScaledSecond / 10
 	return Config{
 		CPU:       cpuCfg,
-		Tiers:     tiers,
+		Tiers:     profilingTiers(w),
 		TMP:       tmp,
 		EpochNS:   ScaledSecond,
 		TotalRefs: totalRefs,
 		BatchSize: 1024,
 		Huge:      true,
 	}
+}
+
+// profilingTiers sizes a profiling run's machine: a fast tier big
+// enough for the whole footprint plus slack, because profiling runs
+// measure detection, not placement.
+func profilingTiers(w workload.Workload) []mem.TierSpec {
+	footPages := int(w.FootprintBytes() >> mem.PageShift)
+	return mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
 }
 
 // Hooks observe a run.
@@ -143,8 +148,7 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 		cfg.EpochNS = 1_000_000_000
 	}
 	if cfg.Tiers == nil {
-		footPages := int(w.FootprintBytes() >> mem.PageShift)
-		cfg.Tiers = mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
+		cfg.Tiers = profilingTiers(w)
 	}
 	m, err := cpu.NewMachine(cfg.CPU, cfg.Tiers)
 	if err != nil {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# check.sh — the repo gate: build, vet, format, tmplint, race tests.
+# check.sh — the repo gate: build, vet, format, tmplint, race tests,
+# and the benchmark module's own vet and tests.
 # Every PR must pass this; CI runs it on push and pull_request.
 set -euo pipefail
 
@@ -33,5 +34,12 @@ echo "==> go test -race -shuffle=on ./..."
 # sibling-test side effects, matching the determinism contract's
 # "every cell is a pure function of its config" rule.
 go test -race -shuffle=on -timeout 15m ./...
+
+echo "==> (cd bench && go vet . && go test .)"
+# bench/ is its own module, so ./... above skips it. Its tests are the
+# only check that bench/replay.go still replays RunPlacement and
+# RunShardedPlacement call for call, including its by-name reflection
+# over Mover and PlacementResult fields.
+(cd bench && go vet . && go test .)
 
 echo "All checks passed."
