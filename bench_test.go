@@ -399,12 +399,9 @@ func hotPathEpochs(epochs, pagesPer int) []core.EpochStats {
 				tier = mem.FastTier
 			}
 			out[e].Pages[i] = core.PageStat{
-				Key:   core.PageKey{PID: 100 + i%4, VPN: vpn},
-				Tier:  tier,
-				Abit:  uint32(i % 7),
-				Trace: uint32(i % 11),
-				Write: uint32(i % 3),
-				True:  uint32(i % 5),
+				Key:      core.PageKey{PID: 100 + i%4, VPN: vpn},
+				Tier:     tier,
+				Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 3), True: uint32(i % 5)},
 			}
 		}
 	}
@@ -434,12 +431,9 @@ func shardHarvests(shards, totalPages int) []core.EpochStats {
 		out[s].Pages = make([]core.PageStat, per)
 		for i := range out[s].Pages {
 			out[s].Pages[i] = core.PageStat{
-				Key:   core.PageKey{PID: 100 + s, VPN: mem.VPN(i)},
-				Tier:  mem.TierID(s % 2),
-				Abit:  uint32(i % 7),
-				Trace: uint32(i % 11),
-				Write: uint32(i % 3),
-				True:  uint32(i % 5),
+				Key:      core.PageKey{PID: 100 + s, VPN: mem.VPN(i)},
+				Tier:     mem.TierID(s % 2),
+				Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 3), True: uint32(i % 5)},
 			}
 		}
 	}
@@ -529,7 +523,7 @@ func BenchmarkHarvestSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Refresh per-epoch evidence directly; only the harvest itself
 		// is under measurement.
-		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.AbitEpoch = 1 })
+		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
 	}
 }

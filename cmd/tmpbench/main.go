@@ -21,13 +21,13 @@
 //	tmpbench -exp fig6 -workloads gups    # one experiment, one workload
 //	tmpbench -parallel 1                  # sequential cells (same bytes, slower)
 //	tmpbench -exp speedup -shards 8       # shard each machine across 8 workers
-//	tmpbench -quick                       # keep heavy families at -refs
+//	tmpbench -heavy-refs 0                # keep heavy families at -refs
 //
 // Independent experiment cells fan out on a bounded worker pool
 // (-parallel, default GOMAXPROCS); results reassemble in submission
 // order, so the emitted files are byte-identical at any width. The
 // speedup/overhead families default to a 100M-reference regime
-// (-heavy-refs; -quick keeps them at -refs) and, with -shards N,
+// (-heavy-refs; 0 keeps them at -refs) and, with -shards N,
 // additionally partition each simulated machine per core and run the
 // per-core cells on an intra-cell shard pool — output stays
 // byte-identical at any shard width >= 1.
@@ -63,8 +63,7 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: all eight)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for independent experiment cells (1 = sequential; output is byte-identical at any setting)")
 		shards    = flag.Int("shards", 0, "intra-cell shard-pool width for the speedup/overhead families: each simulated machine is partitioned per core and its cells run on this many workers (0 = legacy single-goroutine machine; output is byte-identical at any width >= 1)")
-		quick     = flag.Bool("quick", false, "keep the speedup/overhead families at -refs instead of the 100M-ref default regime")
-		heavyRefs = flag.Int("heavy-refs", 100_000_000, "references per run for the speedup/overhead families unless -quick (other families always use -refs)")
+		heavyRefs = flag.Int("heavy-refs", 100_000_000, "references per run for the speedup/overhead families; 0 keeps them at -refs (other families always use -refs)")
 		stats     = flag.Bool("stats", true, "print per-experiment worker-pool stats to stderr")
 		tracOut   = flag.String("trace", "", "write a Chrome trace_viewer JSON of every profiled cell (open in chrome://tracing or Perfetto)")
 		evtsOut   = flag.String("events", "", "write the structured JSONL event log of every profiled cell")
@@ -98,9 +97,7 @@ func main() {
 		Trace:      *tracOut != "" || *evtsOut != "" || *metrics,
 		Faults:     faultSpec,
 		Shards:     *shards,
-	}
-	if !*quick {
-		opts.HeavyRefs = *heavyRefs
+		HeavyRefs:  *heavyRefs,
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")

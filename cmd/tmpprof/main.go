@@ -42,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	rate, err := parseRate(*rateStr)
+	rate, err := experiments.ParseRate(*rateStr)
 	if err != nil {
 		// A typoed rate silently profiling at some other rate would
 		// invalidate every number printed, so refuse loudly.
@@ -145,19 +145,6 @@ func main() {
 		if err := teleout.WriteMemProfile(*memProf); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-func parseRate(s string) (int, error) {
-	switch s {
-	case "default", "1x":
-		return ibs.Rate1x, nil
-	case "4x":
-		return ibs.Rate4x, nil
-	case "8x":
-		return ibs.Rate8x, nil
-	default:
-		return 0, fmt.Errorf("unknown rate %q (default, 4x, 8x)", s)
 	}
 }
 

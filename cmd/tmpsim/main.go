@@ -83,7 +83,7 @@ func main() {
 		}
 	}
 
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		fatal(err)
 	}
@@ -366,21 +366,6 @@ func main() {
 		if err := teleout.WriteMemProfile(*memProf); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch s {
-	case "abit":
-		return core.MethodAbit, nil
-	case "ibs", "trace":
-		return core.MethodTrace, nil
-	case "tmp", "combined":
-		return core.MethodCombined, nil
-	case "devprof", "dev":
-		return core.MethodDev, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (abit, ibs, tmp, devprof)", s)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"tieredmem/internal/experiments"
-	"tieredmem/internal/ibs"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/report"
 	"tieredmem/internal/stats"
@@ -35,7 +34,7 @@ func main() {
 		analyze = flag.String("analyze", "", "trace file to analyze")
 		name    = flag.String("workload", "gups", "workload to capture")
 		refs    = flag.Int("refs", 6_000_000, "references to execute during capture")
-		rate    = flag.String("rate", "4x", "sampling rate: default, 4x, 8x")
+		rateStr = flag.String("rate", "4x", "sampling rate: default, 4x, 8x")
 		seed    = flag.Int64("seed", 42, "workload seed")
 		out     = flag.String("o", "trace.tmp", "output trace path for -capture")
 		heat    = flag.Bool("heatmap", false, "render a heatmap during -analyze")
@@ -46,9 +45,17 @@ func main() {
 	)
 	flag.Parse()
 
+	rate, err := experiments.ParseRate(*rateStr)
+	if err != nil {
+		// A bad rate is a usage error, reported before anything is
+		// profiled: message, usage, exit 2, as for a mistyped flag.
+		fmt.Fprintln(os.Stderr, "tmptrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	switch {
 	case *capture:
-		if err := doCapture(*name, *refs, *rate, *seed, *out, *tracOut, *evtsOut, *metrics); err != nil {
+		if err := doCapture(*name, *refs, rate, *seed, *out, *tracOut, *evtsOut, *metrics); err != nil {
 			fatal(err)
 		}
 	case *analyze != "":
@@ -61,12 +68,7 @@ func main() {
 	}
 }
 
-func doCapture(name string, refs int, rateStr string, seed int64, out, tracOut, evtsOut string, metrics bool) error {
-	rateMap := map[string]int{"default": ibs.Rate1x, "1x": ibs.Rate1x, "4x": ibs.Rate4x, "8x": ibs.Rate8x}
-	rate, ok := rateMap[rateStr]
-	if !ok {
-		return fmt.Errorf("unknown rate %q", rateStr)
-	}
+func doCapture(name string, refs, rate int, seed int64, out, tracOut, evtsOut string, metrics bool) error {
 	opts := experiments.Options{
 		Seed:       seed,
 		Refs:       refs,

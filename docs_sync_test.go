@@ -149,9 +149,6 @@ func TestDocsSyncShardFlags(t *testing.T) {
 		{"shards",
 			[]string{"cmd/tmpsim/main.go", "cmd/tmpbench/main.go"},
 			[]string{"README.md", "EXPERIMENTS.md", "PERFORMANCE.md"}},
-		{"quick",
-			[]string{"cmd/tmpbench/main.go"},
-			[]string{"EXPERIMENTS.md", "PERFORMANCE.md"}},
 		{"heavy-refs",
 			[]string{"cmd/tmpbench/main.go"},
 			[]string{"EXPERIMENTS.md"}},

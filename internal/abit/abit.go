@@ -235,14 +235,14 @@ func (s *Scanner) Scan(now int64, pids []int) ScanResult {
 				res.HugeAccessed++
 				for i := 0; i < mem.HugePages; i++ {
 					pd := phys.Page(base + mem.PFN(i))
-					if pd.AbitEpoch != ^uint32(0) {
-						pd.AbitEpoch++
+					if pd.Epoch.Abit != ^uint32(0) {
+						pd.Epoch.Abit++
 					}
 				}
 			} else {
 				pd := phys.Page(base)
-				if pd.AbitEpoch != ^uint32(0) {
-					pd.AbitEpoch++
+				if pd.Epoch.Abit != ^uint32(0) {
+					pd.Epoch.Abit++
 				}
 			}
 			if s.onLeaf != nil {

@@ -56,8 +56,8 @@ func TestScanHarvestsAndClears(t *testing.T) {
 	}
 	// Page descriptors credited.
 	pfn, _ := m.Table(1).Frame(mem.VPNOf(0x1000))
-	if m.Phys.Page(pfn).AbitEpoch != 1 {
-		t.Errorf("AbitEpoch = %d, want 1", m.Phys.Page(pfn).AbitEpoch)
+	if m.Phys.Page(pfn).Epoch.Abit != 1 {
+		t.Errorf("Epoch.Abit = %d, want 1", m.Phys.Page(pfn).Epoch.Abit)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestHugeLeafCountsOnceCreditsAll(t *testing.T) {
 	base, _ := m.Table(1).Frame(0)
 	credited := 0
 	for i := 0; i < mem.HugePages; i++ {
-		if m.Phys.Page(base+mem.PFN(i)).AbitEpoch == 1 {
+		if m.Phys.Page(base+mem.PFN(i)).Epoch.Abit == 1 {
 			credited++
 		}
 	}

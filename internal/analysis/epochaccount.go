@@ -7,41 +7,47 @@ import (
 )
 
 // EpochAccount protects the per-epoch observation counters that
-// hotness ranks are computed from. Writes to core.PageStat's
-// Abit/Trace/Write/True fields and to mem.PageDescriptor's epoch/total
-// counters are legal only inside the sanctioned accumulation paths —
-// the profiler arms (abit scan, trace drain in core, PML drain, the
-// machine's ground-truth charge in cpu), the mem package's own
-// allocation/reset/rollover bookkeeping, and the policy package's
-// migration counter transfer. Anywhere else, a counter write is rank
-// corruption: evidence the profiler never collected.
+// hotness ranks are computed from. Protection is by the struct that
+// declares the field: every field of mem.Evidence (written directly,
+// through mem.PageDescriptor.Epoch, or through core.PageStat's
+// promoted fields), core.PageStat.Evidence, and mem.PageDescriptor's
+// Epoch and TrueTotal. Writes are legal only inside the sanctioned
+// accumulation paths — the profiler arms (abit scan, trace drain in
+// core, PML drain, devprof flush, the machine's ground-truth charge in
+// cpu) and the mem package's own allocation/reset/carry bookkeeping.
+// Anywhere else, a counter write is rank corruption: evidence the
+// profiler never collected.
 var EpochAccount = &Analyzer{
 	Name: "epochaccount",
-	Doc:  "restricts PageStat/PageDescriptor counter writes to sanctioned accumulation paths",
+	Doc:  "restricts Evidence/PageStat/PageDescriptor counter writes to sanctioned accumulation paths",
 	Run:  runEpochAccount,
 }
 
 // epochProtectedFields maps protected struct type names to their
-// protected field sets.
+// protected field sets; a nil set protects every field, so a new
+// evidence source is guarded the moment it is declared.
 var epochProtectedFields = map[string]map[string]bool{
-	"PageStat": {
-		"Abit": true, "Trace": true, "Write": true, "True": true,
-	},
-	"PageDescriptor": {
-		"AbitEpoch": true, "TraceEpoch": true, "WriteEpoch": true, "TrueEpoch": true,
-		"AbitTotal": true, "TraceTotal": true, "WriteTotal": true, "TrueTotal": true,
-	},
+	"Evidence":       nil,
+	"PageStat":       {"Evidence": true},
+	"PageDescriptor": {"Epoch": true, "TrueTotal": true},
+}
+
+// epochProtected reports whether field of the struct type named owner
+// is a protected counter.
+func epochProtected(owner, field string) bool {
+	fields, ok := epochProtectedFields[owner]
+	return ok && (fields == nil || fields[field])
 }
 
 // epochSanctionedPaths are the import-path suffixes allowed to write
 // the protected counters.
 var epochSanctionedPaths = []string{
-	"internal/abit",   // A-bit scan accumulation
-	"internal/core",   // trace-sample drain + harvest snapshot
-	"internal/cpu",    // ground-truth charge per executed reference
-	"internal/mem",    // descriptor allocation, epoch reset, rollover
-	"internal/pml",    // write-log drain
-	"internal/policy", // migration moves counters with the page
+	"internal/abit",    // A-bit scan accumulation
+	"internal/core",    // trace-sample drain + harvest snapshot
+	"internal/cpu",     // ground-truth charge per executed reference
+	"internal/devprof", // device-side count flush
+	"internal/mem",     // descriptor allocation, epoch reset, carry
+	"internal/pml",     // write-log drain
 }
 
 func runEpochAccount(pass *Pass) {
@@ -60,7 +66,7 @@ func runEpochAccount(pass *Pass) {
 			case *ast.IncDecStmt:
 				checkEpochWrite(pass, st.X)
 			case *ast.UnaryExpr:
-				// &pd.TraceEpoch escapes the counter for arbitrary
+				// &pd.Epoch.Trace escapes the counter for arbitrary
 				// later writes.
 				if st.Op.String() == "&" {
 					checkEpochWrite(pass, st.X)
@@ -81,17 +87,34 @@ func checkEpochWrite(pass *Pass, expr ast.Expr) {
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
-	recv := selection.Recv()
-	if ptr, ok := recv.Underlying().(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
+	owner := fieldOwner(selection)
+	if owner == nil || !epochProtected(owner.Obj().Name(), sel.Sel.Name) {
 		return
 	}
-	fields, ok := epochProtectedFields[named.Obj().Name()]
-	if !ok || !fields[sel.Sel.Name] {
-		return
+	pass.Reportf(sel.Pos(), "write to %s.%s outside sanctioned accumulation paths: epoch counters may only be produced by the profiler arms (abit/core/cpu/devprof/mem/pml)", owner.Obj().Name(), sel.Sel.Name)
+}
+
+// fieldOwner returns the named struct type that declares the selected
+// field, following embedded fields, so a promoted ps.Abit resolves to
+// Evidence rather than PageStat.
+func fieldOwner(selection *types.Selection) *types.Named {
+	t := selection.Recv()
+	idx := selection.Index()
+	for _, i := range idx[:len(idx)-1] {
+		st, ok := derefType(t).Underlying().(*types.Struct)
+		if !ok {
+			return nil
+		}
+		t = st.Field(i).Type()
 	}
-	pass.Reportf(sel.Pos(), "write to %s.%s outside sanctioned accumulation paths: epoch counters may only be produced by the profiler arms (abit/core/cpu/mem/pml/policy)", named.Obj().Name(), sel.Sel.Name)
+	named, _ := derefType(t).(*types.Named)
+	return named
+}
+
+// derefType strips one pointer.
+func derefType(t types.Type) types.Type {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
 }

@@ -1,0 +1,40 @@
+package analysis
+
+import (
+	"reflect"
+	"testing"
+
+	"tieredmem/internal/core"
+	"tieredmem/internal/mem"
+)
+
+// TestEpochAccountGuardsEvidence checks the real types against the
+// analyzer's protected set: every field of mem.Evidence, every
+// Evidence-typed field of mem.PageDescriptor and core.PageStat, and the
+// descriptor's TrueTotal. A new evidence source then cannot land
+// unguarded.
+func TestEpochAccountGuardsEvidence(t *testing.T) {
+	ev := reflect.TypeOf(mem.Evidence{})
+	for i := 0; i < ev.NumField(); i++ {
+		if name := ev.Field(i).Name; !epochProtected(ev.Name(), name) {
+			t.Errorf("epochaccount does not protect %s.%s", ev.Name(), name)
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(mem.PageDescriptor{}), reflect.TypeOf(core.PageStat{})} {
+		holds := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type == ev {
+				holds++
+				if !epochProtected(typ.Name(), f.Name) {
+					t.Errorf("epochaccount does not protect %s.%s", typ.Name(), f.Name)
+				}
+			}
+		}
+		if holds == 0 {
+			t.Errorf("%s holds no %s field", typ.Name(), ev.Name())
+		}
+	}
+	if !epochProtected("PageDescriptor", "TrueTotal") {
+		t.Error("epochaccount does not protect PageDescriptor.TrueTotal")
+	}
+}

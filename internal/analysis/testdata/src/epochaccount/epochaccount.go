@@ -1,45 +1,61 @@
 // Package fixture exercises the epochaccount analyzer. The struct
-// names shadow the real core.PageStat and mem.PageDescriptor; this
-// package's import path is not a sanctioned accumulation path, so
-// every counter write below is a finding.
+// names shadow the real mem.Evidence, core.PageStat and
+// mem.PageDescriptor; this package's import path is not a sanctioned
+// accumulation path, so every counter write below is a finding.
 package fixture
 
-// PageStat mirrors core.PageStat's counter fields.
-type PageStat struct {
+// Evidence mirrors mem.Evidence: every field is protected.
+type Evidence struct {
 	Abit  uint32
 	Trace uint32
 	Write uint32
+	Dev   uint32
 	True  uint32
+}
+
+// PageStat mirrors core.PageStat, which embeds Evidence.
+type PageStat struct {
+	Key int
+	Evidence
 	Other int
 }
 
 // PageDescriptor mirrors mem.PageDescriptor's counter fields.
 type PageDescriptor struct {
-	AbitEpoch  uint32
-	TraceEpoch uint32
-	AbitTotal  uint64
-	Flags      uint8
+	Epoch     Evidence
+	TrueTotal uint64
+	Flags     uint8
 }
 
 func directWrites(ps *PageStat) {
-	ps.Abit = 3           // want `write to PageStat.Abit outside sanctioned`
-	ps.Trace++            // want `write to PageStat.Trace outside sanctioned`
-	ps.Write += 1         // want `write to PageStat.Write outside sanctioned`
-	ps.True = ps.True + 1 // want `write to PageStat.True outside sanctioned`
-	ps.Other = 7          // ok: not a protected counter
+	ps.Abit = 3              // want `write to Evidence.Abit outside sanctioned`
+	ps.Trace++               // want `write to Evidence.Trace outside sanctioned`
+	ps.Write += 1            // want `write to Evidence.Write outside sanctioned`
+	ps.Dev--                 // want `write to Evidence.Dev outside sanctioned`
+	ps.True = ps.True + 1    // want `write to Evidence.True outside sanctioned`
+	ps.Evidence.Abit = 1     // want `write to Evidence.Abit outside sanctioned`
+	ps.Evidence = Evidence{} // want `write to PageStat.Evidence outside sanctioned`
+	ps.Key, ps.Other = 1, 7  // ok: not protected counters
 }
 
 func descriptorWrites(pd *PageDescriptor) {
-	pd.AbitEpoch++    // want `write to PageDescriptor.AbitEpoch outside sanctioned`
-	pd.TraceEpoch = 0 // want `write to PageDescriptor.TraceEpoch outside sanctioned`
-	pd.AbitTotal += 2 // want `write to PageDescriptor.AbitTotal outside sanctioned`
-	pd.Flags |= 1     // ok: not a protected counter
+	pd.Epoch.Abit++       // want `write to Evidence.Abit outside sanctioned`
+	pd.Epoch.Dev = 0      // want `write to Evidence.Dev outside sanctioned`
+	pd.Epoch = Evidence{} // want `write to PageDescriptor.Epoch outside sanctioned`
+	pd.TrueTotal += 2     // want `write to PageDescriptor.TrueTotal outside sanctioned`
+	pd.Flags |= 1         // ok: not a protected counter
 }
 
-func escapeHatch(pd *PageDescriptor) *uint32 {
-	return &pd.TraceEpoch // want `write to PageDescriptor.TraceEpoch outside sanctioned`
+func escapeHatch(pd *PageDescriptor) (*uint32, *Evidence) {
+	return &pd.Epoch.Trace, &pd.Epoch // want `write to Evidence.Trace outside sanctioned` `write to PageDescriptor.Epoch outside sanctioned`
+}
+
+func localEvidence() Evidence {
+	var e Evidence
+	e.Write = 4 // want `write to Evidence.Write outside sanctioned`
+	return e
 }
 
 func readsOK(ps *PageStat, pd *PageDescriptor) uint64 {
-	return uint64(ps.Abit) + uint64(ps.Trace) + uint64(pd.AbitEpoch) // ok: reads never corrupt ranks
+	return uint64(ps.Abit) + uint64(ps.Trace) + uint64(pd.Epoch.Abit) + pd.TrueTotal // ok: reads never corrupt ranks
 }

@@ -199,8 +199,8 @@ func (s *Scanner) HarvestEpoch(epoch int) core.EpochStats {
 	stats.Pages = make([]core.PageStat, 0, len(s.active))
 	for _, id := range s.active {
 		stats.Pages = append(stats.Pages, core.PageStat{
-			Key:  s.tab.Key(id),
-			Abit: s.counts[id],
+			Key:      s.tab.Key(id),
+			Evidence: mem.Evidence{Abit: s.counts[id]},
 		})
 		s.counts[id] = 0
 	}

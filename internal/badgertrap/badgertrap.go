@@ -167,7 +167,7 @@ func (p *Profiler) HarvestEpoch(epoch int) core.EpochStats {
 	p.sortActive()
 	stats.Pages = make([]core.PageStat, 0, len(p.active))
 	for _, id := range p.active {
-		stats.Pages = append(stats.Pages, core.PageStat{Key: p.tab.Key(id), Abit: p.counts[id]})
+		stats.Pages = append(stats.Pages, core.PageStat{Key: p.tab.Key(id), Evidence: mem.Evidence{Abit: p.counts[id]}})
 		p.counts[id] = 0
 	}
 	p.active = p.active[:0]

@@ -19,15 +19,15 @@ func TestSumEpochsZeroEpochs(t *testing.T) {
 func TestSumEpochsDuplicateKeysAndTierChange(t *testing.T) {
 	epochs := []EpochStats{
 		{Pages: []PageStat{
-			{Key: PageKey{1, 1}, Tier: mem.FastTier, Abit: 1, Trace: 2, Write: 1, True: 3},
+			{Key: PageKey{1, 1}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1, Trace: 2, Write: 1, True: 3}},
 			// Duplicate key inside one epoch (crafted harvest): must
 			// still accumulate, not clobber.
-			{Key: PageKey{1, 1}, Tier: mem.FastTier, Abit: 1},
-			{Key: PageKey{2, 7}, Tier: mem.SlowTier, Trace: 5},
+			{Key: PageKey{1, 1}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1}},
+			{Key: PageKey{2, 7}, Tier: mem.SlowTier, Evidence: mem.Evidence{Trace: 5}},
 		}},
 		{Pages: []PageStat{
 			// Same page, now demoted: counters add, latest tier wins.
-			{Key: PageKey{1, 1}, Tier: mem.SlowTier, Abit: 3, True: 1},
+			{Key: PageKey{1, 1}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 3, True: 1}},
 		}},
 	}
 	got := SumEpochs(epochs)
@@ -77,10 +77,10 @@ func TestAttachTruthAllMissed(t *testing.T) {
 
 func TestRankedPagesExcludesZeroRankPerMethod(t *testing.T) {
 	stats := EpochStats{Pages: []PageStat{
-		{Key: PageKey{1, 1}, Abit: 2},            // abit-only
-		{Key: PageKey{1, 2}, Trace: 3},           // trace-only
-		{Key: PageKey{1, 3}, Abit: 1, Trace: 1},  // both
-		{Key: PageKey{1, 4}, Write: 9, True: 42}, // neither: never ranked
+		{Key: PageKey{1, 1}, Evidence: mem.Evidence{Abit: 2}},            // abit-only
+		{Key: PageKey{1, 2}, Evidence: mem.Evidence{Trace: 3}},           // trace-only
+		{Key: PageKey{1, 3}, Evidence: mem.Evidence{Abit: 1, Trace: 1}},  // both
+		{Key: PageKey{1, 4}, Evidence: mem.Evidence{Write: 9, True: 42}}, // neither: never ranked
 	}}
 	cases := []struct {
 		m    Method
@@ -128,7 +128,7 @@ func TestHarvestEpochIntoZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		// Refresh per-epoch evidence directly (the accelerator path is
 		// exercised elsewhere; here only the harvest itself is timed).
-		m.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.AbitEpoch = 1 })
+		m.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		p.HarvestEpochInto(&ep)
 	})
 	if allocs != 0 {

@@ -12,10 +12,10 @@ import (
 // residents (migration hysteresis).
 func ExampleRankedPages() {
 	harvest := core.EpochStats{Pages: []core.PageStat{
-		{Key: core.PageKey{PID: 1, VPN: 0x10}, Tier: mem.SlowTier, Abit: 1, Trace: 4},
-		{Key: core.PageKey{PID: 1, VPN: 0x20}, Tier: mem.FastTier, Abit: 1, Trace: 0},
-		{Key: core.PageKey{PID: 1, VPN: 0x30}, Tier: mem.SlowTier, Abit: 1, Trace: 0},
-		{Key: core.PageKey{PID: 1, VPN: 0x40}, Tier: mem.SlowTier, Abit: 0, Trace: 0},
+		{Key: core.PageKey{PID: 1, VPN: 0x10}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 1, Trace: 4}},
+		{Key: core.PageKey{PID: 1, VPN: 0x20}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1, Trace: 0}},
+		{Key: core.PageKey{PID: 1, VPN: 0x30}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 1, Trace: 0}},
+		{Key: core.PageKey{PID: 1, VPN: 0x40}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 0, Trace: 0}},
 	}}
 	for _, ps := range core.RankedPages(harvest, core.MethodCombined) {
 		fmt.Printf("vpn=%#x rank=%d tier=%v\n", uint64(ps.Key.VPN), ps.Rank(core.MethodCombined), ps.Tier)
@@ -29,7 +29,7 @@ func ExampleRankedPages() {
 // ExamplePageStat_Rank shows the three ranking arms the evaluation
 // compares.
 func ExamplePageStat_Rank() {
-	ps := core.PageStat{Abit: 2, Trace: 3}
+	ps := core.PageStat{Evidence: mem.Evidence{Abit: 2, Trace: 3}}
 	fmt.Println(ps.Rank(core.MethodAbit), ps.Rank(core.MethodTrace), ps.Rank(core.MethodCombined))
 	// Output: 2 3 5
 }

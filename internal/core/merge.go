@@ -54,11 +54,7 @@ func (m *Merger) Merge(dst *EpochStats, shards []EpochStats) {
 			}
 			t := &dst.Pages[id]
 			t.Tier = ps.Tier // last shard to place the page wins
-			t.Abit += ps.Abit
-			t.Trace += ps.Trace
-			t.Write += ps.Write
-			t.Dev += ps.Dev
-			t.True += ps.True
+			t.Add(ps.Evidence)
 		}
 	}
 	// Ids are first-seen order across the shard walk; the canonical
@@ -78,42 +74,4 @@ func MergeHarvests(shards []EpochStats) EpochStats {
 	var out EpochStats
 	NewMerger(hint).Merge(&out, shards)
 	return out
-}
-
-// SumShardEpochs is the shard-aware SumEpochs: it folds each shard's
-// whole epoch sequence, walking shards in index order, and returns the
-// same totals SumEpochs would produce on the concatenated sequence —
-// the run-level aggregate consumers (hit-rate tables, truth
-// attachment) use on sharded results.
-func SumShardEpochs(shards [][]EpochStats) EpochStats {
-	hint := 0
-	for _, epochs := range shards {
-		for i := range epochs {
-			if len(epochs[i].Pages) > hint {
-				hint = len(epochs[i].Pages)
-			}
-		}
-	}
-	tab := pageidx.New(hint, PageKeyHash)
-	acc := make([]PageStat, 0, hint)
-	for _, epochs := range shards {
-		for _, ep := range epochs {
-			for i := range ep.Pages {
-				ps := &ep.Pages[i]
-				id := tab.Intern(ps.Key)
-				if int(id) == len(acc) {
-					acc = append(acc, PageStat{Key: ps.Key})
-				}
-				t := &acc[id]
-				t.Tier = ps.Tier
-				t.Abit += ps.Abit
-				t.Trace += ps.Trace
-				t.Write += ps.Write
-				t.Dev += ps.Dev
-				t.True += ps.True
-			}
-		}
-	}
-	slices.SortFunc(acc, func(a, b PageStat) int { return PageKeyCmp(a.Key, b.Key) })
-	return EpochStats{Pages: acc}
 }

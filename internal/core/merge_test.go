@@ -21,13 +21,9 @@ func shardFixture(shards, pagesPer int, overlap bool) []EpochStats {
 		}
 		for p := 0; p < pagesPer; p++ {
 			out[s].Pages = append(out[s].Pages, PageStat{
-				Key:   PageKey{PID: pid, VPN: mem.VPN(rng.Intn(pagesPer * 2))},
-				Tier:  mem.TierID(s % 3),
-				Abit:  uint32(rng.Intn(4)),
-				Trace: uint32(rng.Intn(16)),
-				Write: uint32(rng.Intn(8)),
-				Dev:   uint32(rng.Intn(8)),
-				True:  uint32(rng.Intn(32)),
+				Key:      PageKey{PID: pid, VPN: mem.VPN(rng.Intn(pagesPer * 2))},
+				Tier:     mem.TierID(s % 3),
+				Evidence: mem.Evidence{Abit: uint32(rng.Intn(4)), Trace: uint32(rng.Intn(16)), Write: uint32(rng.Intn(8)), Dev: uint32(rng.Intn(8)), True: uint32(rng.Intn(32))},
 			})
 		}
 	}
@@ -103,26 +99,5 @@ func TestMergeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Merge allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestSumShardEpochsEqualsConcat pins the shard-aware run aggregate:
-// folding per-shard epoch sequences shard-by-shard must equal
-// SumEpochs on the concatenation in shard order.
-func TestSumShardEpochsEqualsConcat(t *testing.T) {
-	byShard := [][]EpochStats{
-		shardFixture(1, 40, false),
-		shardFixture(2, 30, true),
-		nil,
-		shardFixture(3, 20, false),
-	}
-	var flat []EpochStats
-	for _, s := range byShard {
-		flat = append(flat, s...)
-	}
-	got := SumShardEpochs(byShard)
-	want := SumEpochs(flat)
-	if !reflect.DeepEqual(got.Pages, want.Pages) {
-		t.Fatal("SumShardEpochs diverges from SumEpochs(concat)")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // first (the hysteresis that "eliminates excessive migration", §II-A —
 // A-bit evidence is at most one observation per scan, so large tie
 // groups are common), then (PID, VPN) ascending. Scores are float64 so
-// the float-scored policies (Decay, Predictor, WriteBiased) share the
+// the float-scored policies (Decay, WriteBiased) share the
 // same comparator as the integer ranks, which stay exact well below
 // 2^53. The order is total whenever keys are distinct, which is what
 // makes bounded selection (TopK) reproduce a full sort exactly.

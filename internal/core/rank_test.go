@@ -20,11 +20,9 @@ func tieHeavyStats(n int, seed int64) EpochStats {
 			tier = mem.FastTier
 		}
 		stats.Pages = append(stats.Pages, PageStat{
-			Key:   PageKey{PID: 1 + i%4, VPN: mem.VPN(i / 4)},
-			Tier:  tier,
-			Abit:  uint32(i % 7), // many zero-rank pages and tie groups
-			Trace: uint32(i % 11),
-			Write: uint32(i % 5),
+			Key:      PageKey{PID: 1 + i%4, VPN: mem.VPN(i / 4)},
+			Tier:     tier,
+			Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 5)}, // many zero-rank pages and tie groups
 		})
 	}
 	rng.Shuffle(len(stats.Pages), func(i, j int) {

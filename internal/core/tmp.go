@@ -66,6 +66,23 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod is the inverse of String. It also accepts the aliases
+// trace, combined and dev, and rejects every other name.
+func ParseMethod(s string) (Method, error) {
+	switch s {
+	case "abit":
+		return MethodAbit, nil
+	case "ibs", "trace":
+		return MethodTrace, nil
+	case "tmp", "combined":
+		return MethodCombined, nil
+	case "devprof", "dev":
+		return MethodDev, nil
+	default:
+		return 0, fmt.Errorf("unknown method %q (abit, ibs, tmp, devprof)", s)
+	}
+}
+
 // Methods lists the paper's ranking arms in presentation order.
 // MethodDev is deliberately not here: it only produces evidence on
 // machines with a device tier, so the multi-tier experiment cells opt
@@ -121,15 +138,12 @@ func PageKeyHash(k PageKey) uint64 {
 	return x
 }
 
-// PageStat is one page's per-epoch observation record.
+// PageStat is one page's per-epoch observation record: the page's
+// descriptor evidence as harvested, under its logical key.
 type PageStat struct {
-	Key   PageKey
-	Tier  mem.TierID
-	Abit  uint32 // A-bit observations this epoch
-	Trace uint32 // IBS/PEBS samples this epoch
-	Write uint32 // PML D-bit-set events this epoch (optional extension)
-	Dev   uint32 // device-side (CXL) tracker counts this epoch
-	True  uint32 // ground-truth memory accesses this epoch (simulator only)
+	Key  PageKey
+	Tier mem.TierID
+	mem.Evidence
 }
 
 // Rank returns the page's hotness under a method.
@@ -295,8 +309,8 @@ func New(cfg Config, m *cpu.Machine, usage UsageFunc) (*Profiler, error) {
 	// Trace samples accumulate into the page descriptor at drain time
 	// (phys_to_page on the sample's physical address, §III-B1).
 	eng.SetAccumulator(func(s trace.Sample, pd *mem.PageDescriptor) {
-		if pd != nil && pd.TraceEpoch != ^uint32(0) {
-			pd.TraceEpoch++
+		if pd != nil && pd.Epoch.Trace != ^uint32(0) {
+			pd.Epoch.Trace++
 		}
 		if p.onSample != nil {
 			p.onSample(s)
@@ -431,9 +445,8 @@ func (p *Profiler) HarvestEpoch() EpochStats {
 // truncated and refilled in place, so a caller that reuses one
 // EpochStats across epochs (the placement loop) pays zero allocations
 // per epoch in steady state — pinned by testing.AllocsPerRun. The
-// snapshot and the epoch-counter reset happen in one pass over the
-// allocated-PFN span instead of the two full-descriptor walks the
-// harvest used to make. dst must not be retained across calls by
+// snapshot and the epoch reset happen in one pass over the
+// allocated-PFN span. dst must not be retained across calls by
 // anything downstream; harvests that are kept (sim.Run's Epochs
 // slice) go through HarvestEpoch, which hands out a fresh array.
 func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
@@ -450,21 +463,16 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 	dst.Epoch = p.epoch
 	dst.Pages = dst.Pages[:0]
 	p.machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		if pd.AbitEpoch == 0 && pd.TraceEpoch == 0 && pd.WriteEpoch == 0 && pd.DevEpoch == 0 && pd.TrueEpoch == 0 {
+		if pd.Epoch == (mem.Evidence{}) {
 			return
 		}
 		dst.Pages = append(dst.Pages, PageStat{
-			Key:   PageKey{PID: pd.PID, VPN: pd.VPage},
-			Tier:  pd.Tier,
-			Abit:  pd.AbitEpoch,
-			Trace: pd.TraceEpoch,
-			Write: pd.WriteEpoch,
-			Dev:   pd.DevEpoch,
-			True:  pd.TrueEpoch,
+			Key:      PageKey{PID: pd.PID, VPN: pd.VPage},
+			Tier:     pd.Tier,
+			Evidence: pd.Epoch,
 		})
-		// Folding the epoch counters into the totals here (rather
-		// than in a second ResetEpochAll pass) is safe because the
-		// fold is a no-op on pages with all-zero epoch counters —
+		// Resetting here rather than in a second ResetEpochAll pass is
+		// safe because the reset is a no-op on pages with no evidence,
 		// the ones the harvest skips.
 		pd.ResetEpoch()
 	})
@@ -671,11 +679,7 @@ func SumEpochs(epochs []EpochStats) EpochStats {
 			}
 			t := &acc[id]
 			t.Tier = ps.Tier // last placement wins
-			t.Abit += ps.Abit
-			t.Trace += ps.Trace
-			t.Write += ps.Write
-			t.Dev += ps.Dev
-			t.True += ps.True
+			t.Add(ps.Evidence)
 		}
 	}
 	// Ids are first-seen order; one sort pins the canonical output.
@@ -700,15 +704,15 @@ func AttachTruth(phys *mem.PhysMem, ep *EpochStats) {
 	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
 		key := PageKey{PID: pd.PID, VPN: pd.VPage}
 		if id, ok := tab.Lookup(key); ok && int(id) < observed {
-			ep.Pages[id].True = pd.TrueEpoch
+			ep.Pages[id].True = pd.Epoch.True
 			ep.Pages[id].Tier = pd.Tier
 			return
 		}
-		if pd.TrueEpoch > 0 {
+		if pd.Epoch.True > 0 {
 			ep.Pages = append(ep.Pages, PageStat{
-				Key:  key,
-				Tier: pd.Tier,
-				True: pd.TrueEpoch,
+				Key:      key,
+				Tier:     pd.Tier,
+				Evidence: mem.Evidence{True: pd.Epoch.True},
 			})
 		}
 	})

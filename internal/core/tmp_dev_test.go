@@ -43,7 +43,7 @@ func TestMethodDevString(t *testing.T) {
 }
 
 func TestRankIncludesDeviceColumn(t *testing.T) {
-	ps := PageStat{Abit: 2, Trace: 3, Dev: 4}
+	ps := PageStat{Evidence: mem.Evidence{Abit: 2, Trace: 3, Dev: 4}}
 	if ps.Rank(MethodDev) != 4 {
 		t.Errorf("Rank(devprof) = %d, want 4", ps.Rank(MethodDev))
 	}

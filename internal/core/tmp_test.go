@@ -47,8 +47,31 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestParseMethod pins ParseMethod as String's inverse over every
+// method, plus tmpsim's aliases, and rejects anything else.
+func TestParseMethod(t *testing.T) {
+	for _, m := range append(Methods, MethodDev) {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, tc := range []struct {
+		alias string
+		m     Method
+	}{{"trace", MethodTrace}, {"combined", MethodCombined}, {"dev", MethodDev}} {
+		if got, err := ParseMethod(tc.alias); err != nil || got != tc.m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", tc.alias, got, err, tc.m)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "TMP", "method(9)"} {
+		if _, err := ParseMethod(bad); err == nil {
+			t.Errorf("ParseMethod(%q) accepted", bad)
+		}
+	}
+}
+
 func TestRankPerMethod(t *testing.T) {
-	ps := PageStat{Abit: 2, Trace: 3}
+	ps := PageStat{Evidence: mem.Evidence{Abit: 2, Trace: 3}}
 	if ps.Rank(MethodAbit) != 2 || ps.Rank(MethodTrace) != 3 || ps.Rank(MethodCombined) != 5 {
 		t.Errorf("ranks = %d/%d/%d", ps.Rank(MethodAbit), ps.Rank(MethodTrace), ps.Rank(MethodCombined))
 	}
@@ -162,11 +185,11 @@ func TestTickChargesDaemonCore(t *testing.T) {
 
 func TestRankedPagesOrderingAndTieBreaks(t *testing.T) {
 	stats := EpochStats{Pages: []PageStat{
-		{Key: PageKey{1, 10}, Tier: mem.SlowTier, Abit: 1, Trace: 0},
-		{Key: PageKey{1, 11}, Tier: mem.FastTier, Abit: 1, Trace: 0},
-		{Key: PageKey{1, 12}, Tier: mem.SlowTier, Abit: 1, Trace: 5},
-		{Key: PageKey{1, 13}, Tier: mem.SlowTier, Abit: 0, Trace: 0}, // rank 0: excluded
-		{Key: PageKey{2, 9}, Tier: mem.SlowTier, Abit: 1, Trace: 0},
+		{Key: PageKey{1, 10}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 1, Trace: 0}},
+		{Key: PageKey{1, 11}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1, Trace: 0}},
+		{Key: PageKey{1, 12}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 1, Trace: 5}},
+		{Key: PageKey{1, 13}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 0, Trace: 0}}, // rank 0: excluded
+		{Key: PageKey{2, 9}, Tier: mem.SlowTier, Evidence: mem.Evidence{Abit: 1, Trace: 0}},
 	}}
 	ranked := RankedPages(stats, MethodCombined)
 	if len(ranked) != 4 {
@@ -187,8 +210,8 @@ func TestRankedPagesOrderingAndTieBreaks(t *testing.T) {
 
 func TestRanksOf(t *testing.T) {
 	stats := EpochStats{Pages: []PageStat{
-		{Key: PageKey{1, 1}, Abit: 2, Trace: 1},
-		{Key: PageKey{1, 2}, Abit: 0, Trace: 0},
+		{Key: PageKey{1, 1}, Evidence: mem.Evidence{Abit: 2, Trace: 1}},
+		{Key: PageKey{1, 2}, Evidence: mem.Evidence{Abit: 0, Trace: 0}},
 	}}
 	ranks := RanksOf(stats, MethodCombined)
 	if ranks.Len() != 1 || ranks.Get(PageKey{1, 1}) != 3 {

@@ -83,8 +83,6 @@ type Core struct {
 	PMU   *pmu.PMU
 
 	clock      int64
-	retired    uint64
-	ops        uint64
 	nextSwitch int64 // next context-switch time; 0 disables
 	ctxPeriod  int64
 	machine    *Machine
@@ -96,12 +94,6 @@ type Core struct {
 
 // Now returns the core's virtual clock in ns.
 func (c *Core) Now() int64 { return c.clock }
-
-// Retired returns the count of retired memory references.
-func (c *Core) Retired() uint64 { return c.retired }
-
-// Ops returns the count of retired micro-ops.
-func (c *Core) Ops() uint64 { return c.ops }
 
 // AdvanceClock charges extra virtual time to the core (used by
 // software components running on it: profiler daemons, page movers).
@@ -522,8 +514,8 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 		c.PMU.Add(pmu.EvLLCMiss, 1)
 		// Ground truth for hitrate/Oracle: a demand access served
 		// from memory.
-		if pd.TrueEpoch != ^uint32(0) {
-			pd.TrueEpoch++
+		if pd.Epoch.True != ^uint32(0) {
+			pd.Epoch.True++
 		}
 	}
 
@@ -534,8 +526,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 	}
 	c.PMU.Add(pmu.EvRetiredOps, uint64(m.opsPerRef))
 
-	c.retired++
-	c.ops += uint64(m.opsPerRef)
 	o.Latency = lat
 	c.clock += lat
 	o.Now = c.clock

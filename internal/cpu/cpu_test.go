@@ -256,12 +256,12 @@ func TestGroundTruthCountsMemoryAccessesOnly(t *testing.T) {
 	m := testMachine(t, 16, 16)
 	m.Execute(load(1, 0x3000))
 	pd := m.Phys.PhysToPage(mustFrame(t, m, 1, 0x3000).PAddrOf())
-	if pd.TrueEpoch != 1 {
-		t.Fatalf("TrueEpoch = %d after cold miss, want 1", pd.TrueEpoch)
+	if pd.Epoch.True != 1 {
+		t.Fatalf("Epoch.True = %d after cold miss, want 1", pd.Epoch.True)
 	}
 	m.Execute(load(1, 0x3000)) // L1 hit: not a memory access
-	if pd.TrueEpoch != 1 {
-		t.Errorf("TrueEpoch = %d after cache hit, want still 1", pd.TrueEpoch)
+	if pd.Epoch.True != 1 {
+		t.Errorf("Epoch.True = %d after cache hit, want still 1", pd.Epoch.True)
 	}
 }
 

@@ -239,7 +239,7 @@ func (tk *Tracker) ObserveRetire(o *trace.Outcome, ops int) int64 {
 }
 
 // FlushAt harvests the device counters into the page descriptors
-// (DevEpoch) at an epoch cut, clearing the staged counts. The error is
+// (Epoch.Dev) at an epoch cut, clearing the staged counts. The error is
 // nil on a clean flush, or wraps ErrOverflow / ErrStale when the fault
 // plane fired; either way the tracker stays consistent and the caller
 // needs no recovery beyond noting the degraded epoch.
@@ -280,10 +280,10 @@ func (tk *Tracker) FlushAt(now int64) (int, error) {
 			pd := tk.phys.Page(s.pfn)
 			if pd.Allocated() {
 				// Saturating fold into the descriptor's device column.
-				if sum := uint64(pd.DevEpoch) + uint64(s.count); sum < uint64(^uint32(0)) {
-					pd.DevEpoch = uint32(sum)
+				if sum := uint64(pd.Epoch.Dev) + uint64(s.count); sum < uint64(^uint32(0)) {
+					pd.Epoch.Dev = uint32(sum)
 				} else {
-					pd.DevEpoch = ^uint32(0)
+					pd.Epoch.Dev = ^uint32(0)
 				}
 				folded += int(s.count)
 			} else {

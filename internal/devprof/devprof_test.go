@@ -77,8 +77,8 @@ func TestObserveFoldsIntoDescriptors(t *testing.T) {
 		t.Fatalf("FlushAt = (%d, %v), want (6, nil)", folded, err)
 	}
 	for i, pfn := range pfns {
-		if got := phys.Page(pfn).DevEpoch; got != uint32(i+1) {
-			t.Errorf("frame %d DevEpoch = %d, want %d", pfn, got, i+1)
+		if got := phys.Page(pfn).Epoch.Dev; got != uint32(i+1) {
+			t.Errorf("frame %d Epoch.Dev = %d, want %d", pfn, got, i+1)
 		}
 	}
 	// Flushed counters are cleared: a second flush delivers nothing
@@ -86,8 +86,8 @@ func TestObserveFoldsIntoDescriptors(t *testing.T) {
 	if folded, err := tk.FlushAt(2000); err != nil || folded != 0 {
 		t.Fatalf("second FlushAt = (%d, %v), want (0, nil)", folded, err)
 	}
-	if got := phys.Page(pfns[2]).DevEpoch; got != 3 {
-		t.Fatalf("DevEpoch after idle flush = %d, want 3", got)
+	if got := phys.Page(pfns[2]).Epoch.Dev; got != 3 {
+		t.Fatalf("Epoch.Dev after idle flush = %d, want 3", got)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestDirectMappedCollision(t *testing.T) {
 	if folded, _ := tk.FlushAt(0); folded != 1 {
 		t.Fatalf("colliding frame did not claim freed slot")
 	}
-	if got := phys.Page(pfns[4]).DevEpoch; got != 1 {
-		t.Fatalf("pfns[4] DevEpoch = %d, want 1", got)
+	if got := phys.Page(pfns[4]).Epoch.Dev; got != 1 {
+		t.Fatalf("pfns[4] Epoch.Dev = %d, want 1", got)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestInjectedOverflowLosesBatch(t *testing.T) {
 	if st.FaultOverflows != 1 || st.FaultLost != 2 || st.Folded != 0 {
 		t.Fatalf("stats after overflow = %+v", st)
 	}
-	if got := phys.Page(pfns[0]).DevEpoch; got != 0 {
-		t.Fatalf("DevEpoch after lost batch = %d, want 0", got)
+	if got := phys.Page(pfns[0]).Epoch.Dev; got != 0 {
+		t.Fatalf("Epoch.Dev after lost batch = %d, want 0", got)
 	}
 	if lost, attempts := st.FaultRate(); lost != 2 || attempts != 2 {
 		t.Fatalf("FaultRate = (%d, %d), want (2, 2)", lost, attempts)
@@ -193,8 +193,8 @@ func TestInjectedStaleDefersDelivery(t *testing.T) {
 	if !errors.Is(err, ErrStale) || folded != 0 {
 		t.Fatalf("FlushAt = (%d, %v), want (0, ErrStale)", folded, err)
 	}
-	if got := phys.Page(pfns[0]).DevEpoch; got != 0 {
-		t.Fatalf("stale flush delivered: DevEpoch = %d", got)
+	if got := phys.Page(pfns[0]).Epoch.Dev; got != 0 {
+		t.Fatalf("stale flush delivered: Epoch.Dev = %d", got)
 	}
 	if st := tk.Stats(); st.FaultStale != 1 || st.FaultLate != 1 {
 		t.Fatalf("stats after stale = %+v", st)
@@ -207,8 +207,8 @@ func TestInjectedStaleDefersDelivery(t *testing.T) {
 	if err != nil || folded != 2 {
 		t.Fatalf("carry-over FlushAt = (%d, %v), want (2, nil)", folded, err)
 	}
-	if got := phys.Page(pfns[0]).DevEpoch; got != 2 {
-		t.Fatalf("DevEpoch after carry-over = %d, want 2", got)
+	if got := phys.Page(pfns[0]).Epoch.Dev; got != 2 {
+		t.Fatalf("Epoch.Dev after carry-over = %d, want 2", got)
 	}
 }
 
@@ -269,14 +269,14 @@ func TestCountSaturates(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	pd := phys.Page(pfns[0])
-	pd.DevEpoch = ^uint32(0) - 1
+	pd.Epoch.Dev = ^uint32(0) - 1
 	touch(tk, pfns[0], trace.SrcTier2)
 	touch(tk, pfns[0], trace.SrcTier2)
 	touch(tk, pfns[0], trace.SrcTier2)
 	if _, err := tk.FlushAt(0); err != nil {
 		t.Fatalf("FlushAt: %v", err)
 	}
-	if pd.DevEpoch != ^uint32(0) {
-		t.Fatalf("DevEpoch = %d, want saturation at %d", pd.DevEpoch, ^uint32(0))
+	if pd.Epoch.Dev != ^uint32(0) {
+		t.Fatalf("Epoch.Dev = %d, want saturation at %d", pd.Epoch.Dev, ^uint32(0))
 	}
 }

@@ -84,7 +84,7 @@ func (e *Emulator) handleFault(o *trace.Outcome, pd *mem.PageDescriptor) (int64,
 	extra := e.machine.SoftCost(e.cfg.SlowAccessNS)
 	// A page is hot when the current epoch already shows threshold
 	// accesses or its lifetime total implies a sustained rate.
-	if pd.TrueEpoch >= e.cfg.HotThreshold || pd.TrueTotal >= 4*uint64(e.cfg.HotThreshold) {
+	if pd.Epoch.True >= e.cfg.HotThreshold || pd.TrueTotal >= 4*uint64(e.cfg.HotThreshold) {
 		e.stats.HotFaults++
 		extra += e.machine.SoftCost(e.cfg.HotExtraNS)
 	}

@@ -105,14 +105,14 @@ func TestHotPagePaysExtra(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		touch(t, m, 0x1000+i*64)
 		// Evict from caches by touching other lines? Simpler: the
-		// first four accesses to distinct lines all miss -> TrueEpoch
+		// first four accesses to distinct lines all miss -> Epoch.True
 		// rises to 4.
 	}
 	em.Repoison()
 	touch(t, m, 0x1000)
 	s := em.Stats()
 	if s.HotFaults != 1 {
-		t.Fatalf("HotFaults = %d, want 1 (TrueEpoch above threshold)", s.HotFaults)
+		t.Fatalf("HotFaults = %d, want 1 (Epoch.True above threshold)", s.HotFaults)
 	}
 	if s.InjectedNS < 23_000 {
 		t.Errorf("hot fault injected %d, want >= 23us", s.InjectedNS)

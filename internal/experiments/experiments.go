@@ -75,8 +75,8 @@ type Options struct {
 	Shards int
 	// HeavyRefs, when > 0, overrides Refs for the heavy experiment
 	// families only (speedup, overhead): tmpbench raises those toward
-	// the 100M-ref regime by default while -quick — and every test
-	// that uses DefaultOptions — keeps the seed-budget Refs.
+	// the 100M-ref regime by default while -heavy-refs 0 — and every
+	// test that uses DefaultOptions — keeps the seed-budget Refs.
 	HeavyRefs int
 }
 
@@ -136,6 +136,21 @@ func RateName(rate int) string {
 		return "8x"
 	default:
 		return fmt.Sprintf("%dx", rate)
+	}
+}
+
+// ParseRate is the inverse of RateName over Rates, also accepting "1x"
+// for the default rate.
+func ParseRate(s string) (int, error) {
+	switch s {
+	case "default", "1x":
+		return ibs.Rate1x, nil
+	case "4x":
+		return ibs.Rate4x, nil
+	case "8x":
+		return ibs.Rate8x, nil
+	default:
+		return 0, fmt.Errorf("unknown rate %q (default, 4x, 8x)", s)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/ibs"
+	"tieredmem/internal/mem"
 	"tieredmem/internal/order"
 	"tieredmem/internal/policy"
 )
@@ -229,6 +230,21 @@ func TestRateName(t *testing.T) {
 	}
 }
 
+// TestParseRate pins ParseRate as RateName's inverse over Rates.
+func TestParseRate(t *testing.T) {
+	for _, rate := range Rates {
+		if got, err := ParseRate(RateName(rate)); err != nil || got != rate {
+			t.Errorf("ParseRate(%q) = %d, %v; want %d", RateName(rate), got, err, rate)
+		}
+	}
+	if got, err := ParseRate("1x"); err != nil || got != ibs.Rate1x {
+		t.Errorf("ParseRate(1x) = %d, %v", got, err)
+	}
+	if _, err := ParseRate("3x"); err == nil {
+		t.Error("ParseRate accepted 3x")
+	}
+}
+
 func TestCaptureBothKeying(t *testing.T) {
 	cp := &Capture{
 		AbitPages: map[core.PageKey]struct{}{
@@ -315,9 +331,9 @@ func TestEpochSweepShapes(t *testing.T) {
 
 func TestRebucketConservesMass(t *testing.T) {
 	base := []core.EpochStats{
-		{Epoch: 0, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 1}, Abit: 1, Trace: 2, True: 3}}},
-		{Epoch: 1, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 1}, Abit: 4, Trace: 0, True: 1}}},
-		{Epoch: 2, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 2}, Abit: 1, Trace: 1, True: 1}}},
+		{Epoch: 0, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 1}, Evidence: mem.Evidence{Abit: 1, Trace: 2, True: 3}}}},
+		{Epoch: 1, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 1}, Evidence: mem.Evidence{Abit: 4, Trace: 0, True: 1}}}},
+		{Epoch: 2, Pages: []core.PageStat{{Key: core.PageKey{PID: 1, VPN: 2}, Evidence: mem.Evidence{Abit: 1, Trace: 1, True: 1}}}},
 	}
 	out := rebucket(base, 2)
 	if len(out) != 2 {

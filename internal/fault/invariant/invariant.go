@@ -190,8 +190,8 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 	// a bijection — every shadow's link names an allocated primary in a
 	// faster tier that links back and agrees on page identity — and the
 	// per-tier shadow counters match the flags. The pass walks the raw
-	// frame array rather than ForEachShadow so a counter drifting to
-	// zero cannot hide flagged frames from the check.
+	// frame array, not a walk bounded by those counters, so a counter
+	// drifting to zero cannot hide flagged frames from the check.
 	shadowSeen := make(map[mem.TierID]int)
 	for pfn := mem.PFN(0); int(pfn) < total; pfn++ {
 		spd := phys.Page(pfn)

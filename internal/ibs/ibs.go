@@ -209,7 +209,7 @@ func New(cfg Config, phys *mem.PhysMem) (*Engine, error) {
 
 // SetAccumulator registers the per-sample accumulation hook run at
 // drain time (TMP registers a hook that bumps PageDescriptor
-// TraceEpoch counters).
+// Epoch.Trace counters).
 func (e *Engine) SetAccumulator(fn func(s trace.Sample, pd *mem.PageDescriptor)) {
 	e.onAcc = fn
 }

@@ -63,9 +63,6 @@ const (
 	// FlagNonMigratable marks frames the policy must not move
 	// (pinned/kernel pages; the paper's step 2 filters these).
 	FlagNonMigratable
-	// FlagPoisoned marks frames whose PTE carries the BadgerTrap
-	// reserved-bit poison used by the emulation framework.
-	FlagPoisoned
 	// FlagShadow marks a frame holding a non-exclusive shadow copy of a
 	// page promoted out of this tier (the Nomad model). Shadow frames
 	// are neither allocated nor free: they back no mapping, but a
@@ -79,10 +76,42 @@ const (
 	FlagShadowed
 )
 
+// Evidence is one page's per-epoch observation counts, one per
+// evidence source. The page descriptor accumulates them, the harvest
+// copies them whole into core.PageStat, and migration carries them
+// with the page, so a new source is one field here.
+type Evidence struct {
+	Abit  uint32 // A-bit observations
+	Trace uint32 // IBS/PEBS samples
+	// Write counts D-bit-set events logged by the PML engine (an
+	// extension; the paper focuses on the A bit for performance and
+	// mentions PML for write tracking).
+	Write uint32
+	// Dev counts accesses observed by a CXL-resident hot-page tracker
+	// (the NeoMem model: counters live on the device and see physical
+	// traffic with zero host sampling cost). Always zero on frames
+	// outside device tiers and in runs without a devprof tracker.
+	Dev uint32
+	// True is ground truth maintained by the simulator itself
+	// (invisible to any profiling method): demand accesses served from
+	// memory, the quantity the paper's Fig. 6 hitrate and Oracle policy
+	// are defined over.
+	True uint32
+}
+
+// Add accumulates o into e.
+func (e *Evidence) Add(o Evidence) {
+	e.Abit += o.Abit
+	e.Trace += o.Trace
+	e.Write += o.Write
+	e.Dev += o.Dev
+	e.True += o.True
+}
+
 // PageDescriptor is the per-frame metadata record. TMP accumulates
-// profiling observations here: separate counters for A-bit and
-// trace-based (IBS/PEBS) evidence, split into an all-time total and a
-// current-epoch value that the profiler harvests at each epoch horizon.
+// profiling observations here (the paper's extended struct page): the
+// current epoch's Evidence, which the profiler harvests and clears at
+// each epoch horizon, and the all-time ground-truth total.
 type PageDescriptor struct {
 	Frame PFN
 	Tier  TierID
@@ -96,53 +125,26 @@ type PageDescriptor struct {
 	// flags is set.
 	ShadowLink PFN
 
-	// Profiling state (the paper's extended struct page).
-	AbitTotal  uint64 // A-bit observations, all time
-	TraceTotal uint64 // IBS/PEBS samples, all time
-	AbitEpoch  uint32 // A-bit observations this epoch
-	TraceEpoch uint32 // trace samples this epoch
-
-	// Write-path profiling state: D-bit-set events logged by the
-	// PML engine (an extension; the paper focuses on the A bit for
-	// performance and mentions PML for write tracking).
-	WriteTotal uint64
-	WriteEpoch uint32
-
-	// Device-side profiling state: accesses observed by a CXL-resident
-	// hot-page tracker (the NeoMem model — counters live on the device
-	// and see physical traffic with zero host sampling cost). Always
-	// zero on frames outside device tiers and in runs without a
-	// devprof tracker.
-	DevTotal uint64
-	DevEpoch uint32
-
-	// Ground truth maintained by the simulator itself (invisible to
-	// any profiling method): demand accesses served from memory, the
-	// quantity the paper's Fig. 6 hitrate and Oracle policy are
-	// defined over.
+	// Epoch is the evidence observed this epoch.
+	Epoch Evidence
+	// TrueTotal is Epoch.True summed over finished epochs; emul's
+	// hot-page test reads it.
 	TrueTotal uint64
-	TrueEpoch uint32
 }
 
-// Hotness returns the current-epoch hotness rank: the paper's simple
-// sum of A-bit and trace-based samples (§IV step 1, justified by
-// Fig. 2's same-order-of-magnitude event populations).
-func (pd *PageDescriptor) Hotness() uint64 {
-	return uint64(pd.AbitEpoch) + uint64(pd.TraceEpoch)
-}
-
-// ResetEpoch folds the epoch counters into the totals and zeroes them.
+// ResetEpoch folds the epoch's ground truth into TrueTotal and clears
+// the epoch evidence.
 func (pd *PageDescriptor) ResetEpoch() {
-	pd.AbitTotal += uint64(pd.AbitEpoch)
-	pd.TraceTotal += uint64(pd.TraceEpoch)
-	pd.WriteTotal += uint64(pd.WriteEpoch)
-	pd.DevTotal += uint64(pd.DevEpoch)
-	pd.TrueTotal += uint64(pd.TrueEpoch)
-	pd.AbitEpoch = 0
-	pd.TraceEpoch = 0
-	pd.WriteEpoch = 0
-	pd.DevEpoch = 0
-	pd.TrueEpoch = 0
+	pd.TrueTotal += uint64(pd.Epoch.True)
+	pd.Epoch = Evidence{}
+}
+
+// CarryProfile copies src's profiling state (Epoch and TrueTotal) into
+// pd: hotness belongs to the logical page, not the frame, so every
+// path that moves a page to a new frame carries it.
+func (pd *PageDescriptor) CarryProfile(src *PageDescriptor) {
+	pd.Epoch = src.Epoch
+	pd.TrueTotal = src.TrueTotal
 }
 
 // Allocated reports whether the frame backs a live mapping.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tieredmem/internal/fault"
 	"tieredmem/internal/order"
@@ -43,22 +44,31 @@ func TestTierIDString(t *testing.T) {
 	}
 }
 
-func TestPageDescriptorHotness(t *testing.T) {
-	pd := PageDescriptor{AbitEpoch: 3, TraceEpoch: 5}
-	if pd.Hotness() != 8 {
-		t.Errorf("Hotness = %d, want 8 (plain sum)", pd.Hotness())
+func TestPageDescriptorResetEpoch(t *testing.T) {
+	pd := PageDescriptor{Epoch: Evidence{Abit: 3, Trace: 5, Write: 2, Dev: 4, True: 7}, TrueTotal: 30}
+	pd.ResetEpoch()
+	if pd.Epoch != (Evidence{}) {
+		t.Errorf("epoch counters not cleared: %+v", pd)
+	}
+	if pd.TrueTotal != 37 {
+		t.Errorf("truth not accumulated: %+v", pd)
 	}
 }
 
-func TestPageDescriptorResetEpoch(t *testing.T) {
-	pd := PageDescriptor{AbitEpoch: 3, TraceEpoch: 5, TrueEpoch: 7,
-		AbitTotal: 10, TraceTotal: 20, TrueTotal: 30}
-	pd.ResetEpoch()
-	if pd.AbitEpoch != 0 || pd.TraceEpoch != 0 || pd.TrueEpoch != 0 {
-		t.Errorf("epoch counters not cleared: %+v", pd)
+func TestEvidenceAdd(t *testing.T) {
+	e := Evidence{Abit: 1, Trace: 2, Write: 3, Dev: 4, True: 5}
+	e.Add(Evidence{Abit: 10, Trace: 20, Write: 30, Dev: 40, True: 50})
+	if want := (Evidence{Abit: 11, Trace: 22, Write: 33, Dev: 44, True: 55}); e != want {
+		t.Errorf("Add = %+v, want %+v", e, want)
 	}
-	if pd.AbitTotal != 13 || pd.TraceTotal != 25 || pd.TrueTotal != 37 {
-		t.Errorf("totals not accumulated: %+v", pd)
+}
+
+// TestPageDescriptorSize pins the per-frame metadata budget: the
+// descriptor array is sized to the whole machine, so every byte here
+// is paid once per simulated frame.
+func TestPageDescriptorSize(t *testing.T) {
+	if got := unsafe.Sizeof(PageDescriptor{}); got > 80 {
+		t.Errorf("PageDescriptor is %d bytes, want at most 80", got)
 	}
 }
 
@@ -217,8 +227,8 @@ func TestAllocResetsProfilingState(t *testing.T) {
 	pm := newTestMem(t, 2, 2)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
-	pd.AbitEpoch, pd.TraceEpoch, pd.TrueEpoch = 1, 2, 3
-	pd.AbitTotal, pd.TraceTotal, pd.TrueTotal = 4, 5, 6
+	pd.Epoch = Evidence{Abit: 1, Trace: 2, Write: 3, Dev: 4, True: 5}
+	pd.TrueTotal = 6
 	pm.Free(pfn)
 	pfn2, _ := pm.Alloc(FastTier, 2, 7)
 	if pfn2 != pfn {
@@ -227,7 +237,7 @@ func TestAllocResetsProfilingState(t *testing.T) {
 		pfn2, _ = pm.Alloc(FastTier, 2, 7)
 	}
 	pd2 := pm.Page(pfn2)
-	if pd2.AbitEpoch != 0 || pd2.TraceTotal != 0 || pd2.TrueTotal != 0 {
+	if pd2.Epoch != (Evidence{}) || pd2.TrueTotal != 0 {
 		t.Errorf("profiling state leaked across allocations: %+v", pd2)
 	}
 }
@@ -352,9 +362,9 @@ func TestResetEpochAll(t *testing.T) {
 	pm := newTestMem(t, 4, 4)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
-	pd.AbitEpoch = 5
+	pd.Epoch = Evidence{Abit: 5, True: 5}
 	pm.ResetEpochAll()
-	if pd.AbitEpoch != 0 || pd.AbitTotal != 5 {
+	if pd.Epoch != (Evidence{}) || pd.TrueTotal != 5 {
 		t.Errorf("ResetEpochAll: %+v", pd)
 	}
 }

@@ -246,10 +246,7 @@ func (pm *PhysMem) claim(ts *tierState, local int, pid int, vpn VPN) PFN {
 	pd.VPage = vpn
 	pd.Flags = FlagAllocated
 	pd.ShadowLink = 0
-	pd.AbitTotal, pd.TraceTotal = 0, 0
-	pd.AbitEpoch, pd.TraceEpoch = 0, 0
-	pd.DevTotal, pd.DevEpoch = 0, 0
-	pd.TrueTotal, pd.TrueEpoch = 0, 0
+	pd.Epoch, pd.TrueTotal = Evidence{}, 0
 	pm.ctrAlloc.Add(1)
 	return pfn
 }
@@ -422,9 +419,9 @@ func (pm *PhysMem) ForEachAllocated(fn func(*PageDescriptor)) {
 	}
 }
 
-// ResetEpochAll folds every allocated frame's epoch counters into its
-// totals, the bulk form of PageDescriptor.ResetEpoch used at epoch
-// horizons. Like ForEachAllocated it walks only the claimed spans.
+// ResetEpochAll resets every allocated frame's epoch evidence, the
+// bulk form of PageDescriptor.ResetEpoch used at epoch horizons. Like
+// ForEachAllocated it walks only the claimed spans.
 func (pm *PhysMem) ResetEpochAll() {
 	for t := range pm.tiers {
 		ts := &pm.tiers[t]
@@ -507,13 +504,9 @@ func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
 	spd := &pm.pds[spfn]
 	spd.PID = pd.PID
 	spd.VPage = pd.VPage
-	spd.Flags = FlagAllocated | (pd.Flags & FlagPoisoned)
+	spd.Flags = FlagAllocated
 	spd.ShadowLink = 0
-	spd.AbitTotal, spd.TraceTotal = pd.AbitTotal, pd.TraceTotal
-	spd.AbitEpoch, spd.TraceEpoch = pd.AbitEpoch, pd.TraceEpoch
-	spd.WriteTotal, spd.WriteEpoch = pd.WriteTotal, pd.WriteEpoch
-	spd.DevTotal, spd.DevEpoch = pd.DevTotal, pd.DevEpoch
-	spd.TrueTotal, spd.TrueEpoch = pd.TrueTotal, pd.TrueEpoch
+	spd.CarryProfile(pd)
 	pd.Flags &^= FlagShadowed
 	pd.ShadowLink = 0
 	ts := &pm.tiers[spd.Tier]
@@ -580,21 +573,4 @@ func (pm *PhysMem) reclaimShadowIn(ts *tierState) {
 		return
 	}
 	panic("mem: reclaimShadowIn found no shadow despite shadowCount > 0")
-}
-
-// ForEachShadow invokes fn for every shadow frame, ascending PFN; the
-// invariant checker uses it to verify shadow-frame conservation.
-func (pm *PhysMem) ForEachShadow(fn func(*PageDescriptor)) {
-	for t := range pm.tiers {
-		ts := &pm.tiers[t]
-		if ts.shadowCount == 0 {
-			continue
-		}
-		lo := int(ts.base)
-		for i := lo; i < lo+ts.hiWater; i++ {
-			if pm.pds[i].Flags&FlagShadow != 0 {
-				fn(&pm.pds[i])
-			}
-		}
-	}
 }

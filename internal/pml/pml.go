@@ -99,7 +99,7 @@ func (e *Engine) ObserveRetire(o *trace.Outcome, ops int) int64 {
 	return cost
 }
 
-// drain empties the log into the page descriptors (WriteEpoch) and the
+// drain empties the log into the page descriptors (Epoch.Write) and the
 // observer, returning the notification cost.
 func (e *Engine) drain() int64 {
 	if len(e.log) == 0 {
@@ -109,8 +109,8 @@ func (e *Engine) drain() int64 {
 	if e.phys != nil {
 		for _, paddr := range e.log {
 			pd := e.phys.PhysToPage(paddr)
-			if pd.WriteEpoch != ^uint32(0) {
-				pd.WriteEpoch++
+			if pd.Epoch.Write != ^uint32(0) {
+				pd.Epoch.Write++
 			}
 		}
 	}

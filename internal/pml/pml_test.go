@@ -53,8 +53,8 @@ func TestLogFullDrainsIntoDescriptors(t *testing.T) {
 	if batches != 1 {
 		t.Fatalf("drains = %d, want 1 at log-full", batches)
 	}
-	if phys.Page(pfn).WriteEpoch != 4 {
-		t.Errorf("WriteEpoch = %d, want 4", phys.Page(pfn).WriteEpoch)
+	if phys.Page(pfn).Epoch.Write != 4 {
+		t.Errorf("Epoch.Write = %d, want 4", phys.Page(pfn).Epoch.Write)
 	}
 	// The fourth append paid the drain notification.
 	if charged < 1000 {
@@ -71,12 +71,12 @@ func TestFlushDrainsPartial(t *testing.T) {
 	e, _ := New(DefaultConfig(), phys)
 	e.ObserveRetire(dirtyOutcome(pfn.PAddrOf()), 3)
 	e.Flush()
-	if phys.Page(pfn).WriteEpoch != 1 {
+	if phys.Page(pfn).Epoch.Write != 1 {
 		t.Errorf("partial flush lost the entry")
 	}
 	// Idempotent.
 	e.Flush()
-	if phys.Page(pfn).WriteEpoch != 1 {
+	if phys.Page(pfn).Epoch.Write != 1 {
 		t.Errorf("double flush double-counted")
 	}
 }

@@ -55,9 +55,6 @@ func (e Event) String() string {
 	}
 }
 
-// NumEvents is the size of the event taxonomy.
-const NumEvents = int(numEvents)
-
 // slot is one tracked event's bookkeeping.
 type slot struct {
 	event     Event
@@ -92,9 +89,6 @@ func New(registers int, quantum int64) *PMU {
 	}
 	return p
 }
-
-// Registers returns the number of physical counter registers.
-func (p *PMU) Registers() int { return p.registers }
 
 // Track programs an event; tracking more events than registers engages
 // multiplexing. Tracking an already-tracked event is a no-op.

@@ -12,15 +12,14 @@ import (
 // agreementStats builds a tie-heavy harvest with every page in the
 // slow tier, so the fast-tier tie preference is neutral and policies
 // that track residency (History via statLess) and policies that do not
-// (Decay, Predictor) are comparable.
+// (Decay) are comparable.
 func agreementStats(n int) core.EpochStats {
 	stats := core.EpochStats{Pages: make([]core.PageStat, 0, n)}
 	for i := 0; i < n; i++ {
 		stats.Pages = append(stats.Pages, core.PageStat{
-			Key:   core.PageKey{PID: 1 + i%3, VPN: mem.VPN(i / 3)},
-			Tier:  mem.SlowTier,
-			Abit:  uint32(i % 4), // heavy tie groups, some zero-rank
-			Trace: uint32(i % 6),
+			Key:      core.PageKey{PID: 1 + i%3, VPN: mem.VPN(i / 3)},
+			Tier:     mem.SlowTier,
+			Evidence: mem.Evidence{Abit: uint32(i % 4), Trace: uint32(i % 6)}, // heavy tie groups, some zero-rank
 		})
 	}
 	return stats
@@ -37,9 +36,9 @@ func selectionKeys(sel Selection) map[core.PageKey]bool {
 // TestSelectorsAgreeOnSharedComparator is the cross-package drift
 // guard the shared comparator exists for: with residency and writes
 // neutralized and fresh per-policy state, History, Oracle, Decay
-// (alpha=1 degrades to History), Predictor (first epoch: score is
-// monotone in rank), and WriteBiased (zero writes: score equals rank)
-// must all pick exactly the keys of the full RankedPages prefix.
+// (alpha=1 degrades to History), and WriteBiased (zero writes: score
+// equals rank) must all pick exactly the keys of the full RankedPages
+// prefix.
 func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 	stats := agreementStats(60)
 	for _, method := range []core.Method{core.MethodAbit, core.MethodTrace, core.MethodCombined} {
@@ -56,7 +55,6 @@ func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 				History{},
 				Oracle{},
 				NewDecay(1.0),
-				NewPredictor(),
 				WriteBiased{Bias: 2},
 			}
 			for _, p := range policies {
@@ -110,7 +108,7 @@ func TestBoundedSelectionSweepsCapacity(t *testing.T) {
 func TestSelectionDeterminism(t *testing.T) {
 	stats := agreementStats(60)
 	run := func() string {
-		p := NewPredictor()
+		p := NewDecay(0.5)
 		var out string
 		for epoch := 0; epoch < 3; epoch++ {
 			sel := p.Select(stats, core.EpochStats{}, core.MethodCombined, 10)

@@ -13,8 +13,8 @@ import (
 func ExampleEvaluateHitrate() {
 	page := func(vpn uint64, rank, truth uint32) core.PageStat {
 		return core.PageStat{
-			Key:  core.PageKey{PID: 1, VPN: mem.VPN(vpn)},
-			Abit: rank, True: truth,
+			Key:      core.PageKey{PID: 1, VPN: mem.VPN(vpn)},
+			Evidence: mem.Evidence{Abit: rank, True: truth},
 		}
 	}
 	epochs := []core.EpochStats{

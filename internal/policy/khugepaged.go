@@ -135,12 +135,7 @@ func (c *Collapser) collapseOne(cand chunk) bool {
 		vpn := cand.base + mem.VPN(i)
 		old, _ := table.Frame(vpn)
 		oldPFNs[i] = old
-		oldPD := phys.Page(old)
-		newPD := phys.Page(newBase + mem.PFN(i))
-		newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-		newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-		newPD.WriteTotal, newPD.WriteEpoch = oldPD.WriteTotal, oldPD.WriteEpoch
-		newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
+		phys.Page(newBase + mem.PFN(i)).CarryProfile(phys.Page(old))
 		table.Unmap(vpn)
 	}
 	table.MapHuge(cand.base, newBase, true)

@@ -28,7 +28,7 @@ func TestCollapserRebuildsSplitHugePage(t *testing.T) {
 
 	// Mark some profiling state to verify preservation.
 	pfn3, _ := m.Table(1).Frame(3)
-	m.Phys.Page(pfn3).AbitEpoch = 7
+	m.Phys.Page(pfn3).Epoch.Abit = 7
 
 	kc := NewCollapser(m)
 	n := kc.Collapse([]int{1}, 10)
@@ -50,7 +50,7 @@ func TestCollapserRebuildsSplitHugePage(t *testing.T) {
 		}
 	}
 	newPFN3, _ := m.Table(1).Frame(3)
-	if m.Phys.Page(newPFN3).AbitEpoch != 7 {
+	if m.Phys.Page(newPFN3).Epoch.Abit != 7 {
 		t.Errorf("profiling state lost in collapse")
 	}
 	// The chunk must still be usable.

@@ -274,7 +274,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	if err != nil {
 		return err
 	}
-	carryProfile(phys.Page(newPFN), oldPD)
+	phys.Page(newPFN).CarryProfile(oldPD)
 
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
@@ -283,16 +283,6 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	phys.Free(oldPFN)
 	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
 	return nil
-}
-
-// carryProfile preserves accumulated profiling state across a move:
-// hotness belongs to the logical page, not the frame.
-func carryProfile(dst, src *mem.PageDescriptor) {
-	dst.AbitTotal, dst.TraceTotal = src.AbitTotal, src.TraceTotal
-	dst.AbitEpoch, dst.TraceEpoch = src.AbitEpoch, src.TraceEpoch
-	dst.DevTotal, dst.DevEpoch = src.DevTotal, src.DevEpoch
-	dst.TrueTotal, dst.TrueEpoch = src.TrueTotal, src.TrueEpoch
-	dst.Flags |= src.Flags & mem.FlagPoisoned
 }
 
 // migrateTx is the transactional migration engine (the Nomad model):
@@ -354,7 +344,7 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 		phys.Free(newPFN)
 		return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
 	}
-	carryProfile(phys.Page(newPFN), oldPD)
+	phys.Page(newPFN).CarryProfile(oldPD)
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
 		mv.TxRemapFailed++

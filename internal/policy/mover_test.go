@@ -99,7 +99,7 @@ func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 	touchPages(t, m, 1, 6)
 	oldPFN, _ := m.Table(1).Frame(4)
 	pd := m.Phys.Page(oldPFN)
-	pd.AbitEpoch, pd.TraceEpoch, pd.TrueTotal = 3, 4, 50
+	pd.Epoch.Abit, pd.Epoch.Trace, pd.TrueTotal = 3, 4, 50
 
 	mv := NewMover(m)
 	mv.ApplySelection(Selection{core.PageKey{PID: 1, VPN: 4}: {}}, core.Ranks{})
@@ -112,7 +112,7 @@ func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 		t.Fatalf("page did not move")
 	}
 	npd := m.Phys.Page(newPFN)
-	if npd.AbitEpoch != 3 || npd.TraceEpoch != 4 || npd.TrueTotal != 50 {
+	if npd.Epoch.Abit != 3 || npd.Epoch.Trace != 4 || npd.TrueTotal != 50 {
 		t.Errorf("profiling state lost in migration: %+v", npd)
 	}
 	if m.Phys.Page(oldPFN).Allocated() {

@@ -1,9 +1,11 @@
 // Package policy implements the tiered-memory placement policies of
 // the paper's §IV step 2 (Table II): the predictive Oracle upper bound
-// and the practical History policy, plus the first-come-first-allocate
-// baseline the end-to-end evaluation compares against and an
-// EWMA-decayed extension. Policies are epoch-based: pages move in
-// batch at epoch horizons so one TLB shootdown covers every migration.
+// and the practical History policy, plus an EWMA-decayed extension.
+// The first-come-first-allocate baseline the end-to-end evaluation
+// compares against is a placement run with no policy at all
+// (sim.PlacementConfig.Policy == nil). Policies are epoch-based: pages
+// move in batch at epoch horizons so one TLB shootdown covers every
+// migration.
 //
 // The package also provides the offline hitrate evaluator behind
 // Fig. 6 (policies computed over profiling data, hitrate measured
@@ -13,7 +15,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/core/pageidx"
@@ -72,50 +73,6 @@ func (History) Name() string { return "history" }
 // Select implements Policy.
 func (History) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
 	return takeTop(prev, method, capacity)
-}
-
-// FirstTouch is the NUMA-like first-come-first-allocate baseline: the
-// first pages ever observed stay in tier 1 forever; nothing migrates.
-type FirstTouch struct {
-	resident Selection
-	order    []core.PageKey
-}
-
-// NewFirstTouch returns an empty baseline.
-func NewFirstTouch() *FirstTouch {
-	return &FirstTouch{resident: make(Selection)}
-}
-
-// Name implements Policy.
-func (f *FirstTouch) Name() string { return "first-touch" }
-
-// Select implements Policy. It admits newly seen pages (in first-seen
-// order, using ground truth: allocation order does not depend on any
-// profiler) until capacity is reached.
-func (f *FirstTouch) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
-	// Stabilize first-seen order within the epoch by key.
-	keys := make([]core.PageKey, 0, len(prev.Pages))
-	for _, ps := range prev.Pages {
-		if ps.True == 0 {
-			continue
-		}
-		if _, ok := f.resident[ps.Key]; !ok {
-			keys = append(keys, ps.Key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return core.PageKeyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		if len(f.order) >= capacity {
-			break
-		}
-		f.resident[k] = struct{}{}
-		f.order = append(f.order, k)
-	}
-	out := make(Selection, len(f.resident))
-	for k := range f.resident {
-		out[k] = struct{}{}
-	}
-	return out
 }
 
 // Decay is an extension policy (not in the paper's Table II, listed in

@@ -15,11 +15,9 @@ func mkEpoch(epoch int, counts [][3]uint32) core.EpochStats {
 	ep := core.EpochStats{Epoch: epoch}
 	for i, c := range counts {
 		ep.Pages = append(ep.Pages, core.PageStat{
-			Key:   core.PageKey{PID: 1, VPN: mem.VPN(i)},
-			Tier:  mem.SlowTier,
-			Abit:  c[0],
-			Trace: c[1],
-			True:  c[2],
+			Key:      core.PageKey{PID: 1, VPN: mem.VPN(i)},
+			Tier:     mem.SlowTier,
+			Evidence: mem.Evidence{Abit: c[0], Trace: c[1], True: c[2]},
 		})
 	}
 	return ep
@@ -76,24 +74,6 @@ func TestMethodSelectsEvidence(t *testing.T) {
 	selT := History{}.Select(ep, core.EpochStats{}, core.MethodTrace, 1)
 	if _, ok := selT[core.PageKey{PID: 1, VPN: 1}]; !ok {
 		t.Errorf("trace method ignored trace evidence")
-	}
-}
-
-func TestFirstTouchAdmitsInOrderAndSticks(t *testing.T) {
-	ft := NewFirstTouch()
-	ep0 := mkEpoch(0, [][3]uint32{{0, 0, 1}, {0, 0, 1}, {0, 0, 1}})
-	sel := ft.Select(ep0, core.EpochStats{}, core.MethodCombined, 2)
-	if len(sel) != 2 {
-		t.Fatalf("first-touch admitted %d, want 2", len(sel))
-	}
-	// A hotter page arriving later must NOT displace residents.
-	ep1 := mkEpoch(1, [][3]uint32{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {9, 9, 99}})
-	sel2 := ft.Select(ep1, core.EpochStats{}, core.MethodCombined, 2)
-	if len(sel2) != 2 {
-		t.Fatalf("capacity violated: %d", len(sel2))
-	}
-	if _, ok := sel2[core.PageKey{PID: 1, VPN: 3}]; ok {
-		t.Errorf("first-touch migrated a page; it must never migrate")
 	}
 }
 
@@ -186,56 +166,10 @@ func TestCapacityForRatio(t *testing.T) {
 	}
 }
 
-func TestPredictorTrustsStablePages(t *testing.T) {
-	p := NewPredictor()
-	// Page 0: steady rank 8. Page 1: oscillates 0/16 (same mean).
-	for i := 0; i < 6; i++ {
-		var osc uint32
-		if i%2 == 1 {
-			osc = 16
-		}
-		ep := mkEpoch(i, [][3]uint32{{8, 0, 8}, {osc, 0, 8}})
-		p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	// After an epoch where the oscillator read 0, History would pick
-	// page 0 trivially; make the last observation favor the
-	// oscillator (16 > 8) — the predictor should still prefer the
-	// stable page because the oscillator has no confidence.
-	ep := mkEpoch(6, [][3]uint32{{8, 0, 8}, {16, 0, 8}})
-	sel := p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel[core.PageKey{PID: 1, VPN: 0}]; !ok {
-		t.Errorf("predictor chose the erratic page over the stable one: %v", keys(sel))
-	}
-}
-
-func TestPredictorForgetsDeadPages(t *testing.T) {
-	p := NewPredictor()
-	hot := mkEpoch(0, [][3]uint32{{9, 0, 9}})
-	for i := 0; i < 3; i++ {
-		p.Select(hot, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	empty := core.EpochStats{}
-	for i := 0; i < 40; i++ {
-		p.Select(empty, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	if p.Tracked() != 0 {
-		t.Errorf("dead page still tracked: %v", p)
-	}
-}
-
-func TestPredictorColdStartMatchesHistoryDirection(t *testing.T) {
-	p := NewPredictor()
-	ep := mkEpoch(0, [][3]uint32{{1, 0, 1}, {7, 0, 1}})
-	sel := p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel[core.PageKey{PID: 1, VPN: 1}]; !ok {
-		t.Errorf("cold-start predictor ignored the hotter page")
-	}
-}
-
 func TestWriteBiasedPrefersDirtyPages(t *testing.T) {
 	ep := core.EpochStats{Pages: []core.PageStat{
-		{Key: core.PageKey{PID: 1, VPN: 0}, Abit: 2, Trace: 1, Write: 0, True: 5},
-		{Key: core.PageKey{PID: 1, VPN: 1}, Abit: 1, Trace: 0, Write: 4, True: 5},
+		{Key: core.PageKey{PID: 1, VPN: 0}, Evidence: mem.Evidence{Abit: 2, Trace: 1, Write: 0, True: 5}},
+		{Key: core.PageKey{PID: 1, VPN: 1}, Evidence: mem.Evidence{Abit: 1, Trace: 0, Write: 4, True: 5}},
 	}}
 	// Read rank: page 0 = 3, page 1 = 1. With bias 2, page 1 scores
 	// 1 + 8 = 9 and must win the single slot.

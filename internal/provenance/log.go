@@ -167,6 +167,7 @@ type logLine struct {
 	VPN     string `json:"vpn"`
 	Flips   uint32 `json:"flips"`
 	Dropped uint64 `json:"dropped"`
+	Records int    `json:"records"`
 
 	Epoch    int32  `json:"epoch"`
 	Abit     uint32 `json:"abit"`
@@ -215,26 +216,26 @@ func parseKey(l *logLine) (core.PageKey, error) {
 	return core.PageKey{PID: l.PID, VPN: mem.VPN(vpn)}, nil
 }
 
-func parseMethod(s string) core.Method {
-	switch s {
-	case "abit":
-		return core.MethodAbit
-	case "ibs":
-		return core.MethodTrace
-	case "devprof":
-		return core.MethodDev
-	default:
-		return core.MethodCombined
-	}
-}
-
-// ReadLog parses a provenance JSONL stream back into its Logs,
-// verifying the schema version on every run line — the reader-side
-// check that lets downstream consumers detect format drift.
+// ReadLog parses a provenance JSONL stream back into its Logs. It is
+// strict, so downstream consumers detect format drift: every run line
+// must carry this reader's schema version, every page must be followed
+// by exactly its records count of decision lines, every verdict must
+// be one Verdict.Reason produces, and every method one core.ParseMethod
+// accepts.
 func ReadLog(rd io.Reader) ([]Log, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var logs []Log
+	var open *PageLog // the page whose decision lines are being read
+	want := 0         // decision lines open announced
+	closePage := func(lineNo int) error {
+		if open != nil && len(open.Records) != want {
+			return fmt.Errorf("provenance: line %d: page pid=%d vpn=%#x announced %d records, read %d",
+				lineNo, open.Key.PID, uint64(open.Key.VPN), want, len(open.Records))
+		}
+		open = nil
+		return nil
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -248,6 +249,9 @@ func ReadLog(rd io.Reader) ([]Log, error) {
 		}
 		switch l.Type {
 		case "run":
+			if err := closePage(lineNo); err != nil {
+				return nil, err
+			}
 			if l.Schema != telemetry.SchemaVersion {
 				return nil, fmt.Errorf("provenance: line %d: schema %d, this reader expects %d", lineNo, l.Schema, telemetry.SchemaVersion)
 			}
@@ -256,40 +260,52 @@ func ReadLog(rd io.Reader) ([]Log, error) {
 			if len(logs) == 0 {
 				return nil, fmt.Errorf("provenance: line %d: page before any run header", lineNo)
 			}
+			if err := closePage(lineNo); err != nil {
+				return nil, err
+			}
 			key, err := parseKey(&l)
 			if err != nil {
 				return nil, err
 			}
 			lg := &logs[len(logs)-1]
 			lg.Pages = append(lg.Pages, PageLog{Key: key, Flips: l.Flips, Dropped: l.Dropped})
+			open, want = &lg.Pages[len(lg.Pages)-1], l.Records
 		case "decision":
-			if len(logs) == 0 || len(logs[len(logs)-1].Pages) == 0 {
+			if open == nil {
 				return nil, fmt.Errorf("provenance: line %d: decision before any page", lineNo)
 			}
 			key, err := parseKey(&l)
 			if err != nil {
 				return nil, err
 			}
-			lg := &logs[len(logs)-1]
-			pg := &lg.Pages[len(lg.Pages)-1]
-			if pg.Key != key {
+			if open.Key != key {
 				return nil, fmt.Errorf("provenance: line %d: decision for pid=%d vpn=%s under page pid=%d vpn=%#x",
-					lineNo, l.PID, l.VPN, pg.Key.PID, uint64(pg.Key.VPN))
+					lineNo, l.PID, l.VPN, open.Key.PID, uint64(open.Key.VPN))
 			}
-			v, f := verdictFromReason(l.Verdict)
-			pg.Records = append(pg.Records, Record{
+			v, f, ok := verdictFromReason(l.Verdict)
+			if !ok {
+				return nil, fmt.Errorf("provenance: line %d: unknown verdict %q", lineNo, l.Verdict)
+			}
+			method, err := core.ParseMethod(l.Method)
+			if err != nil {
+				return nil, fmt.Errorf("provenance: line %d: %w", lineNo, err)
+			}
+			open.Records = append(open.Records, Record{
 				Epoch: l.Epoch, Pos: l.Pos, Rank: l.Rank,
 				Abit: l.Abit, Trace: l.IBS, Write: l.Write, Dev: l.Dev,
 				Tier: l.Tier, From: l.From, To: l.To,
 				Verdict: v, Fail: f,
 				Selected: l.Selected, Degraded: l.Degraded,
-				Method: parseMethod(l.Method),
+				Method: method,
 			})
 		default:
 			return nil, fmt.Errorf("provenance: line %d: unknown line type %q", lineNo, l.Type)
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := closePage(lineNo); err != nil {
 		return nil, err
 	}
 	return logs, nil

@@ -1,0 +1,107 @@
+package provenance
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"tieredmem/internal/core"
+	"tieredmem/internal/telemetry"
+)
+
+// sampleLogText is a WriteLog output covering a moved page, a failed
+// migration and a page with no surviving records.
+func sampleLogText(t testing.TB) string {
+	t.Helper()
+	logs := []Log{{
+		Schema: telemetry.SchemaVersion, Label: "gups/tmp", LastK: DefaultLastK, PingPongK: 4,
+		Pages: []PageLog{
+			{Key: key(100, 0x2a7), Flips: 1, Records: []Record{
+				{Epoch: 3, Rank: 5, Abit: 1, Trace: 4, Tier: 1, From: 1, To: 0,
+					Verdict: VerdictPromoted, Selected: true, Method: core.MethodCombined},
+				{Epoch: 4, Pos: -1, Tier: -1, From: -1, To: -1,
+					Verdict: VerdictFailed, Fail: FailCapacity, Degraded: true, Method: core.MethodAbit},
+			}},
+			{Key: key(101, 0), Dropped: 3},
+		},
+	}}
+	var buf bytes.Buffer
+	if err := WriteLog(&buf, logs); err != nil {
+		t.Fatalf("WriteLog: %v", err)
+	}
+	return buf.String()
+}
+
+// TestReadLogRejectsGarbage pins the reader's strictness: a verdict
+// Reason cannot produce, a method ParseMethod rejects, and a page whose
+// decision lines do not match its records count are errors, not
+// silently rewritten records.
+func TestReadLogRejectsGarbage(t *testing.T) {
+	good := sampleLogText(t)
+	if _, err := ReadLog(strings.NewReader(good)); err != nil {
+		t.Fatalf("ReadLog rejected a WriteLog output: %v", err)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"bogus verdict", `"verdict":"promoted"`, `"verdict":"bogus"`},
+		{"bogus method", `"method":"tmp"`, `"method":"bogus"`},
+		{"missing decision line", `"records":2`, `"records":3`},
+		{"extra decision line", `"records":2`, `"records":1`},
+		{"negative records count", `"dropped":3,"records":0`, `"dropped":3,"records":-1`},
+	} {
+		bad := strings.Replace(good, tc.old, tc.new, 1)
+		if bad == good {
+			t.Fatalf("%s: sample has no %s", tc.name, tc.old)
+		}
+		if _, err := ReadLog(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s: ReadLog accepted %s", tc.name, tc.new)
+		}
+	}
+}
+
+// FuzzReadLog checks that anything ReadLog accepts survives a
+// WriteLog/ReadLog round trip unchanged.
+func FuzzReadLog(f *testing.F) {
+	good := sampleLogText(f)
+	f.Add(good)
+	f.Add(strings.Replace(strings.Replace(good, `"verdict":"promoted"`, `"verdict":"bogus"`, 1),
+		`"method":"tmp"`, `"method":"bogus"`, 1))
+	f.Add(strings.Replace(good, `"records":2`, `"records":3`, 1))
+	f.Fuzz(func(t *testing.T, in string) {
+		logs, err := ReadLog(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteLog(&buf, logs); err != nil {
+			t.Fatalf("WriteLog: %v", err)
+		}
+		back, err := ReadLog(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadLog rejected WriteLog output: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, logs) {
+			t.Fatalf("round trip changed the logs:\n got %+v\nwant %+v", back, logs)
+		}
+	})
+}
+
+// FuzzParsePageKey checks that an accepted page operand names the same
+// page in the canonical pid:0xvpn notation.
+func FuzzParsePageKey(f *testing.F) {
+	for _, s := range []string{"100:0x2a7", "100:42", ":", "-1:0x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParsePageKey(s)
+		if err != nil {
+			return
+		}
+		canon := fmt.Sprintf("%d:%#x", k.PID, uint64(k.VPN))
+		back, err := ParsePageKey(canon)
+		if err != nil || back != k {
+			t.Fatalf("ParsePageKey(%q) = %v, but %q parses to %v, %v", s, k, canon, back, err)
+		}
+	})
+}

@@ -148,45 +148,48 @@ func (v Verdict) Reason(f FailReason) string {
 	}
 }
 
-// verdictFromReason inverts Reason for the log reader.
-func verdictFromReason(s string) (Verdict, FailReason) {
+// verdictFromReason inverts Reason for the log reader; ok is false for
+// a string Reason cannot produce.
+func verdictFromReason(s string) (Verdict, FailReason, bool) {
 	switch s {
 	case "promoted":
-		return VerdictPromoted, FailNone
+		return VerdictPromoted, FailNone, true
 	case "demoted":
-		return VerdictDemoted, FailNone
+		return VerdictDemoted, FailNone, true
 	case "held:resident":
-		return VerdictHeldResident, FailNone
+		return VerdictHeldResident, FailNone, true
 	case "held:below-topk":
-		return VerdictHeldBelowTopK, FailNone
+		return VerdictHeldBelowTopK, FailNone, true
 	case "held:below-minrank":
-		return VerdictHeldBelowMinRank, FailNone
+		return VerdictHeldBelowMinRank, FailNone, true
 	case "held:quarantine-degraded":
-		return VerdictHeldQuarantine, FailNone
+		return VerdictHeldQuarantine, FailNone, true
 	case "deferred:retry-backoff":
-		return VerdictDeferred, FailNone
+		return VerdictDeferred, FailNone, true
 	case "superseded":
-		return VerdictSuperseded, FailNone
+		return VerdictSuperseded, FailNone, true
 	case "held":
-		return VerdictHeld, FailNone
+		return VerdictHeld, FailNone, true
 	case "failed:mem.enomem":
-		return VerdictFailed, FailCapacity
+		return VerdictFailed, FailCapacity, true
 	case "failed:mem.pinned":
-		return VerdictFailed, FailPinned
+		return VerdictFailed, FailPinned, true
 	case "failed:mem.splitfail":
-		return VerdictFailed, FailSplit
+		return VerdictFailed, FailSplit, true
 	case "failed:vanished":
-		return VerdictFailed, FailVanished
+		return VerdictFailed, FailVanished, true
 	case "failed:mem.copyabort":
-		return VerdictFailed, FailCopyAbort
+		return VerdictFailed, FailCopyAbort, true
 	case "failed:none":
-		return VerdictFailed, FailNone
+		return VerdictFailed, FailNone, true
 	case "deferred:admission":
-		return VerdictDeferredAdmission, FailNone
+		return VerdictDeferredAdmission, FailNone, true
 	case "rejected:admission":
-		return VerdictRejectedAdmission, FailNone
+		return VerdictRejectedAdmission, FailNone, true
+	case "none":
+		return VerdictNone, FailNone, true
 	default:
-		return VerdictNone, FailNone
+		return VerdictNone, FailNone, false
 	}
 }
 

@@ -30,7 +30,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	ep := core.EpochStats{Epoch: 0, Pages: []core.PageStat{{Key: key(1, 2), Abit: 1}}}
+	ep := core.EpochStats{Epoch: 0, Pages: []core.PageStat{{Key: key(1, 2), Evidence: mem.Evidence{Abit: 1}}}}
 	allocs := testing.AllocsPerRun(100, func() {
 		r.SetTracer(nil)
 		r.BeginEpoch(0, core.MethodCombined, core.MethodCombined, 0)
@@ -53,21 +53,21 @@ func TestVerdictAssignment(t *testing.T) {
 	r := New()
 
 	// Selected + in the fast tier ⇒ held:resident.
-	harvest(r, 0, core.PageStat{Key: key(1, 1), Abit: 3, Tier: mem.FastTier}, true)
+	harvest(r, 0, core.PageStat{Key: key(1, 1), Evidence: mem.Evidence{Abit: 3}, Tier: mem.FastTier}, true)
 	r.FinishEpoch()
 	// Selected + slow tier, mover silent ⇒ held.
-	harvest(r, 1, core.PageStat{Key: key(1, 1), Abit: 3, Tier: 1}, true)
+	harvest(r, 1, core.PageStat{Key: key(1, 1), Evidence: mem.Evidence{Abit: 3}, Tier: 1}, true)
 	r.FinishEpoch()
 	// Not selected ⇒ held:below-topk.
-	harvest(r, 2, core.PageStat{Key: key(1, 1), Abit: 1, Tier: 1}, false)
+	harvest(r, 2, core.PageStat{Key: key(1, 1), Evidence: mem.Evidence{Abit: 1}, Tier: 1}, false)
 	r.FinishEpoch()
 	// Not selected under quarantine degradation ⇒ held:quarantine-degraded.
 	r.BeginEpoch(3, core.MethodAbit, core.MethodCombined, 0)
-	r.ObserveHarvest(core.EpochStats{Epoch: 3, Pages: []core.PageStat{{Key: key(1, 1), Abit: 1, Tier: 1}}}, nil)
+	r.ObserveHarvest(core.EpochStats{Epoch: 3, Pages: []core.PageStat{{Key: key(1, 1), Evidence: mem.Evidence{Abit: 1}, Tier: 1}}}, nil)
 	r.FinishEpoch()
 	// Selected but below the promotion gate ⇒ held:below-minrank.
 	r.BeginEpoch(4, core.MethodCombined, core.MethodCombined, 100)
-	r.ObserveHarvest(core.EpochStats{Epoch: 4, Pages: []core.PageStat{{Key: key(1, 1), Abit: 2, Tier: 1}}},
+	r.ObserveHarvest(core.EpochStats{Epoch: 4, Pages: []core.PageStat{{Key: key(1, 1), Evidence: mem.Evidence{Abit: 2}, Tier: 1}}},
 		func(core.PageKey) bool { return true })
 	r.FinishEpoch()
 
@@ -96,12 +96,12 @@ func TestVerdictPrecedence(t *testing.T) {
 	r := New()
 	k := key(7, 0x40)
 
-	harvest(r, 0, core.PageStat{Key: k, Abit: 5, Tier: 1}, true)
+	harvest(r, 0, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 5}, Tier: 1}, true)
 	r.NoteFail(k, FailCapacity)
 	r.NoteDeferred(k)
 	r.FinishEpoch()
 
-	harvest(r, 1, core.PageStat{Key: k, Abit: 5, Tier: 1}, true)
+	harvest(r, 1, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 5}, Tier: 1}, true)
 	r.NoteMove(k, true, 0)
 	r.NoteFail(k, FailPinned) // late failure note must not downgrade
 	r.FinishEpoch()
@@ -127,7 +127,7 @@ func TestRingEviction(t *testing.T) {
 	r := NewK(3, 4)
 	k := key(1, 0x10)
 	for e := 0; e < 7; e++ {
-		harvest(r, e, core.PageStat{Key: k, Abit: uint32(e), Tier: 1}, false)
+		harvest(r, e, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: uint32(e)}, Tier: 1}, false)
 		r.FinishEpoch()
 	}
 	pg := r.Snapshot("t").Pages[0]
@@ -152,16 +152,16 @@ func TestPingPongDetection(t *testing.T) {
 	r.SetTracer(tr)
 	k := key(1, 0x20)
 
-	harvest(r, 0, core.PageStat{Key: k, Abit: 9, Tier: 1}, true)
+	harvest(r, 0, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 9}, Tier: 1}, true)
 	r.NoteMove(k, true, 0)
 	r.FinishEpoch()
-	harvest(r, 2, core.PageStat{Key: k, Abit: 0, Tier: 0}, false)
+	harvest(r, 2, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 0}, Tier: 0}, false)
 	r.NoteMove(k, false, 1) // gap 2 ≤ window 2: flip
 	r.FinishEpoch()
-	harvest(r, 3, core.PageStat{Key: k, Abit: 9, Tier: 1}, true)
+	harvest(r, 3, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 9}, Tier: 1}, true)
 	r.NoteMove(k, true, 0)
 	r.FinishEpoch()
-	harvest(r, 9, core.PageStat{Key: k, Abit: 0, Tier: 0}, false)
+	harvest(r, 9, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 0}, Tier: 0}, false)
 	r.NoteMove(k, false, 1) // gap 6 > window: not a flip
 	r.FinishEpoch()
 
@@ -186,9 +186,9 @@ func TestResidencyHistogram(t *testing.T) {
 	r.SetTracer(tr)
 	k := key(1, 0x30)
 
-	harvest(r, 0, core.PageStat{Key: k, Abit: 1, Tier: 1}, true)
+	harvest(r, 0, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 1}, Tier: 1}, true)
 	r.FinishEpoch()
-	harvest(r, 5, core.PageStat{Key: k, Abit: 9, Tier: 1}, true)
+	harvest(r, 5, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 9}, Tier: 1}, true)
 	r.NoteMove(k, true, 0) // leaves tier 1 after 5 epochs
 	r.FinishEpoch()
 
@@ -210,7 +210,7 @@ func TestRankChurn(t *testing.T) {
 	a, b, c := key(1, 1), key(1, 2), key(1, 3)
 	pages := func(sel ...core.PageKey) (core.EpochStats, func(core.PageKey) bool) {
 		st := core.EpochStats{Pages: []core.PageStat{
-			{Key: a, Abit: 3, Tier: 1}, {Key: b, Abit: 2, Tier: 1}, {Key: c, Abit: 1, Tier: 1},
+			{Key: a, Evidence: mem.Evidence{Abit: 3}, Tier: 1}, {Key: b, Evidence: mem.Evidence{Abit: 2}, Tier: 1}, {Key: c, Evidence: mem.Evidence{Abit: 1}, Tier: 1},
 		}}
 		return st, func(k core.PageKey) bool {
 			for _, s := range sel {
@@ -254,8 +254,8 @@ func TestRankChurn(t *testing.T) {
 func TestRankPosition(t *testing.T) {
 	r := New()
 	st := core.EpochStats{Pages: []core.PageStat{
-		{Key: key(1, 1), Abit: 1, Tier: 1},
-		{Key: key(1, 2), Abit: 9, Tier: 1},
+		{Key: key(1, 1), Evidence: mem.Evidence{Abit: 1}, Tier: 1},
+		{Key: key(1, 2), Evidence: mem.Evidence{Abit: 9}, Tier: 1},
 		{Key: key(1, 3), Tier: 1}, // rank 0: unranked
 	}}
 	r.BeginEpoch(0, core.MethodCombined, core.MethodCombined, 0)
@@ -277,13 +277,13 @@ func TestRankPosition(t *testing.T) {
 func TestLogRoundTrip(t *testing.T) {
 	r := New()
 	k1, k2 := key(2, 0x100), key(1, 0x200)
-	harvest(r, 0, core.PageStat{Key: k1, Abit: 3, Trace: 1, Tier: 1}, true)
+	harvest(r, 0, core.PageStat{Key: k1, Evidence: mem.Evidence{Abit: 3, Trace: 1}, Tier: 1}, true)
 	r.NoteFail(k1, FailCapacity)
 	r.NoteDeferred(k1)
 	r.FinishEpoch()
 	r.BeginEpoch(1, core.MethodAbit, core.MethodCombined, 0)
 	r.ObserveHarvest(core.EpochStats{Epoch: 1, Pages: []core.PageStat{
-		{Key: k1, Abit: 4, Tier: 1}, {Key: k2, Write: 2, Tier: 2},
+		{Key: k1, Evidence: mem.Evidence{Abit: 4}, Tier: 1}, {Key: k2, Evidence: mem.Evidence{Write: 2}, Tier: 2},
 	}}, func(k core.PageKey) bool { return k == k1 })
 	r.NoteMove(k1, true, 0)
 	r.FinishEpoch()
@@ -326,7 +326,7 @@ func TestLogRoundTrip(t *testing.T) {
 func TestRenderTables(t *testing.T) {
 	r := NewK(8, 4)
 	k := key(3, 0xabc)
-	harvest(r, 0, core.PageStat{Key: k, Abit: 7, Trace: 2, Tier: 1}, true)
+	harvest(r, 0, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 7, Trace: 2}, Tier: 1}, true)
 	r.NoteMove(k, true, 0)
 	r.FinishEpoch()
 	harvest(r, 1, core.PageStat{Key: k, Tier: 0}, false)
@@ -358,14 +358,14 @@ func TestRenderTables(t *testing.T) {
 // string maps back to the verdict that produced it.
 func TestReasonRoundTrip(t *testing.T) {
 	fails := []FailReason{FailNone, FailCapacity, FailPinned, FailSplit, FailVanished, FailCopyAbort}
-	for v := VerdictPromoted; v <= VerdictRejectedAdmission; v++ {
+	for v := VerdictNone; v <= VerdictRejectedAdmission; v++ {
 		for _, f := range fails {
 			if v != VerdictFailed && f != FailNone {
 				continue
 			}
 			s := v.Reason(f)
-			gv, gf := verdictFromReason(s)
-			if gv != v || gf != f {
+			gv, gf, ok := verdictFromReason(s)
+			if !ok || gv != v || gf != f {
 				t.Errorf("reason %q → (%d,%d), want (%d,%d)", s, gv, gf, v, f)
 			}
 		}

@@ -93,8 +93,6 @@ type Hooks struct {
 	// OnOutcome sees every completed reference (ground truth for
 	// heatmaps). The pointer is reused; copy what you keep.
 	OnOutcome func(o *trace.Outcome)
-	// OnEpoch sees each harvested epoch in order.
-	OnEpoch func(ep core.EpochStats)
 }
 
 // Result summarizes a run.
@@ -221,9 +219,6 @@ func (r *Runner) Run(hooks Hooks) (Result, error) {
 		for now >= nextEpoch {
 			ep := r.Profiler.HarvestEpoch()
 			res.Epochs = append(res.Epochs, ep)
-			if hooks.OnEpoch != nil {
-				hooks.OnEpoch(ep)
-			}
 			if err := check(); err != nil {
 				return res, fmt.Errorf("sim: epoch %d: %w", len(res.Epochs)-1, err)
 			}
@@ -234,9 +229,6 @@ func (r *Runner) Run(hooks Hooks) (Result, error) {
 	ep := r.Profiler.HarvestEpoch()
 	if len(ep.Pages) > 0 {
 		res.Epochs = append(res.Epochs, ep)
-		if hooks.OnEpoch != nil {
-			hooks.OnEpoch(ep)
-		}
 	}
 	if err := check(); err != nil {
 		return res, fmt.Errorf("sim: final epoch: %w", err)

@@ -93,18 +93,6 @@ func (r *Registry) Names() []string {
 	return order.SortedKeys(r.counters)
 }
 
-// Sorted returns all counters in ascending name order.
-func (r *Registry) Sorted() []*Counter {
-	if r == nil {
-		return nil
-	}
-	out := make([]*Counter, 0, len(r.counters))
-	for _, name := range order.SortedKeys(r.counters) {
-		out = append(out, r.counters[name])
-	}
-	return out
-}
-
 // CounterValue is one (name, value) pair in a snapshot.
 type CounterValue struct {
 	Name  string

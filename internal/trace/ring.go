@@ -14,7 +14,6 @@ type Ring struct {
 	threshold int
 	onIRQ     func(*Ring)
 	dropped   uint64
-	pushed    uint64
 }
 
 // NewRing returns a ring with the given capacity. threshold is the
@@ -43,7 +42,6 @@ func (r *Ring) Push(s Sample) {
 	r.buf[r.head] = s
 	r.head = (r.head + 1) % len(r.buf)
 	r.size++
-	r.pushed++
 	if r.onIRQ != nil && r.threshold > 0 && r.size >= r.threshold {
 		r.onIRQ(r)
 	}
@@ -66,11 +64,5 @@ func (r *Ring) Drain(dst []Sample) []Sample {
 // Len returns the number of buffered samples.
 func (r *Ring) Len() int { return r.size }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Dropped returns the number of samples lost to overruns.
 func (r *Ring) Dropped() uint64 { return r.dropped }
-
-// Pushed returns the total number of samples ever pushed.
-func (r *Ring) Pushed() uint64 { return r.pushed }
