@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tieredmem/internal/core"
+	"tieredmem/internal/cpu"
 	"tieredmem/internal/experiments"
 	"tieredmem/internal/ibs"
 	"tieredmem/internal/mem"
@@ -488,13 +489,92 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
+// rankedSink keeps the compiler from dropping a measured call.
+var rankedSink int
+
 // BenchmarkRanksOf measures building the mover's dense hotness table.
+// RanksOf itself is O(1) and interns on the first lookup, so Len forces
+// the build under measurement.
 func BenchmarkRanksOf(b *testing.B) {
 	stats := core.SumEpochs(hotPathEpochs(8, 16384))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RanksOf(stats, core.MethodCombined)
+		rankedSink = core.RanksOf(stats, core.MethodCombined).Len()
+	}
+}
+
+// BenchmarkApplySelection measures the mover's epoch cut in the steady
+// state, on an hpc-bigfoot-shaped machine: xsbench over two tiers at
+// ratio 16, warmed through the placement loop's public calls until the
+// History selection is resident. Each iteration then reconciles that
+// fixed selection with a fresh RanksOf. Nothing moves, so the cost is
+// gathering candidates, which tracks the selection and the upper tier
+// rather than the footprint, and the rank table is never built. The
+// bench-compare CI job guards its allocs/op.
+func BenchmarkApplySelection(b *testing.B) {
+	const ratio, warmRefs = 16, 600_000
+	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
+	cfg := sim.DefaultPlacementConfig(w, 4096, warmRefs, ratio, policy.History{}, core.MethodCombined)
+	chain, err := sim.DefaultChain(w, ratio, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := cpu.NewMachine(cfg.CPU, chain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetHugeHint(workload.HugeHintFor(w))
+	prof, err := core.New(cfg.TMP, m, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pid := range w.Processes() {
+		prof.Register(pid)
+	}
+	mover := policy.NewMover(m)
+	capacity := chain[0].Frames - mem.HugePages
+	var ep core.EpochStats
+	var sel policy.Selection
+	buf := make([]trace.Ref, cfg.BatchSize)
+	nextEpoch := cfg.EpochNS
+	for executed := 0; executed < warmRefs; executed += len(buf) {
+		w.Fill(buf)
+		for i := range buf {
+			if _, err := m.Execute(buf[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		now := m.Now()
+		prof.Tick(now)
+		if now < nextEpoch {
+			continue
+		}
+		prof.HarvestEpochInto(&ep)
+		sel = cfg.Policy.Select(ep, core.EpochStats{}, cfg.Method, capacity)
+		mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method))
+		for nextEpoch <= now {
+			nextEpoch += cfg.EpochNS
+		}
+	}
+	for settle := 0; ; settle++ {
+		p, d := mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method))
+		if mover.Failed > 0 {
+			b.Fatalf("warm-up migration failed (%d failures)", mover.Failed)
+		}
+		if p+d == 0 {
+			break
+		}
+		if settle == 8 {
+			b.Fatal("the selection never became resident")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, d := mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method)); p+d != 0 {
+			b.Fatalf("steady state moved %d pages", p+d)
+		}
 	}
 }
 

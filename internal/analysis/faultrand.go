@@ -120,7 +120,7 @@ func checkFaultArg(pass *Pass, arg ast.Expr) {
 		name := sel.Sel.Name
 		switch pn.Imported().Path() {
 		case "time":
-			if name == "Now" || name == "Since" {
+			if wallTimeSources[name] {
 				pass.Reportf(sel.Pos(), "wall-clock time.%s flows into a fault-package call: fault decisions must be seeded from the run seed, not the clock", name)
 			}
 		case "math/rand", "math/rand/v2":

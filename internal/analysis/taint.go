@@ -34,9 +34,11 @@ var taintFacts = &Analyzer{
 }
 
 // wallTimeSources lists the time package's functions whose results
-// derive from the wall clock. time.Sleep is deliberately absent: it
-// stalls the process but returns nothing, so it is flagged by
-// wallclock directly yet taints no data.
+// derive from the wall clock: the one definition the taint facts and
+// the wallclock, faultrand and telemetry analyzers' direct checks all
+// read. time.Sleep is deliberately absent: it stalls the process but
+// returns nothing, so it is flagged by wallclock directly yet taints
+// no data.
 var wallTimeSources = map[string]bool{
 	"Now":       true,
 	"Since":     true,

@@ -12,7 +12,7 @@ import (
 // handed and must have no way to mint its own. At every emit site —
 // including cmd/ mains, which the wallclock analyzer deliberately does
 // not cover — it rejects arguments to telemetry functions that
-// lexically contain a wall-clock read (time.Now, time.Since) or a
+// lexically contain a wall-clock read (any of wallTimeSources) or a
 // global math/rand draw: one wall-clock stamp in the event stream and
 // the exported trace stops being byte-identical across runs and pool
 // widths.
@@ -111,7 +111,7 @@ func checkTelemetryArg(pass *Pass, arg ast.Expr) {
 		name := sel.Sel.Name
 		switch pn.Imported().Path() {
 		case "time":
-			if name == "Now" || name == "Since" {
+			if wallTimeSources[name] {
 				pass.Reportf(sel.Pos(), "wall-clock time.%s flows into a telemetry call: events must carry virtual time only", name)
 			}
 		case "math/rand", "math/rand/v2":

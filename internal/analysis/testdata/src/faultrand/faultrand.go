@@ -19,6 +19,10 @@ func elapsedSeed(spec fault.Spec, started time.Time) *fault.Plane {
 	return fault.New(spec, int64(time.Since(started))) // want `wall-clock time.Since flows into a fault-package call`
 }
 
+func deadlineSeed(spec fault.Spec, deadline time.Time) *fault.Plane {
+	return fault.New(spec, int64(time.Until(deadline))) // want `wall-clock time.Until flows into a fault-package call`
+}
+
 func globalRandSeed(spec fault.Spec) *fault.Plane {
 	return fault.New(spec, rand.Int63()) // want `global rand.Int63 flows into a fault-package call`
 }

@@ -18,6 +18,10 @@ func cutWallClock(t *telemetry.Tracer, started time.Time) {
 	t.CutEpoch(int64(time.Since(started)), 0) // want `wall-clock time.Since flows into a telemetry call`
 }
 
+func cutDeadline(t *telemetry.Tracer, deadline time.Time) {
+	t.CutEpoch(int64(time.Until(deadline)), 0) // want `wall-clock time.Until flows into a telemetry call`
+}
+
 func counterWallClock(t *telemetry.Tracer) {
 	t.Counter("host/ns").Set(uint64(time.Now().UnixNano())) // want `wall-clock time.Now flows into a telemetry call`
 }

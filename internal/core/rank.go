@@ -3,7 +3,8 @@ package core
 // The ranking spine: one deterministic comparator (RankLess) shared
 // by every selector in the repo, bounded top-K selection so policies
 // stop paying for full sorts of harvests they truncate anyway, and
-// the dense Ranks table the page mover reads. Keeping all rank
+// the dense Ranks table the page mover reads (built lazily, only when
+// the mover must pick demotion victims). Keeping all rank
 // comparisons in this file is a determinism guarantee, not a style
 // choice: four packages used to hand-copy the tie-break and a drift
 // in any copy would have silently diverged selections (the
@@ -129,9 +130,20 @@ func siftDown[T any](h []T, i int, less func(a, b T) bool) {
 // exactly RankedPages(stats, m) truncated to k, proven by the
 // differential tests — while allocating and sorting only k entries.
 // Pages with zero rank under the method are excluded, as in
-// RankedPages. Policies call this with their capacity; the full-sort
-// path only runs when k covers the whole harvest.
+// RankedPages. It is TopKSet followed by a sort of the survivors.
 func TopK(stats EpochStats, m Method, k int) []PageStat {
+	h := TopKSet(stats, m, k)
+	sort.Slice(h, func(i, j int) bool { return statLess(&h[i], &h[j], m) })
+	return h
+}
+
+// TopKSet returns the same k pages as TopK, in heap order instead of
+// sorted: a bounded max-heap keeps the k best pages seen (its root the
+// worst of them) and the O(k log k) final sort is skipped. Which pages
+// survive depends only on RankCmp, a total order over distinct keys, so
+// the set never depends on input order. Policies call it with their
+// capacity, because a selection is a set and its order never mattered.
+func TopKSet(stats EpochStats, m Method, k int) []PageStat {
 	if k <= 0 {
 		return nil
 	}
@@ -158,7 +170,6 @@ func TopK(stats EpochStats, m Method, k int) []PageStat {
 			siftDown(h, 0, less)
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return statLess(&h[i], &h[j], m) })
 	return h
 }
 
@@ -166,22 +177,66 @@ func TopK(stats EpochStats, m Method, k int) []PageStat {
 // column indexed by interned page id. It replaces the per-epoch
 // map[PageKey]uint64 the mover used to rebuild; the zero value is a
 // valid empty table (every lookup reports rank 0, i.e. coldest).
+//
+// A table from RanksOf is lazy: it interns its harvest on the first Get
+// or Len, so an epoch whose mover demotes nothing never pays for it.
+// Copies of a Ranks share that one build. A Ranks is not safe for
+// concurrent use before its first lookup.
 type Ranks struct {
-	tab   *pageidx.Table[PageKey]
-	ranks []uint64
+	t *rankTable
+}
+
+// rankTable is the state behind a Ranks. harvest holds the pages still
+// to intern; tab is nil until they are.
+type rankTable struct {
+	harvest []PageStat
+	method  Method
+	tab     *pageidx.Table[PageKey]
+	ranks   []uint64
+}
+
+// built returns the table, interning a pending harvest first; nil for
+// the zero Ranks.
+func (r Ranks) built() *rankTable {
+	t := r.t
+	if t != nil && t.tab == nil {
+		t.tab = pageidx.New(len(t.harvest), PageKeyHash)
+		t.ranks = make([]uint64, 0, len(t.harvest))
+		for i := range t.harvest {
+			if rk := t.harvest[i].Rank(t.method); rk > 0 {
+				id := t.tab.Intern(t.harvest[i].Key)
+				if int(id) == len(t.ranks) {
+					t.ranks = append(t.ranks, rk)
+				} else {
+					t.ranks[id] = rk // duplicate key in a crafted harvest: last wins
+				}
+			}
+		}
+		t.harvest = nil
+	}
+	return t
 }
 
 // Get returns the page's rank, 0 when the profiler never saw it —
 // the map-compatible lookup policy.Mover demotes coldest-first with.
 func (r Ranks) Get(k PageKey) uint64 {
-	if id, ok := r.tab.Lookup(k); ok {
-		return r.ranks[id]
+	t := r.built()
+	if t == nil {
+		return 0
+	}
+	if id, ok := t.tab.Lookup(k); ok {
+		return t.ranks[id]
 	}
 	return 0
 }
 
 // Len returns the number of pages with a nonzero rank.
-func (r Ranks) Len() int { return len(r.ranks) }
+func (r Ranks) Len() int {
+	if t := r.built(); t != nil {
+		return len(t.ranks)
+	}
+	return 0
+}
 
 // RanksFromMap builds a Ranks table from explicit per-page ranks — a
 // convenience for tests and callers that assemble hotness by hand.
@@ -193,23 +248,16 @@ func RanksFromMap(m map[PageKey]uint64) Ranks {
 		tab.Intern(k)
 		ranks = append(ranks, v)
 	}
-	return Ranks{tab: tab, ranks: ranks}
+	return Ranks{t: &rankTable{tab: tab, ranks: ranks}}
 }
 
-// RanksOf builds the hotness table for a harvest under a method; the
-// page mover uses it to demote coldest-first.
+// RanksOf returns the hotness table for a harvest under a method; the
+// page mover uses it to demote coldest-first. Construction is O(1): the
+// table interns the harvest on its first Get or Len. Until then it
+// aliases stats.Pages, so it stays valid only until that backing array
+// is reused — the next HarvestEpochInto into the same EpochStats. Both
+// callers, sim.RunPlacement and the benchmark's replay, build it and
+// hand it to Mover.ApplySelection within the same epoch.
 func RanksOf(stats EpochStats, m Method) Ranks {
-	tab := pageidx.New(len(stats.Pages), PageKeyHash)
-	ranks := make([]uint64, 0, len(stats.Pages))
-	for i := range stats.Pages {
-		if r := stats.Pages[i].Rank(m); r > 0 {
-			id := tab.Intern(stats.Pages[i].Key)
-			if int(id) == len(ranks) {
-				ranks = append(ranks, r)
-			} else {
-				ranks[id] = r // duplicate key in a crafted harvest: last wins
-			}
-		}
-	}
-	return Ranks{tab: tab, ranks: ranks}
+	return Ranks{t: &rankTable{harvest: stats.Pages, method: m}}
 }

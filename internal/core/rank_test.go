@@ -35,7 +35,8 @@ func tieHeavyStats(n int, seed int64) EpochStats {
 // bounded selection leans on: for every method and a sweep of k
 // (including 0, 1, exactly n, and past n), TopK must be
 // element-for-element identical to the full RankedPages sort truncated
-// to k — tie shapes included.
+// to k — tie shapes included — and TopKSet must hold the same pages in
+// any order.
 func TestTopKMatchesFullSortTruncate(t *testing.T) {
 	for _, n := range []int{0, 1, 13, 100} {
 		stats := tieHeavyStats(n, int64(n)+1)
@@ -57,6 +58,17 @@ func TestTopKMatchesFullSortTruncate(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("n=%d m=%v k=%d: element %d differs: TopK %+v, full sort %+v",
 							n, m, k, i, got[i], want[i])
+					}
+				}
+				set := TopKSet(stats, m, k)
+				sort.Slice(set, func(i, j int) bool { return statLess(&set[i], &set[j], m) })
+				if len(set) != len(want) {
+					t.Fatalf("n=%d m=%v k=%d: TopKSet len %d, full-sort len %d", n, m, k, len(set), len(want))
+				}
+				for i := range set {
+					if set[i] != want[i] {
+						t.Fatalf("n=%d m=%v k=%d: TopKSet holds %+v where the full sort has %+v",
+							n, m, k, set[i], want[i])
 					}
 				}
 			}

@@ -223,6 +223,43 @@ func TestRanksOf(t *testing.T) {
 	if (Ranks{}).Get(PageKey{1, 1}) != 0 || (Ranks{}).Len() != 0 {
 		t.Errorf("zero-value Ranks must behave as an empty table")
 	}
+
+	// The lazy table against an eagerly built one: every harvested key,
+	// a missing key, a crafted harvest with duplicate keys (the last
+	// nonzero rank wins) and an empty harvest, with Len agreeing whether
+	// it or Get forces the build.
+	dup := tieHeavyStats(40, 3)
+	dup.Pages = append(dup.Pages,
+		PageStat{Key: dup.Pages[5].Key, Evidence: mem.Evidence{Abit: 9, Trace: 9}},
+		PageStat{Key: dup.Pages[7].Key, Evidence: mem.Evidence{Abit: 4}},
+		PageStat{Key: dup.Pages[7].Key, Evidence: mem.Evidence{Trace: 2}},
+	)
+	for _, stats := range []EpochStats{tieHeavyStats(100, 9), dup, {}} {
+		for _, m := range []Method{MethodAbit, MethodTrace, MethodCombined} {
+			eager := make(map[PageKey]uint64)
+			for i := range stats.Pages {
+				if r := stats.Pages[i].Rank(m); r > 0 {
+					eager[stats.Pages[i].Key] = r
+				}
+			}
+			byLen := RanksOf(stats, m)
+			if byLen.Len() != len(eager) {
+				t.Fatalf("m=%v: Len before any Get = %d, want %d", m, byLen.Len(), len(eager))
+			}
+			byGet := RanksOf(stats, m)
+			if got := byGet.Get(PageKey{PID: 999, VPN: 1}); got != 0 {
+				t.Fatalf("m=%v: missing key ranks %d, want 0", m, got)
+			}
+			for _, ps := range stats.Pages {
+				if got := byGet.Get(ps.Key); got != eager[ps.Key] {
+					t.Fatalf("m=%v: Get(%v) = %d, want %d", m, ps.Key, got, eager[ps.Key])
+				}
+			}
+			if byGet.Len() != len(eager) {
+				t.Fatalf("m=%v: Len after Get = %d, want %d", m, byGet.Len(), len(eager))
+			}
+		}
+	}
 }
 
 func TestTraceAccumulationIntoDescriptors(t *testing.T) {

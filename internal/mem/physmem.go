@@ -406,15 +406,23 @@ func (pm *PhysMem) FreeHuge(basePFN PFN) {
 // working set, not the machine size.
 func (pm *PhysMem) ForEachAllocated(fn func(*PageDescriptor)) {
 	for t := range pm.tiers {
-		ts := &pm.tiers[t]
-		if ts.inUse == 0 {
-			continue
-		}
-		lo := int(ts.base)
-		for i := lo; i < lo+ts.hiWater; i++ {
-			if pm.pds[i].Allocated() {
-				fn(&pm.pds[i])
-			}
+		pm.ForEachAllocatedIn(TierID(t), fn)
+	}
+}
+
+// ForEachAllocatedIn invokes fn for every allocated frame of one tier,
+// ascending PFN, over the tier's claimed-watermark span. A pass that
+// only needs some tiers (the mover's demotion walk skips the bottom
+// one) pays for those tiers alone.
+func (pm *PhysMem) ForEachAllocatedIn(t TierID, fn func(*PageDescriptor)) {
+	ts := &pm.tiers[t]
+	if ts.inUse == 0 {
+		return
+	}
+	lo := int(ts.base)
+	for i := lo; i < lo+ts.hiWater; i++ {
+		if pm.pds[i].Allocated() {
+			fn(&pm.pds[i])
 		}
 	}
 }

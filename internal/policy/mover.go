@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tieredmem/internal/core"
@@ -428,12 +429,88 @@ func (mv *Mover) failAndMaybeRetry(key core.PageKey, promote bool, err error, at
 	}
 }
 
-// demoteCand is one demotion candidate with its rank precomputed at
-// walk time, so the coldest-first ordering does one ranks lookup per
+// demoteCand is one demotion candidate with its rank precomputed
+// (fillRanks), so the coldest-first ordering does one ranks lookup per
 // candidate instead of O(n log n) lookups inside a sort comparator.
 type demoteCand struct {
 	key  core.PageKey
 	rank uint64
+}
+
+// candidates gathers the epoch's per-tier migration columns, each in
+// ascending PFN order: demote[t] holds tier t's unselected pages for
+// every tier above the bottom, promote[t] the selected pages resident in
+// tier t for every tier below the top. Pinned frames and keys in queued
+// (owned by the retry queue this epoch) are in neither. On a two-tier
+// machine these are the fast-tier demote list and the slow-tier promote
+// list.
+//
+// The cost tracks the selection and the upper tiers, not the footprint.
+// Demotion candidates come from walking tiers 0..last-1; the bottom tier
+// cannot demote. Promotion candidates come from the selection itself:
+// each key resolves through its page table to a frame, and sorting those
+// frames gives exactly the order a walk over every allocated frame would
+// have filled each column in, because mappings and allocated frames are
+// in bijection (fault/invariant checks it). Ranks stay zero; the caller
+// fills them only for a tier that must demote.
+func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (demote [][]demoteCand, promote [][]core.PageKey) {
+	phys := mv.machine.Phys
+	nt := phys.Tiers()
+	demote = make([][]demoteCand, nt)
+	promote = make([][]core.PageKey, nt)
+	isQueued := func(k core.PageKey) bool {
+		_, ok := queued[k]
+		return ok
+	}
+	for t := 0; t < nt-1; t++ {
+		cands := make([]demoteCand, 0, phys.UsedFrames(mem.TierID(t)))
+		phys.ForEachAllocatedIn(mem.TierID(t), func(pd *mem.PageDescriptor) {
+			if pd.Flags&mem.FlagNonMigratable != 0 {
+				return
+			}
+			key := core.PageKey{PID: pd.PID, VPN: pd.VPage}
+			if _, selected := sel[key]; selected || isQueued(key) {
+				return
+			}
+			cands = append(cands, demoteCand{key: key})
+		})
+		demote[t] = cands
+	}
+
+	tables := mv.machine.Tables()
+	frames := make([]mem.PFN, 0, len(sel))
+	// Map order cannot escape: the frames are sorted by PFN before any
+	// column is filled.
+	for key := range sel {
+		table, ok := tables[key.PID]
+		if !ok {
+			continue
+		}
+		pfn, ok := table.Frame(key.VPN)
+		if !ok {
+			continue
+		}
+		pd := phys.Page(pfn)
+		if !pd.Allocated() || pd.Tier == mem.FastTier || pd.Flags&mem.FlagNonMigratable != 0 || isQueued(key) {
+			continue
+		}
+		frames = append(frames, pfn)
+	}
+	slices.Sort(frames)
+	for _, pfn := range frames {
+		pd := phys.Page(pfn)
+		promote[pd.Tier] = append(promote[pd.Tier], core.PageKey{PID: pd.PID, VPN: pd.VPage})
+	}
+	return demote, promote
+}
+
+// fillRanks reads each candidate's epoch rank. Apart from the
+// MinPromoteRank gate, it is the mover's only read of the rank table,
+// so an epoch in which no tier demotes never builds the table.
+func fillRanks(cands []demoteCand, ranks core.Ranks) {
+	for i := range cands {
+		cands[i].rank = ranks.Get(cands[i].key)
+	}
 }
 
 // retryTarget picks the adjacent tier a deferred migration aims for
@@ -478,8 +555,10 @@ func (mv *Mover) retryTarget(key core.PageKey, promote bool, last mem.TierID) me
 // useful staging ground and every migration's cost uniform. ranks
 // supplies the epoch's hotness per page (missing keys count as zero,
 // i.e. coldest); it protects hot-but-unsampled residents from being
-// evicted to fit a handful of promotions. It returns (promoted,
-// demoted), retries included.
+// evicted to fit a handful of promotions. It is read only for a tier
+// that must demote, and for the MinPromoteRank gate when that is set,
+// so an epoch that demotes nothing never builds a lazy core.RanksOf
+// table. It returns (promoted, demoted), retries included.
 func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	mv.epoch++
 	mv.admSpentPromote, mv.admSpentDemote = 0, 0 // the admission budget is per-epoch
@@ -547,35 +626,15 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		}
 	}
 
-	// One walk classifies every migratable frame into per-tier
-	// candidate columns: a selected page anywhere below the top tier
-	// is a promotion candidate one tier up, an unselected page
-	// anywhere above the bottom is demotable one tier down. On a
-	// two-tier machine these columns are exactly the legacy fast-tier
-	// demote list and slow-tier promote list.
-	demoteByTier := make([][]demoteCand, nt)
-	promoteByTier := make([][]core.PageKey, nt)
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		if pd.Flags&mem.FlagNonMigratable != 0 {
-			return
+	demoteByTier, promoteByTier := mv.candidates(sel, queuedKeys)
+	if mv.MinPromoteRank > 0 {
+		for t, keys := range promoteByTier {
+			// Not enough evidence to pay for the move.
+			promoteByTier[t] = slices.DeleteFunc(keys, func(k core.PageKey) bool {
+				return ranks.Get(k) < mv.MinPromoteRank
+			})
 		}
-		key := core.PageKey{PID: pd.PID, VPN: pd.VPage}
-		if queuedKeys != nil {
-			if _, queued := queuedKeys[key]; queued {
-				return
-			}
-		}
-		_, selected := sel[key]
-		switch {
-		case !selected && pd.Tier < last:
-			demoteByTier[pd.Tier] = append(demoteByTier[pd.Tier], demoteCand{key: key, rank: ranks.Get(key)})
-		case selected && pd.Tier != mem.FastTier:
-			if ranks.Get(key) < mv.MinPromoteRank {
-				break // not enough evidence to pay for the move
-			}
-			promoteByTier[pd.Tier] = append(promoteByTier[pd.Tier], key)
-		}
-	})
+	}
 	coldest := func(a, b demoteCand) bool {
 		return core.ColdestLess(a.rank, b.rank, a.key, b.key)
 	}
@@ -599,6 +658,10 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// spilled frame lands in its lower tier before that tier's own
 	// spill capacity is consumed. Empty on a two-tier machine.
 	for t := nt - 2; t >= 1; t-- {
+		if plan[t] == 0 {
+			continue
+		}
+		fillRanks(demoteByTier[t], ranks)
 		for _, cand := range core.TopKFunc(demoteByTier[t], plan[t], coldest) {
 			if mv.migrateFresh(cand.key, false, mem.TierID(t)+1, gated) {
 				demoted++
@@ -615,11 +678,16 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// when a migration fails (vanished mapping, full target tier); the
 	// fallback below sorts the remainder lazily so the demotion
 	// sequence stays exactly the coldest-first order a full sort would
-	// have produced.
-	head := core.TopKFunc(demoteByTier[0], plan[0], coldest)
-	rest := demoteByTier[0][len(head):]
+	// have produced. Ranks are read on the first pass only, so an epoch
+	// that demotes nothing from tier 0 never builds the table.
+	var head, rest []demoteCand
 	restSorted := false
 	for next := 0; phys.FreeFrames(mem.FastTier) < len(promoteByTier[1]); next++ {
+		if next == 0 {
+			fillRanks(demoteByTier[0], ranks)
+			head = core.TopKFunc(demoteByTier[0], plan[0], coldest)
+			rest = demoteByTier[0][len(head):]
+		}
 		var cand demoteCand
 		if next < len(head) {
 			cand = head[next]

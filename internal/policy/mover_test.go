@@ -94,6 +94,32 @@ func TestMoverDemotesColdestFirst(t *testing.T) {
 	}
 }
 
+// TestMoverPromoteRankGate pins MinPromoteRank: a selected page whose
+// rank falls below the gate stays put, one at the gate climbs, and
+// the demotions make room for the promotion that passed only.
+func TestMoverPromoteRankGate(t *testing.T) {
+	m := moverMachine(t, 4, 16)
+	touchPages(t, m, 1, 6) // pages 0..3 fast, 4..5 slow
+	mv := NewMover(m)
+	mv.MinPromoteRank = 2
+	sel := Selection{
+		core.PageKey{PID: 1, VPN: 4}: {},
+		core.PageKey{PID: 1, VPN: 5}: {},
+	}
+	ranks := core.RanksFromMap(map[core.PageKey]uint64{
+		{PID: 1, VPN: 4}: 1,
+		{PID: 1, VPN: 5}: 2,
+	})
+	promoted, demoted := mv.ApplySelection(sel, ranks)
+	if promoted != 1 || demoted != 1 {
+		t.Fatalf("promoted, demoted = %d, %d; want 1, 1", promoted, demoted)
+	}
+	if tierOf(t, m, 1, 4) != mem.SlowTier || tierOf(t, m, 1, 5) != mem.FastTier {
+		t.Errorf("gate misapplied: vpn 4 in tier %d (rank 1), vpn 5 in tier %d (rank 2)",
+			tierOf(t, m, 1, 4), tierOf(t, m, 1, 5))
+	}
+}
+
 func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 	m := moverMachine(t, 4, 16)
 	touchPages(t, m, 1, 6)

@@ -38,11 +38,12 @@ type Policy interface {
 }
 
 // takeTop picks the top-capacity pages of a harvest under a method.
-// Selection is bounded: core.TopK heaps out the capacity hottest
+// Selection is bounded: core.TopKSet heaps out the capacity hottest
 // pages (the order core.RankLess pins) instead of sorting the whole
-// harvest to throw most of it away.
+// harvest to throw most of it away, and leaves them unsorted because a
+// Selection is a set.
 func takeTop(stats core.EpochStats, method core.Method, capacity int) Selection {
-	top := core.TopK(stats, method, capacity)
+	top := core.TopKSet(stats, method, capacity)
 	sel := make(Selection, len(top))
 	for i := range top {
 		sel[top[i].Key] = struct{}{}
