@@ -41,6 +41,10 @@ func TestParallelEqualsSequentialMethods(t *testing.T) {
 	if seq != par {
 		t.Fatalf("methods output differs between -parallel 1 and -parallel 8:\nsequential:\n%s\nparallel:\n%s", seq, par)
 	}
+	// Unlike the renderer fixtures, this golden pins simulation output:
+	// the AutoNUMA and BadgerTrap rows are the only results of the
+	// work-horizon raw run, and no other test reads their values.
+	checkGolden(t, "methods_sim", seq)
 }
 
 // TestParallelEqualsSequentialEpochSweep covers the Suite-backed path:

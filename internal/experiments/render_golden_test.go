@@ -17,7 +17,9 @@ import (
 // The fixtures are hand-built rows, not simulation output, so these
 // tests pin the *rendering* (column layout, number formatting, captions)
 // independently of simulation drift: a change to the simulator cannot
-// break them, and a change to a renderer cannot hide behind one.
+// break them, and a change to a renderer cannot hide behind one. The
+// one exception is methods_sim, which pins the simulated methods
+// comparison (TestParallelEqualsSequentialMethods).
 var update = flag.Bool("update", false, "rewrite testdata goldens")
 
 // checkGolden compares got against testdata/<name>.golden.
