@@ -196,7 +196,7 @@ func BenchmarkAblationShootdown(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := r.Run(sim.Hooks{})
+				res, err := r.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +223,7 @@ func BenchmarkAblationGatingThreshold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := r.Run(sim.Hooks{})
+				res, err := r.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,12 +506,12 @@ func BenchmarkRanksOf(b *testing.B) {
 
 // BenchmarkApplySelection measures the mover's epoch cut in the steady
 // state, on an hpc-bigfoot-shaped machine: xsbench over two tiers at
-// ratio 16, warmed through the placement loop's public calls until the
-// History selection is resident. Each iteration then reconciles that
-// fixed selection with a fresh RanksOf. Nothing moves, so the cost is
-// gathering candidates, which tracks the selection and the upper tier
-// rather than the footprint, and the rank table is never built. The
-// bench-compare CI job guards its allocs/op.
+// ratio 16, warmed through sim.Drive and the placement pass's public
+// calls until the History selection is resident. Each iteration then
+// reconciles that fixed selection with a fresh RanksOf. Nothing moves,
+// so the cost is gathering candidates, which tracks the selection and
+// the upper tier rather than the footprint, and the rank table is
+// never built. The bench-compare CI job guards its allocs/op.
 func BenchmarkApplySelection(b *testing.B) {
 	const ratio, warmRefs = 16, 600_000
 	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
@@ -536,19 +536,12 @@ func BenchmarkApplySelection(b *testing.B) {
 	capacity := chain[0].Frames - mem.HugePages
 	var ep core.EpochStats
 	var sel policy.Selection
-	buf := make([]trace.Ref, cfg.BatchSize)
 	nextEpoch := cfg.EpochNS
-	for executed := 0; executed < warmRefs; executed += len(buf) {
-		w.Fill(buf)
-		for i := range buf {
-			if _, err := m.Execute(buf[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
+	if _, _, err := sim.Drive(m, w, warmRefs, cfg.BatchSize, func(int) error {
 		now := m.Now()
 		prof.Tick(now)
 		if now < nextEpoch {
-			continue
+			return nil
 		}
 		prof.HarvestEpochInto(&ep)
 		sel = cfg.Policy.Select(ep, core.EpochStats{}, cfg.Method, capacity)
@@ -556,6 +549,9 @@ func BenchmarkApplySelection(b *testing.B) {
 		for nextEpoch <= now {
 			nextEpoch += cfg.EpochNS
 		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 	for settle := 0; ; settle++ {
 		p, d := mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method))
@@ -625,7 +621,7 @@ func BenchmarkAblationDeliveryMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := r.Run(sim.Hooks{})
+				res, err := r.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := runner.Run(sim.Hooks{})
+		res, err := runner.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

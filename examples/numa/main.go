@@ -20,6 +20,20 @@ import (
 	"tieredmem/internal/workload"
 )
 
+// tierCounter is a retirement observer counting memory accesses by
+// the node that served them.
+type tierCounter struct {
+	phys    *mem.PhysMem
+	perTier []uint64
+}
+
+func (c *tierCounter) ObserveRetire(o *trace.Outcome, _ int) int64 {
+	if o.Source.IsMemory() {
+		c.perTier[c.phys.TierOf(mem.PFNOf(o.PAddr))]++
+	}
+	return 0
+}
+
 func main() {
 	for _, pol := range []struct {
 		name string
@@ -45,12 +59,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		perTier := map[mem.TierID]uint64{}
-		res, err := runner.Run(sim.Hooks{OnOutcome: func(o *trace.Outcome) {
-			if o.Source.IsMemory() {
-				perTier[runner.Machine.Phys.TierOf(mem.PFNOf(o.PAddr))]++
-			}
-		}})
+		counter := &tierCounter{phys: runner.Machine.Phys, perTier: make([]uint64, len(cfg.Tiers))}
+		runner.Machine.AddObserver(counter)
+		res, err := runner.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +69,7 @@ func main() {
 		fmt.Printf("== %s ==\n", pol.name)
 		fmt.Printf("duration %.1fms, %d epochs\n", float64(res.DurationNS)/1e6, len(res.Epochs))
 		var total uint64
-		for _, n := range perTier {
+		for _, n := range counter.perTier {
 			total += n
 		}
 		for t := mem.TierID(0); int(t) <= topo.Sockets; t++ {
@@ -67,7 +78,7 @@ func main() {
 				name = "nvm-node"
 			}
 			fmt.Printf("  %-11s %6.1f%% of memory accesses\n", name,
-				float64(perTier[t])/float64(total)*100)
+				float64(counter.perTier[t])/float64(total)*100)
 		}
 
 		// The profiler is oblivious to the topology: hottest pages

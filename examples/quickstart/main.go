@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// 3. Run. Epochs are harvested every scaled second.
-	res, err := runner.Run(sim.Hooks{})
+	res, err := runner.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

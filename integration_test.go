@@ -24,7 +24,7 @@ func TestPipelineSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(sim.Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,6 @@ func runFloatSum(pass *Pass) {
 			if !ok || mapTypeOf(pass, rs.X) == nil {
 				return true
 			}
-			if pass.Suppressed(rs.Pos()) {
-				return false
-			}
 			checkFloatAccum(pass, rs)
 			return true
 		})
@@ -73,8 +70,13 @@ func checkFloatAccum(pass *Pass, rs *ast.RangeStmt) {
 				continue
 			}
 			// A directive on the statement's own line is handled by the
-			// engine's report filter; only the enclosing-range-line
-			// suppression above needs analyzer cooperation.
+			// engine's report filter; only the enclosing range line's
+			// needs analyzer cooperation. Asking only once there is a
+			// finding leaves a directive over a range without one
+			// unused, so the directive audit reports it.
+			if pass.Suppressed(rs.Pos()) {
+				continue
+			}
 			pass.Reportf(st.Pos(), "float accumulation into %s over map iteration: rounding depends on visit order; accumulate over order.SortedKeys", types.ExprString(lhs))
 		}
 		return true

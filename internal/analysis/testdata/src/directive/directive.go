@@ -4,6 +4,8 @@
 // directives, and malformed ones.
 package fixture
 
+import "sort"
+
 // oneDirectiveTwoAnalyzers hits the multi-finding edge: the single
 // line below carries both a maprange finding (unsorted drain) and a
 // floatsum finding (float accumulation), and the one ordered
@@ -37,6 +39,19 @@ func stale(xs []float64) float64 {
 		sum += v
 	}
 	return sum
+}
+
+// sortedDrain ranges over a map without a float accumulation, and the
+// drained keys are sorted, so neither maprange nor floatsum has a
+// finding to suppress: the directive is stale.
+func sortedDrain(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	/* want `unused tmplint:ordered directive` */ //tmplint:ordered keys are sorted below
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // unjustified suppresses a real finding but gives reviewers nothing,

@@ -100,7 +100,7 @@ func Colocation(opts Options, idlerCount int) (ColocationResult, error) {
 		if err != nil {
 			return arm, err
 		}
-		out, err := r.Run(sim.Hooks{})
+		out, err := r.Run()
 		if err != nil {
 			return arm, err
 		}

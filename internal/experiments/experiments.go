@@ -229,7 +229,7 @@ func Profile(opts Options, name string, rate int) (*Capture, error) {
 		cp.IBSSamples = append(cp.IBSSamples, s)
 	})
 
-	cp.Result, err = r.Run(sim.Hooks{})
+	cp.Result, err = r.Run()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: profiling %s at %s: %w", name, RateName(rate), err)
 	}

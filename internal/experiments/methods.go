@@ -12,7 +12,6 @@ import (
 	"tieredmem/internal/report"
 	"tieredmem/internal/runner"
 	"tieredmem/internal/sim"
-	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
 )
 
@@ -132,11 +131,11 @@ type rawResult struct {
 	epochs     []core.EpochStats
 }
 
-// rawRun drives a workload through a bare machine (no TMP), invoking
-// perBatch after every batch, harvesting the profiler's per-epoch
-// observations each scaled second (merged with the machine's ground
-// truth so hitrate evaluation works), and finishing with a summary
-// row.
+// rawRun drives a workload through a bare machine (no TMP) with
+// sim.Drive, invoking perBatch after every batch, harvesting the
+// profiler's per-epoch observations every 1/32 of the run's references
+// (merged with the machine's ground truth so hitrate evaluation
+// works), and finishing with a summary row.
 func rawRun(opts Options, name string, attach func(*cpu.Machine, workload.Workload) error,
 	perBatch func(now int64), harvest func(epoch int) core.EpochStats,
 	finish func() MethodsRow) (rawResult, error) {
@@ -160,32 +159,15 @@ func rawRun(opts Options, name string, attach func(*cpu.Machine, workload.Worklo
 		res.epochs = append(res.epochs, ep)
 		m.Phys.ResetEpochAll()
 	}
-	buf := make([]trace.Ref, cfg.BatchSize)
 	// Epochs are cut by executed work, not virtual time: an expensive
 	// profiler (BadgerTrap) slows the machine so much that time-based
 	// epochs would hold far fewer references, making per-epoch
 	// prediction artificially easy and skewing the cross-method
 	// hitrate comparison. Work-based horizons give every profiler
 	// identical epoch contents to rank.
-	epochRefs := opts.Refs / 32
-	if epochRefs < 1 {
-		epochRefs = 1
-	}
+	epochRefs := max(opts.Refs/32, 1)
 	nextEpoch := epochRefs
-	executed := 0
-	for executed < opts.Refs {
-		n := cfg.BatchSize
-		if remain := opts.Refs - executed; remain < n {
-			n = remain
-		}
-		batch := buf[:n]
-		w.Fill(batch)
-		for i := range batch {
-			if _, err := m.Execute(batch[i]); err != nil {
-				return res, fmt.Errorf("experiments: %s raw run: %w", name, err)
-			}
-		}
-		executed += n
+	if _, _, err := sim.Drive(m, w, opts.Refs, sim.BatchSize, func(executed int) error {
 		perBatch(m.Now())
 		if executed >= nextEpoch {
 			cutEpoch()
@@ -193,6 +175,9 @@ func rawRun(opts Options, name string, attach func(*cpu.Machine, workload.Worklo
 				nextEpoch += epochRefs
 			}
 		}
+		return nil
+	}); err != nil {
+		return res, fmt.Errorf("experiments: %s raw run: %w", name, err)
 	}
 	cutEpoch()
 	res.MethodsRow = finish()

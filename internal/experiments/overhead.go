@@ -127,7 +127,7 @@ func runDuration(opts Options, name string, mutate func(*sim.Config)) (int64, er
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.Run(sim.Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		return 0, err
 	}

@@ -38,7 +38,7 @@ func runOnce(t *testing.T, seed int64) Result {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := r.Run(Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -22,7 +22,7 @@ func runOnceFaulted(t *testing.T, seed int64, p *fault.Plane) Result {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := r.Run(Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -19,7 +19,7 @@ func runOnceTraced(t *testing.T, seed int64) (Result, *telemetry.Tracer) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := r.Run(Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"tieredmem/internal/provenance"
 	"tieredmem/internal/report"
 	"tieredmem/internal/telemetry"
-	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
 )
 
@@ -80,23 +79,19 @@ type PlacementConfig struct {
 	AdmissionFrac float64
 }
 
-// DefaultPlacementConfig mirrors DefaultConfig for placement runs.
+// DefaultPlacementConfig mirrors DefaultConfig for placement runs: the
+// same scaled CPU and TMP defaults and epoch, THP on, khugepaged on.
 func DefaultPlacementConfig(w workload.Workload, ibsPeriod, totalRefs, ratio int, p policy.Policy, m core.Method) PlacementConfig {
-	cpuCfg := cpu.DefaultConfig()
-	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
-	tmp := core.DefaultConfig(ibsPeriod)
-	tmp.Abit.Interval = ScaledSecond
-	tmp.FilterInterval = ScaledSecond
-	tmp.HWPC.Window = ScaledSecond / 10
+	base := DefaultConfig(w, ibsPeriod, totalRefs)
 	return PlacementConfig{
-		CPU:        cpuCfg,
-		TMP:        tmp,
+		CPU:        base.CPU,
+		TMP:        base.TMP,
 		Ratio:      ratio,
 		Policy:     p,
 		Method:     m,
 		EpochNS:    ScaledSecond,
 		TotalRefs:  totalRefs,
-		BatchSize:  1024,
+		BatchSize:  BatchSize,
 		Huge:       true,
 		Khugepaged: true,
 	}
@@ -258,7 +253,7 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 		return PlacementResult{}, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
+		cfg.BatchSize = BatchSize
 	}
 	if cfg.EpochNS <= 0 {
 		cfg.EpochNS = ScaledSecond
@@ -356,33 +351,12 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 
 	pids := w.Processes()
 
-	buf := make([]trace.Ref, cfg.BatchSize)
 	// Harvest scratch reused across epochs: the placement loop drops
 	// each harvest after selection, so steady-state epochs run
 	// allocation-free (HarvestEpochInto recycles ep's backing array).
 	var ep core.EpochStats
 	nextEpoch := cfg.EpochNS
-	executed := 0
-	for executed < cfg.TotalRefs {
-		n := cfg.BatchSize
-		if remain := cfg.TotalRefs - executed; remain < n {
-			n = remain
-		}
-		batch := buf[:n]
-		w.Fill(batch)
-		for i := range batch {
-			o, err := m.Execute(batch[i])
-			if err != nil {
-				return res, fmt.Errorf("sim: executing ref %d: %w", executed+i, err)
-			}
-			if o.Source.IsMemory() {
-				res.MemAccesses++
-				if o.Source == trace.SrcTier1 {
-					res.Tier1Hits++
-				}
-			}
-		}
-		executed += n
+	res.MemAccesses, res.Tier1Hits, err = Drive(m, w, cfg.TotalRefs, cfg.BatchSize, func(int) error {
 		now := m.Now()
 		if prof != nil {
 			prof.Tick(now)
@@ -390,67 +364,72 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 		if em != nil {
 			em.TickIfDue(now)
 		}
-		if now >= nextEpoch {
-			if prof != nil {
-				prof.HarvestEpochInto(&ep)
-				// Quarantine degrades the requested evidence method to
-				// whatever mechanisms survive; without faults nothing
-				// is ever quarantined and this is the identity.
-				method := prof.EffectiveMethod(cfg.Method)
-				sel := cfg.Policy.Select(ep, core.EpochStats{}, method, capacity)
-				if cfg.Prov.Enabled() {
-					// Record the harvest before the mover runs so the
-					// evidence snapshot predates any tier transition.
-					cfg.Prov.BeginEpoch(ep.Epoch, method, cfg.Method, mover.MinPromoteRank)
-					cfg.Prov.ObserveHarvest(ep, func(k core.PageKey) bool {
-						_, ok := sel[k]
-						return ok
-					})
-				}
-				promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
-				cfg.Prov.FinishEpoch()
-				if em != nil && promoted+demoted > 0 {
-					extra := em.ChargeMigration(promoted + demoted)
-					m.Core(0).AdvanceClock(extra)
-					// Newly demoted pages must be re-protected now,
-					// not at the next window.
-					em.Repoison()
-				}
-			} else {
-				m.Phys.ResetEpochAll()
-				// The baseline arm has no profiler to cut telemetry
-				// epochs; cut here so its counter deltas stay aligned
-				// to the same horizons as the policy arms.
-				cfg.Tracer.CutEpoch(now, 0)
+		if now < nextEpoch {
+			return nil
+		}
+		if prof != nil {
+			prof.HarvestEpochInto(&ep)
+			// Quarantine degrades the requested evidence method to
+			// whatever mechanisms survive; without faults nothing is
+			// ever quarantined and this is the identity.
+			method := prof.EffectiveMethod(cfg.Method)
+			sel := cfg.Policy.Select(ep, core.EpochStats{}, method, capacity)
+			if cfg.Prov.Enabled() {
+				// Record the harvest before the mover runs so the
+				// evidence snapshot predates any tier transition.
+				cfg.Prov.BeginEpoch(ep.Epoch, method, cfg.Method, mover.MinPromoteRank)
+				cfg.Prov.ObserveHarvest(ep, func(k core.PageKey) bool {
+					_, ok := sel[k]
+					return ok
+				})
 			}
-			if collapser != nil {
-				// khugepaged cadence: repair a couple of split
-				// chunks per epoch.
-				collapser.Collapse(pids, 2)
+			promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
+			cfg.Prov.FinishEpoch()
+			if em != nil && promoted+demoted > 0 {
+				extra := em.ChargeMigration(promoted + demoted)
+				m.Core(0).AdvanceClock(extra)
+				// Newly demoted pages must be re-protected now, not
+				// at the next window.
+				em.Repoison()
 			}
-			if inv != nil {
-				if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
-					return res, fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
-				}
-			}
-			// One placement pass per batch even if multiple epoch
-			// boundaries elapsed (migration work advances the clock;
-			// re-running placement on empty harvests would thrash).
-			for nextEpoch <= now {
-				nextEpoch += cfg.EpochNS
+		} else {
+			m.Phys.ResetEpochAll()
+			// The baseline arm has no profiler to cut telemetry
+			// epochs; cut here so its counter deltas stay aligned to
+			// the same horizons as the policy arms.
+			cfg.Tracer.CutEpoch(now, 0)
+		}
+		if collapser != nil {
+			// khugepaged cadence: repair a couple of split chunks per
+			// epoch.
+			collapser.Collapse(pids, 2)
+		}
+		if inv != nil {
+			if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
+				return fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
 			}
 		}
+		// One placement pass per batch even if multiple epoch
+		// boundaries elapsed (migration work advances the clock;
+		// re-running placement on empty harvests would thrash).
+		for nextEpoch <= now {
+			nextEpoch += cfg.EpochNS
+		}
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	if inv != nil {
 		if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
 			return res, fmt.Errorf("sim: final state: %w", err)
 		}
 	}
-	res.Refs = executed
+	res.Refs = cfg.TotalRefs
 	res.DurationNS = m.Now()
 	if mover != nil {
-		// Copy through a temporary: taking res's address would move it,
-		// and the per-reference counters above, to the heap.
+		// Copy through a temporary: taking res's address would move
+		// it to the heap.
 		counts := res
 		for _, c := range moverCounters(&counts, mover) {
 			*c.res = *c.mv

@@ -212,7 +212,7 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 			if err != nil {
 				return Result{}, err
 			}
-			return r.Run(Hooks{})
+			return r.Run()
 		})
 	sres.Stats = stats
 	if err != nil {

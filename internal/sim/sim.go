@@ -27,14 +27,10 @@ type Config struct {
 	Tiers []mem.TierSpec
 	TMP   core.Config
 	// EpochNS is the placement epoch (the paper uses 1 virtual
-	// second).
+	// second); <= 0 means ScaledSecond.
 	EpochNS int64
 	// TotalRefs bounds the run.
 	TotalRefs int
-	// BatchSize is how many references execute between daemon ticks.
-	BatchSize int
-	// Huge enables THP backing for the workload's huge regions.
-	Huge bool
 	// Usage supplies per-PID resource shares to the TMP daemon's
 	// process filter; nil profiles every registered process.
 	Usage core.UsageFunc
@@ -47,9 +43,6 @@ type Config struct {
 	// spec is all zero — is inert: results are byte-identical to an
 	// unfaulted run (see TestFaultPlaneInertEndToEnd).
 	Faults *fault.Plane
-	// Invariants asserts the epoch invariant checker after every
-	// harvest; it is forced on whenever Faults can inject.
-	Invariants bool
 }
 
 // ScaledSecond is the laptop-scale equivalent of one testbed second:
@@ -59,9 +52,13 @@ type Config struct {
 // on — are preserved while runs finish in seconds of real time.
 const ScaledSecond = int64(1_000_000) // 1 virtual ms
 
+// BatchSize is how many references execute between daemon ticks.
+const BatchSize = 1024
+
 // DefaultConfig returns a profiling-run configuration for a workload:
 // IBS base period scaled for multi-million-reference streams,
-// scaled-second epochs, THP on.
+// scaled-second epochs. Profiling machines always take the workload's
+// THP hint.
 func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
 	cpuCfg := cpu.DefaultConfig()
 	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
@@ -75,8 +72,6 @@ func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
 		TMP:       tmp,
 		EpochNS:   ScaledSecond,
 		TotalRefs: totalRefs,
-		BatchSize: 1024,
-		Huge:      true,
 	}
 }
 
@@ -86,13 +81,6 @@ func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
 func profilingTiers(w workload.Workload) []mem.TierSpec {
 	footPages := int(w.FootprintBytes() >> mem.PageShift)
 	return mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
-}
-
-// Hooks observe a run.
-type Hooks struct {
-	// OnOutcome sees every completed reference (ground truth for
-	// heatmaps). The pointer is reused; copy what you keep.
-	OnOutcome func(o *trace.Outcome)
 }
 
 // Result summarizes a run.
@@ -139,11 +127,8 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 	if cfg.TotalRefs <= 0 {
 		return nil, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
-	}
 	if cfg.EpochNS <= 0 {
-		cfg.EpochNS = 1_000_000_000
+		cfg.EpochNS = ScaledSecond
 	}
 	if cfg.Tiers == nil {
 		cfg.Tiers = profilingTiers(w)
@@ -152,9 +137,7 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Huge {
-		m.SetHugeHint(workload.HugeHintFor(w))
-	}
+	m.SetHugeHint(workload.HugeHintFor(w))
 	prof, err := core.New(cfg.TMP, m, cfg.Usage)
 	if err != nil {
 		return nil, err
@@ -176,17 +159,47 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 	return &Runner{Machine: m, Profiler: prof, Workload: w, cfg: cfg}, nil
 }
 
-// Run executes the configured number of references, harvesting epochs
-// at virtual-time horizons (plus a final partial epoch), and returns
-// the collected result.
-func (r *Runner) Run(hooks Hooks) (Result, error) {
+// Drive is the one reference loop every run goes through: it runs refs
+// references of w through m, batch at a time, calling after with the
+// number executed so far once each batch has run. The caller ticks its
+// daemons and cuts its epochs in after; an error from after stops the
+// run. Drive returns how many of the references reached memory and
+// how many of those the top tier served.
+func Drive(m *cpu.Machine, w workload.Workload, refs, batch int, after func(executed int) error) (memAccesses, tier1Hits uint64, err error) {
+	buf := make([]trace.Ref, batch)
+	for executed := 0; executed < refs; {
+		b := buf[:min(batch, refs-executed)]
+		w.Fill(b)
+		for i := range b {
+			o, err := m.Execute(b[i])
+			if err != nil {
+				return memAccesses, tier1Hits, fmt.Errorf("sim: executing ref %d: %w", executed+i, err)
+			}
+			if o.Source.IsMemory() {
+				memAccesses++
+				if o.Source == trace.SrcTier1 {
+					tier1Hits++
+				}
+			}
+		}
+		executed += len(b)
+		if err := after(executed); err != nil {
+			return memAccesses, tier1Hits, err
+		}
+	}
+	return memAccesses, tier1Hits, nil
+}
+
+// Run executes the configured number of references, harvesting one
+// epoch per elapsed virtual-time horizon (plus a final partial epoch),
+// and returns the collected result.
+func (r *Runner) Run() (Result, error) {
 	res := Result{Workload: r.Workload.Name()}
-	buf := make([]trace.Ref, r.cfg.BatchSize)
 	// Under fault injection every epoch must leave placement state
 	// conserved; the checker is pure observation, so checked and
 	// unchecked runs produce the same bytes.
 	var inv *invariant.Checker
-	if r.cfg.Invariants || r.cfg.Faults.Enabled() {
+	if r.cfg.Faults.Enabled() {
 		inv = invariant.New()
 	}
 	check := func() error {
@@ -196,34 +209,20 @@ func (r *Runner) Run(hooks Hooks) (Result, error) {
 		return inv.Check(r.Machine.Phys, r.Machine.Tables(), nil)
 	}
 	nextEpoch := r.cfg.EpochNS
-	executed := 0
-	for executed < r.cfg.TotalRefs {
-		n := r.cfg.BatchSize
-		if remain := r.cfg.TotalRefs - executed; remain < n {
-			n = remain
-		}
-		batch := buf[:n]
-		r.Workload.Fill(batch)
-		for i := range batch {
-			o, err := r.Machine.Execute(batch[i])
-			if err != nil {
-				return res, fmt.Errorf("sim: executing ref %d: %w", executed+i, err)
-			}
-			if hooks.OnOutcome != nil {
-				hooks.OnOutcome(o)
-			}
-		}
-		executed += n
+	_, _, err := Drive(r.Machine, r.Workload, r.cfg.TotalRefs, BatchSize, func(int) error {
 		now := r.Machine.Now()
 		r.Profiler.Tick(now)
 		for now >= nextEpoch {
-			ep := r.Profiler.HarvestEpoch()
-			res.Epochs = append(res.Epochs, ep)
+			res.Epochs = append(res.Epochs, r.Profiler.HarvestEpoch())
 			if err := check(); err != nil {
-				return res, fmt.Errorf("sim: epoch %d: %w", len(res.Epochs)-1, err)
+				return fmt.Errorf("sim: epoch %d: %w", len(res.Epochs)-1, err)
 			}
 			nextEpoch += r.cfg.EpochNS
 		}
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	// Final partial epoch.
 	ep := r.Profiler.HarvestEpoch()
@@ -233,7 +232,7 @@ func (r *Runner) Run(hooks Hooks) (Result, error) {
 	if err := check(); err != nil {
 		return res, fmt.Errorf("sim: final epoch: %w", err)
 	}
-	res.Refs = executed
+	res.Refs = r.cfg.TotalRefs
 	res.DurationNS = r.Machine.Now()
 	res.NumCores = len(r.Machine.Cores())
 	res.IBSOverheadNS, res.AbitOverheadNS, res.HWPCOverheadNS = r.Profiler.OverheadNS()

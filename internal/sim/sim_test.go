@@ -15,7 +15,7 @@ func TestSmokeGUPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := r.Run(Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(Hooks{})
+		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestPMLCollectsWriteHeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(Hooks{})
+	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,5 +212,27 @@ func TestWriteBiasedPolicyOnWriteSplit(t *testing.T) {
 	if float64(wb.DurationNS) > float64(hist.DurationNS)*1.03 {
 		t.Errorf("write-biased policy slower than history: %d vs %d ns",
 			wb.DurationNS, hist.DurationNS)
+	}
+}
+
+// TestZeroEpochMeansScaledSecond: New reads EpochNS <= 0 as the scaled
+// second Config.EpochNS documents, the same default RunPlacement
+// applies, so a zero epoch harvests the default run's epochs.
+func TestZeroEpochMeansScaledSecond(t *testing.T) {
+	w := workload.MustNew("gups", workload.Config{Seed: 42, FirstPID: 100})
+	cfg := DefaultConfig(w, 16384, 400_000)
+	cfg.EpochNS = 0
+	r, err := New(cfg, w)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	zero, err := r.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	scaled := runOnce(t, 42)
+	if got, want := rankDump(zero), rankDump(scaled); got != want {
+		t.Fatalf("EpochNS 0 harvested %d epochs, ScaledSecond %d:\n%s\nwant:\n%s",
+			len(zero.Epochs), len(scaled.Epochs), head(got, 10), head(want, 10))
 	}
 }
