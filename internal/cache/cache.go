@@ -8,7 +8,10 @@
 // can ignore them.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LineShift is log2 of the 64-byte cache line size.
 const (
@@ -75,29 +78,69 @@ type Stats struct {
 	PrefetchHits uint64 // demand hits on lines brought in by the prefetcher
 }
 
+// MaxLine is the highest line number a level can hold: tags store
+// line+1 in 32 bits, with 0 for an empty way. Every line a demand
+// access or a prefetch names must stay at or below it, which
+// cpu.NewMachine ensures by capping physical memory.
+const MaxLine = math.MaxUint32 - 1
+
 // level is one set-associative array stored flat: way w of set s is
 // slot s*ways+w of every column. tags holds line+1, so 0 marks an empty
 // way. lru holds the stamp of the slot's last fill or hit: 0 while the
-// way is empty, at least 1 once filled.
+// way is empty, at least 1 once filled. Both columns are 32-bit, so a
+// 16-way set's tags fill one 64-byte host line and its stamps one more.
 type level struct {
-	tags       []uint64
-	lru        []uint64
+	tags       []uint32
+	lru        []uint32
 	prefetched []bool // line was filled by the prefetcher and not yet demanded
 	ways       int
 	mask       uint64
-	stamp      uint64
+	stamp      uint32
 	stats      Stats
 }
 
 func newLevel(c Config) *level {
 	n := c.Lines()
 	return &level{
-		tags:       make([]uint64, n),
-		lru:        make([]uint64, n),
+		tags:       make([]uint32, n),
+		lru:        make([]uint32, n),
 		prefetched: make([]bool, n),
 		ways:       c.Ways,
 		mask:       uint64(n/c.Ways - 1),
 	}
+}
+
+// tick advances the level's stamp and returns it. A 32-bit stamp wraps
+// after 2^32 hits and fills, which a long run's L1 reaches, so just
+// before that every set's stamps are renumbered by rank.
+func (l *level) tick() uint32 {
+	if l.stamp == math.MaxUint32 {
+		l.renumber()
+	}
+	l.stamp++
+	return l.stamp
+}
+
+// renumber replaces each filled way's stamp by its rank within its
+// set, 1 for the least recently used; empty ways keep 0. Stamps are
+// compared only within a set, so every set keeps its order and hence
+// its first-least victim. The level's stamp restarts at the way count,
+// at or above every rank.
+func (l *level) renumber() {
+	ranks := make([]uint32, l.ways)
+	for base := 0; base < len(l.lru); base += l.ways {
+		set := l.lru[base : base+l.ways]
+		for i, a := range set {
+			ranks[i] = 0
+			for _, b := range set {
+				if a != 0 && b != 0 && b <= a {
+					ranks[i]++
+				}
+			}
+		}
+		copy(set, ranks)
+	}
+	l.stamp = uint32(l.ways)
 }
 
 // probe scans line's set without touching LRU or stats. On a hit it
@@ -106,17 +149,19 @@ func newLevel(c Config) *level {
 // there is one and the least recently used way otherwise.
 func (l *level) probe(line uint64) (slot int, hit bool) {
 	base := int(line&l.mask) * l.ways
-	tag := line + 1
+	tag := uint32(line) + 1
 	for i, t := range l.tags[base : base+l.ways] {
 		if t == tag {
 			return base + i, true
 		}
 	}
+	// Holding the least stamp in a register lets the compiler pick the
+	// victim with conditional moves instead of a branch per way.
 	lru := l.lru[base : base+l.ways]
-	v := 0
-	for i := 1; i < len(lru); i++ {
-		if lru[i] < lru[v] {
-			v = i
+	v, least := 0, lru[0]
+	for i, s := range lru {
+		if s < least {
+			v, least = i, s
 		}
 	}
 	return base + v, false
@@ -131,8 +176,7 @@ func (l *level) lookup(line uint64) (slot int, hit, wasPrefetch bool) {
 		l.stats.Misses++
 		return slot, false, false
 	}
-	l.stamp++
-	l.lru[slot] = l.stamp
+	l.lru[slot] = l.tick()
 	wasPrefetch = l.prefetched[slot]
 	l.prefetched[slot] = false
 	l.stats.Hits++
@@ -145,9 +189,8 @@ func (l *level) lookup(line uint64) (slot int, hit, wasPrefetch bool) {
 // fill installs line into slot, a victim returned by probe or lookup
 // with no access to the level in between.
 func (l *level) fill(slot int, line uint64, prefetched bool) {
-	l.stamp++
-	l.tags[slot] = line + 1
-	l.lru[slot] = l.stamp
+	l.tags[slot] = uint32(line) + 1
+	l.lru[slot] = l.tick()
 	l.prefetched[slot] = prefetched
 }
 

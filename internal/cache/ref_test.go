@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // refWay, refLevel and refHierarchy are the array-of-sets model the
 // flat level replaced, kept as the plain reference the differential
@@ -200,28 +203,73 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 	})
 }
 
+// driveLong runs a pseudo-random sequence through both hierarchies:
+// runs of consecutive lines, which train the prefetcher, broken by
+// jumps over a footprint four times the LLC.
+func driveLong(t *testing.T, g geometry, h *Hierarchy, ref *refHierarchy, steps int) {
+	t.Helper()
+	footprint := uint64(4 * g.llc.Lines())
+	x := uint64(0x9e3779b97f4a7c15)
+	var line uint64
+	for step := 0; step < steps; step++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if x%4 == 0 {
+			line = x >> 8 % footprint
+		} else {
+			line++
+		}
+		accessBoth(t, step, h, ref, line<<LineShift, 0x400000+(x>>4&3)<<2, x&16 != 0)
+	}
+}
+
 // TestHierarchyMatchesReferenceLong runs long pseudo-random sequences
-// on both geometries with the prefetcher on and off: runs of
-// consecutive lines, which train the prefetcher, broken by jumps over
-// a footprint four times the LLC.
+// on both geometries with the prefetcher on and off.
 func TestHierarchyMatchesReferenceLong(t *testing.T) {
 	for _, g := range []geometry{geomTiny, geomDefault} {
 		for _, degree := range []int{0, 2} {
 			h, ref := refPair(t, g, degree)
-			footprint := uint64(4 * g.llc.Lines())
-			x := uint64(0x9e3779b97f4a7c15)
-			var line uint64
-			for step := 0; step < 200_000; step++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				if x%4 == 0 {
-					line = x >> 8 % footprint
-				} else {
-					line++
+			driveLong(t, g, h, ref, 200_000)
+		}
+	}
+}
+
+// TestHierarchyMatchesReferenceAcrossRenumber starts every level's
+// 32-bit stamp one level-size of ticks below the wrap, so each level
+// fills up and then renumbers its stamps mid-run, and compares the
+// hierarchy with the 64-bit reference across that point.
+func TestHierarchyMatchesReferenceAcrossRenumber(t *testing.T) {
+	for _, g := range []geometry{geomTiny, geomDefault} {
+		for _, degree := range []int{0, 2} {
+			h, ref := refPair(t, g, degree)
+			levels := []*level{h.l1, h.l2, h.llc.lvl}
+			for _, l := range levels {
+				l.stamp = math.MaxUint32 - uint32(len(l.lru))
+			}
+			driveLong(t, g, h, ref, 200_000)
+			for i, l := range levels {
+				if l.stamp > math.MaxUint32/2 {
+					t.Errorf("%+v degree %d: level %d never renumbered (stamp %d)", g.llc, degree, i, l.stamp)
 				}
-				accessBoth(t, step, h, ref, line<<LineShift, 0x400000+(x>>4&3)<<2, x&16 != 0)
 			}
 		}
+	}
+}
+
+// TestRenumberKeepsSetOrder checks the renumbering rule on one set:
+// filled ways take their rank, empty ways stay 0.
+func TestRenumberKeepsSetOrder(t *testing.T) {
+	l := newLevel(Config{SizeBytes: 2 * 4 * LineSize, Ways: 4})
+	copy(l.lru, []uint32{900, 0, 7, 4000, 0, 0, 0, 0})
+	l.renumber()
+	want := []uint32{2, 0, 1, 3, 0, 0, 0, 0}
+	for i := range want {
+		if l.lru[i] != want[i] {
+			t.Fatalf("renumbered stamps %v, want %v", l.lru, want)
+		}
+	}
+	if l.tick() != 5 {
+		t.Errorf("first stamp after renumbering is %d, want 5 (above every rank)", l.stamp)
 	}
 }

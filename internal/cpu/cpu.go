@@ -163,10 +163,12 @@ type Machine struct {
 
 	softDiv int64
 
-	tables    map[int]*pagetable.Table
-	coreOf    map[int]int // pid -> core index
-	procs     []proc      // PID-indexed copy of coreOf and tables for Execute
-	nextCore  int
+	tables map[int]*pagetable.Table
+	// asids numbers PIDs in order of first sight. The number is the
+	// PID's address-space id, which tags its TLB entries, and modulo
+	// the core count it is the PID's core.
+	asids     map[int]uint32
+	procs     []proc // PID-indexed copy of asids and tables for Execute
 	opsPerRef int
 
 	fault     FaultHandler
@@ -194,6 +196,16 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 	if cfg.OpsPerRef <= 0 {
 		cfg.OpsPerRef = 1
 	}
+	// Check the cap before NewPhysMem allocates a descriptor per frame.
+	limit, total := maxFrames(cfg.PrefetchDegree), 0
+	for _, s := range tiers {
+		if s.Frames > 0 {
+			total += s.Frames
+		}
+		if total > limit {
+			return nil, fmt.Errorf("cpu: tiers hold more than %d frames, the most whose cache lines fit 32-bit cache tags at prefetch degree %d", limit, cfg.PrefetchDegree)
+		}
+	}
 	phys, err := mem.NewPhysMem(tiers)
 	if err != nil {
 		return nil, err
@@ -210,7 +222,7 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 		Phys:      phys,
 		LLC:       llc,
 		tables:    make(map[int]*pagetable.Table),
-		coreOf:    make(map[int]int),
+		asids:     make(map[int]uint32),
 		opsPerRef: cfg.OpsPerRef,
 		softDiv:   softDiv,
 	}
@@ -243,6 +255,22 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 		m.cores = append(m.cores, core)
 	}
 	return m, nil
+}
+
+// maxFrames is the most physical frames a machine may have: every
+// line a demand access or a prefetch names must fit a cache tag
+// (cache.MaxLine). A stride prefetch of degree d names lines up to d
+// strides past a demand line, and a stride spans at most the highest
+// demand line, so the highest nameable line is (d+1) times the highest
+// demand line. Without a prefetcher the cap is 2^26-1 frames, just
+// under 256 GiB; at the default degree 2 it is 22,369,621 (85 GiB).
+func maxFrames(prefetchDegree int) int {
+	reach := uint64(1)
+	if prefetchDegree > 0 {
+		reach += uint64(prefetchDegree)
+	}
+	lines := cache.MaxLine/reach + 1
+	return int(lines / (mem.PageSize / cache.LineSize))
 }
 
 // Cores returns the machine's cores.
@@ -327,13 +355,18 @@ func (m *Machine) Tables() map[int]*pagetable.Table { return m.tables }
 // CoreFor returns the core that executes a PID's references,
 // assigning one round-robin on first sight.
 func (m *Machine) CoreFor(pid int) *Core {
-	idx, ok := m.coreOf[pid]
+	return m.cores[int(m.asid(pid))%len(m.cores)]
+}
+
+// asid returns a PID's address-space id, numbering PIDs in order of
+// first sight.
+func (m *Machine) asid(pid int) uint32 {
+	id, ok := m.asids[pid]
 	if !ok {
-		idx = m.nextCore % len(m.cores)
-		m.coreOf[pid] = idx
-		m.nextCore++
+		id = uint32(len(m.asids))
+		m.asids[pid] = id
 	}
-	return m.cores[idx]
+	return id
 }
 
 // defaultFault implements first-come-first-allocate: fast tier first,
@@ -353,11 +386,14 @@ func (m *Machine) FlushAllTLBs() int64 {
 	return m.SoftCost(int64(len(m.cores)-1) * LatIPI)
 }
 
-// FlushPage invalidates one translation on every core (page-granular
-// shootdown) and returns the IPI cost.
-func (m *Machine) FlushPage(vpn mem.VPN) int64 {
-	for _, c := range m.cores {
-		c.TLB.FlushPage(vpn)
+// FlushPage invalidates a process's translation of vpn on every core
+// (page-granular shootdown) and returns the IPI cost. Other processes'
+// translations of the same vpn stay.
+func (m *Machine) FlushPage(pid int, vpn mem.VPN) int64 {
+	if id, ok := m.asids[pid]; ok {
+		for _, c := range m.cores {
+			c.TLB.FlushPage(tlb.Key(id, vpn))
+		}
 	}
 	return m.SoftCost(int64(len(m.cores)-1) * LatIPI)
 }
@@ -368,24 +404,26 @@ func (m *Machine) FlushPage(vpn mem.VPN) int64 {
 func (m *Machine) Execute(r trace.Ref) (*trace.Outcome, error) {
 	if uint(r.PID) < uint(len(m.procs)) {
 		if p := m.procs[r.PID]; p.core != nil {
-			return p.core.execute(r, p.table)
+			return p.core.execute(r, p.table, p.asid)
 		}
 	}
-	p := proc{core: m.CoreFor(r.PID), table: m.Table(r.PID)}
+	id := m.asid(r.PID)
+	p := proc{core: m.cores[int(id)%len(m.cores)], table: m.Table(r.PID), asid: id}
 	if r.PID >= 0 && r.PID < maxDensePID {
 		if r.PID >= len(m.procs) {
 			m.procs = append(m.procs, make([]proc, r.PID+1-len(m.procs))...)
 		}
 		m.procs[r.PID] = p
 	}
-	return p.core.execute(r, p.table)
+	return p.core.execute(r, p.table, p.asid)
 }
 
-// proc is a PID's execution slot: the core that runs its references
-// and its page table.
+// proc is a PID's execution slot: the core that runs its references,
+// its page table and its address-space id.
 type proc struct {
 	core  *Core
 	table *pagetable.Table
+	asid  uint32
 }
 
 // maxDensePID bounds the PID-indexed slots. A negative or larger PID,
@@ -394,11 +432,15 @@ const maxDensePID = 1 << 16
 
 // execute performs translation, cache access, accounting, and
 // observer notification for one reference of the process whose page
-// table is table.
-func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, error) {
+// table is table and whose address-space id is asid.
+func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace.Outcome, error) {
 	m := c.machine
 	o := &c.outcome
-	*o = trace.Outcome{Ref: r, CPU: c.ID}
+	// Zero in place, then set: a composite literal would be built in a
+	// temporary and copied over the outcome on every reference.
+	*o = trace.Outcome{}
+	o.Ref = r
+	o.CPU = c.ID
 	isStore := r.Kind == trace.Store
 	lat := int64(LatBaseOp)
 
@@ -415,9 +457,13 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 	}
 
 	vpn := mem.VPNOf(r.VAddr)
+	if uint64(vpn)>>pagetable.VPNBits != 0 {
+		return nil, fmt.Errorf("cpu: pid %d vaddr %#x lies beyond the %d-bit virtual address space", r.PID, r.VAddr, pagetable.VPNBits+mem.PageShift)
+	}
+	key := tlb.Key(asid, vpn)
 
 	var pfn mem.PFN
-	entry, tlbLevel := c.TLB.Lookup(vpn)
+	entry, tlbLevel := c.TLB.Lookup(key)
 	if tlbLevel != tlb.HitNone {
 		if tlbLevel == tlb.HitL2 {
 			lat += LatL2TLB
@@ -436,7 +482,7 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 			pfn = leafFrame(pte, huge, vpn)
 			extra := c.walkFixups(o, pte, pfn, true)
 			lat += extra
-			c.TLB.MarkDirty(vpn)
+			c.TLB.MarkDirty(key)
 			o.PageWalk = true
 		}
 	} else {
@@ -468,7 +514,7 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 		// entries when the huge arrays are full; we model base-page
 		// entries throughout — the PMD A/D bits are what matter.
 		c.TLB.Insert(tlb.Entry{
-			VPN:      vpn,
+			VPN:      key,
 			PFN:      pfn,
 			Writable: pte.Writable(),
 			Dirty:    pte.Dirty(),

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"tieredmem/internal/cache"
@@ -500,5 +501,115 @@ func TestObserverSeesDirtySetOnce(t *testing.T) {
 	m.Execute(store(1, 0x6000)) // walk sees D=1: no event
 	if dirtySets != 1 {
 		t.Errorf("DirtySet events = %d, want exactly 1", dirtySets)
+	}
+}
+
+// TestTLBSeparatesAddressSpaces runs two PIDs on one core over the
+// same virtual page. Each must fault in and then read its own frame:
+// an untagged TLB would hand the second PID the first one's
+// translation.
+func TestTLBSeparatesAddressSpaces(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cores = 1
+	m, err := NewMachine(cfg, mem.DefaultTiers(64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x7000
+	for _, pid := range []int{1, 2} {
+		if _, err := m.Execute(store(pid, va)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.MinorFaults != 2 {
+		t.Fatalf("%d minor faults, want one per PID", m.MinorFaults)
+	}
+	f1, f2 := mustFrame(t, m, 1, va), mustFrame(t, m, 2, va)
+	if f1 == f2 {
+		t.Fatalf("both PIDs map vpn %#x to frame %d", mem.VPNOf(va), f1)
+	}
+	for i := 0; i < 3; i++ {
+		for _, p := range []struct {
+			pid  int
+			want mem.PFN
+		}{{1, f1}, {2, f2}} {
+			pid, want := p.pid, p.want
+			o, err := m.Execute(load(pid, va+8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mem.PFN(o.PAddr >> mem.PageShift); got != want || o.TLBMiss {
+				t.Errorf("pid %d read frame %d (TLB miss %v), want its own frame %d from the TLB", pid, got, o.TLBMiss, want)
+			}
+		}
+	}
+	// A page flush drops only the named process's translation.
+	m.FlushPage(1, mem.VPNOf(va))
+	if o, _ := m.Execute(load(2, va)); o.TLBMiss {
+		t.Errorf("flushing pid 1's page dropped pid 2's translation")
+	}
+	if o, _ := m.Execute(load(1, va)); !o.TLBMiss {
+		t.Errorf("pid 1's translation survived its page flush")
+	}
+}
+
+// TestExecuteRejectsAddressBeyondVPNSpace checks that a reference past
+// the 48-bit virtual address space is an error. Its VPN's bit 36 would
+// otherwise read as address-space id 1: on one core, PID 10 (id 0)
+// touching 1<<48|0x1000 would hit PID 11's (id 1) translation of 0x1000.
+func TestExecuteRejectsAddressBeyondVPNSpace(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cores = 1
+	m, err := NewMachine(cfg, mem.DefaultTiers(64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []trace.Ref{load(10, 0x2000), load(11, 0x1000)} {
+		if _, err := m.Execute(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o, err := m.Execute(load(10, 1<<48|0x1000)); err == nil {
+		t.Errorf("vaddr 1<<48|0x1000 executed (paddr %#x)", o.PAddr)
+	}
+}
+
+// TestNewMachineRejectsUntaggableMemory checks the frame cap the 32-bit
+// cache tags impose, without allocating the rejected machine.
+func TestNewMachineRejectsUntaggableMemory(t *testing.T) {
+	for _, degree := range []int{0, 2} {
+		cfg := testConfig()
+		cfg.PrefetchDegree = degree
+		limit := maxFrames(degree)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewMachine(cfg, mem.DefaultTiers(limit, 1))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("degree %d: %d frames accepted, cap is %d", degree, limit+1, limit)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("degree %d: rejecting %d frames allocated %d bytes", degree, limit+1, grew)
+		}
+	}
+}
+
+// TestMaxFramesBoundary checks that the cap is tight: at maxFrames the
+// highest line a prefetch can name fits cache.MaxLine, one frame more
+// and it does not.
+func TestMaxFramesBoundary(t *testing.T) {
+	if got := maxFrames(0); got != 1<<26-1 {
+		t.Errorf("maxFrames(0) = %d, want 2^26-1", got)
+	}
+	const linesPerFrame = mem.PageSize / cache.LineSize
+	for _, degree := range []int{0, 1, 2, 4, 7} {
+		f := uint64(maxFrames(degree))
+		reach := uint64(degree + 1)
+		if top := reach * (f*linesPerFrame - 1); top > cache.MaxLine {
+			t.Errorf("degree %d: %d frames name line %d > MaxLine", degree, f, top)
+		}
+		if top := reach * ((f+1)*linesPerFrame - 1); top <= cache.MaxLine {
+			t.Errorf("degree %d: cap %d is not tight, %d frames name at most line %d", degree, f, f+1, top)
+		}
 	}
 }

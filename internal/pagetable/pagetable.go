@@ -82,11 +82,12 @@ func NewPTE(pfn mem.PFN, writable bool) PTE {
 
 // Four radix levels of 9 bits each cover VPN bits [0,36).
 const (
-	levels     = 4
-	radixBits  = 9
-	radixSize  = 1 << radixBits
-	radixMask  = radixSize - 1
-	maxVPNBits = levels * radixBits
+	levels    = 4
+	radixBits = 9
+	radixSize = 1 << radixBits
+	radixMask = radixSize - 1
+	// VPNBits is the width of the virtual page numbers a table maps.
+	VPNBits = levels * radixBits
 	// pmdLevel is the level whose entries may be huge leaves.
 	pmdLevel = levels - 2
 )
@@ -140,8 +141,8 @@ func indexAt(vpn mem.VPN, level int) int {
 }
 
 func checkVPN(vpn mem.VPN) {
-	if uint64(vpn)>>maxVPNBits != 0 {
-		panic(fmt.Sprintf("pagetable: VPN %#x exceeds %d-bit space", uint64(vpn), maxVPNBits))
+	if uint64(vpn)>>VPNBits != 0 {
+		panic(fmt.Sprintf("pagetable: VPN %#x exceeds %d-bit space", uint64(vpn), VPNBits))
 	}
 }
 

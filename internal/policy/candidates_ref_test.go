@@ -68,12 +68,12 @@ type candRig struct {
 	extra []core.PageKey // queued on top of the retry queue's keys
 }
 
-// newCandRig gives each process its own core: TLB entries carry no PID
-// tag, so two processes sharing a core would alias each other's
-// translations.
+// newCandRig runs the three processes on chainMachine's two cores, so
+// pids 1 and 3 share a core and the same low VPNs; TLB entries carry
+// an address-space tag, so neither sees the other's translations.
 func newCandRig(t *testing.T, chain string, seed int64) *candRig {
 	t.Helper()
-	m := chainMachineCores(t, chain, len(candSpan))
+	m := chainMachine(t, chain)
 	m.SetHugeHint(func(pid int, vpn mem.VPN) bool { return pid == 1 && vpn < mem.HugePages })
 	spec, err := fault.ParseSpec("all=0.1")
 	if err != nil {

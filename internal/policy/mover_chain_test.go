@@ -13,19 +13,12 @@ import (
 // chainMachine builds a two-core machine over an arbitrary tier chain.
 func chainMachine(t *testing.T, chainSpec string) *cpu.Machine {
 	t.Helper()
-	return chainMachineCores(t, chainSpec, 2)
-}
-
-// chainMachineCores builds a machine with the given core count over an
-// arbitrary tier chain.
-func chainMachineCores(t *testing.T, chainSpec string, cores int) *cpu.Machine {
-	t.Helper()
 	chain, err := mem.ParseTierChain(chainSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cpu.DefaultConfig()
-	cfg.Cores = cores
+	cfg.Cores = 2
 	cfg.PrefetchDegree = 0
 	cfg.CtxSwitchNS = 0
 	cfg.L1D = cache.Config{SizeBytes: 4 << 10, Ways: 2}

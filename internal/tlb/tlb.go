@@ -12,10 +12,20 @@ import (
 	"fmt"
 
 	"tieredmem/internal/mem"
+	"tieredmem/internal/pagetable"
 )
+
+// Key is a translation's match key: vpn, which must fit in
+// pagetable.VPNBits (36), with the address-space id asid (below 2^28)
+// folded in above it. Sets index by the key's low bits, so the id moves
+// no translation to another set, and a lookup still makes one compare
+// per way. Entries, lookups, dirty marks and page flushes all take
+// keys; a key with id 0 is the bare VPN.
+func Key(asid uint32, vpn mem.VPN) mem.VPN { return vpn | mem.VPN(asid)<<pagetable.VPNBits }
 
 // Entry is one cached translation.
 type Entry struct {
+	// VPN is the translation's match key (see Key).
 	VPN      mem.VPN
 	PFN      mem.PFN
 	Writable bool

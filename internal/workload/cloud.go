@@ -22,6 +22,7 @@ func NewDataAnalytics(cfg Config) Workload {
 	dictBytes := cfg.scaled(1 << 20)
 	d := &dataAnalytics{}
 	d.name = "data-analytics"
+	var zips zipfTables
 
 	// Master process: hot coordination state only.
 	master := newProc(cfg.FirstPID, cfg.Seed)
@@ -42,7 +43,7 @@ func NewDataAnalytics(cfg Config) Workload {
 		dict := p.region(dictBytes)
 		output := p.region(inputBytes / 2)
 		d.bytes += input.size + dict.size + output.size
-		zip := zipfGen(p.rng, 1.2, dict.size/64)
+		zip := zipfGen(&zips, p.rng, 1.2, dict.size/64)
 		pp := p
 		var inCur, outCur uint64
 		d.procs = append(d.procs, p)
@@ -78,13 +79,14 @@ func NewDataCaching(cfg Config) Workload {
 	arenaBytes := cfg.scaled(16 << 20)
 	d := &dataCaching{}
 	d.name = "data-caching"
+	var zips zipfTables
 	for i := 0; i < servers; i++ {
 		p := newProc(cfg.FirstPID+i, cfg.Seed)
 		arena := p.region(arenaBytes)
 		hash := p.region(1 << 20) // hash table: hot
 		d.bytes += arena.size + hash.size
 		keys := arena.size / 256 // 256 B objects
-		zip := zipfGen(p.rng, 1.01, keys-1)
+		zip := zipfGen(&zips, p.rng, 1.01, keys-1)
 		pp := p
 		d.procs = append(d.procs, p)
 		d.gens = append(d.gens, func() {
@@ -124,6 +126,7 @@ func NewGraphAnalytics(cfg Config) Workload {
 	rankBytes := cfg.scaled(2 << 20)
 	g := &graphAnalytics{}
 	g.name = "graph-analytics"
+	var zips zipfTables
 
 	master := newProc(cfg.FirstPID, cfg.Seed)
 	agg := master.region(512 << 10)
@@ -142,7 +145,7 @@ func NewGraphAnalytics(cfg Config) Workload {
 		next := p.region(rankBytes)
 		g.bytes += edges.size + ranks.size + next.size
 		vertices := ranks.size / 8
-		zip := zipfGen(p.rng, 1.15, vertices-1)
+		zip := zipfGen(&zips, p.rng, 1.15, vertices-1)
 		pp := p
 		var cur uint64
 		g.procs = append(g.procs, p)
@@ -182,6 +185,7 @@ func NewWebServing(cfg Config) Workload {
 	sessionBytes := cfg.scaled(2 << 20)
 	w := &webServing{}
 	w.name = "web-serving"
+	var zips zipfTables
 	for i := 0; i < servers; i++ {
 		p := newProc(cfg.FirstPID+i, cfg.Seed)
 		corpus := p.region(corpusBytes)
@@ -189,7 +193,7 @@ func NewWebServing(cfg Config) Workload {
 		runtime := p.region(512 << 10)
 		w.bytes += corpus.size + sessions.size + runtime.size
 		pages := corpus.size >> 12
-		zip := zipfGen(p.rng, 1.1, pages-1)
+		zip := zipfGen(&zips, p.rng, 1.1, pages-1)
 		pp := p
 		w.procs = append(w.procs, p)
 		w.gens = append(w.gens, func() {

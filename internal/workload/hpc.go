@@ -127,6 +127,7 @@ func NewGraph500(cfg Config) Workload {
 	edgesPerVertex := 8
 	g := &graph500{}
 	g.name = "graph500"
+	var zips zipfTables
 	for i := 0; i < procs; i++ {
 		p := newProc(cfg.FirstPID+i, cfg.Seed)
 		edgeCount := vertexCount * edgesPerVertex
@@ -141,7 +142,7 @@ func NewGraph500(cfg Config) Workload {
 
 		// Degree sequence: Zipf hubs. Precompute the CSR offset of
 		// every vertex once (generator state, not simulated memory).
-		degZipf := zipfGen(p.rng, 1.3, uint64(edgesPerVertex*64))
+		degZipf := zipfGen(&zips, p.rng, 1.3, uint64(edgesPerVertex*64))
 		vOffsets := make([]uint64, vertexCount+1)
 		var acc uint64
 		for v := 0; v < vertexCount; v++ {

@@ -25,13 +25,14 @@ func NewPhaseShift(cfg Config) Workload {
 	hotBytes := cfg.scaled(2 << 20)
 	ps := &phaseShift{}
 	ps.name = "phase-shift"
+	var zips zipfTables
 	for i := 0; i < procs; i++ {
 		p := newProc(cfg.FirstPID+i, cfg.Seed)
 		initRegion := p.region(initBytes)
 		hotA := p.region(hotBytes)
 		hotB := p.region(hotBytes)
 		ps.bytes += initRegion.size + hotA.size + hotB.size
-		zip := zipfGen(p.rng, 1.2, hotBytes/64-1)
+		zip := zipfGen(&zips, p.rng, 1.2, hotBytes/64-1)
 		pp := p
 		var initCur uint64
 		var issued uint64
@@ -125,14 +126,15 @@ func NewWriteSplit(cfg Config) Workload {
 	coldBytes := cfg.scaled(16 << 20)
 	ws := &writeSplit{}
 	ws.name = "write-split"
+	var zips zipfTables
 	for i := 0; i < procs; i++ {
 		p := newProc(cfg.FirstPID+i, cfg.Seed)
 		readHot := p.region(hotBytes)
 		writeHot := p.region(hotBytes)
 		cold := p.region(coldBytes)
 		ws.bytes += readHot.size + writeHot.size + cold.size
-		zipR := zipfGen(p.rng, 1.1, hotBytes/64-1)
-		zipW := zipfGen(p.rng, 1.1, hotBytes/64-1)
+		zipR := zipfGen(&zips, p.rng, 1.1, hotBytes/64-1)
+		zipW := zipfGen(&zips, p.rng, 1.1, hotBytes/64-1)
 		pp := p
 		var coldCur uint64
 		ws.procs = append(ws.procs, p)

@@ -110,13 +110,15 @@ func (c Config) scaled(bytes uint64) uint64 {
 
 // proc is one simulated process: a private virtual address space plus
 // its own PRNG and a pending-reference queue so generators can emit
-// multi-access operations (e.g. a read-modify-write) atomically.
+// multi-access operations (e.g. a read-modify-write) atomically. The
+// queue's live refs are pending[head:].
 type proc struct {
 	pid     int
 	base    uint64
 	nextVA  uint64
 	rng     *rand.Rand
 	pending []trace.Ref
+	head    int
 }
 
 // procSpacing keeps process address spaces disjoint (16 GiB apart)
@@ -159,14 +161,15 @@ func (p *proc) push(ip uint64, vaddr uint64, k trace.Kind) {
 }
 
 // pop delivers the oldest queued reference; gen is invoked to refill
-// when the queue is empty.
+// when the queue is empty. Generators push only from gen, so the queue
+// is rewound to the start of its buffer before each refill.
 func (p *proc) pop(gen func()) trace.Ref {
-	for len(p.pending) == 0 {
+	for p.head == len(p.pending) {
+		p.pending, p.head = p.pending[:0], 0
 		gen()
 	}
-	r := p.pending[0]
-	copy(p.pending, p.pending[1:])
-	p.pending = p.pending[:len(p.pending)-1]
+	r := p.pending[p.head]
+	p.head++
 	return r
 }
 
@@ -206,15 +209,6 @@ func (m *multiplex) Fill(buf []trace.Ref) {
 		buf[i] = p.pop(m.gens[m.cursor])
 		m.cursor = (m.cursor + 1) % len(m.procs)
 	}
-}
-
-// zipfGen wraps rand.Zipf with the skew CloudSuite-style key
-// popularity follows. imax is inclusive of indices [0, imax].
-func zipfGen(rng *rand.Rand, s float64, imax uint64) *rand.Zipf {
-	if s <= 1.0 {
-		s = 1.01
-	}
-	return rand.NewZipf(rng, s, 1, imax)
 }
 
 // Names lists the Table III workloads in presentation order.

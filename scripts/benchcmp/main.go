@@ -12,14 +12,15 @@
 // reported as "gone". Neither fails the comparison. The one hard
 // gate is the allocation guard: any benchmark whose name matches
 // -allocs-guard (default
-// HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection) and
-// whose allocs/op increased over the base exits 1 — the steady-state
-// harvest, the sharded pipeline's epoch-cut merge and the
-// per-reference Machine.Execute path are contractually
-// allocation-free, and the mover's steady-state ApplySelection
-// allocates a fixed handful of per-epoch columns; a regression there
-// (building the rank table eagerly again, say) silently re-inflates
-// every epoch (or every reference) of every experiment cell.
+// HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection|WorkloadFill)
+// and whose allocs/op increased over the base exits 1 — the
+// steady-state harvest, the sharded pipeline's epoch-cut merge, the
+// per-reference Machine.Execute path and every generator's
+// steady-state Workload.Fill are contractually allocation-free, and
+// the mover's steady-state ApplySelection allocates a fixed handful of
+// per-epoch columns; a regression there (building the rank table
+// eagerly again, say) silently re-inflates every epoch (or every
+// reference) of every experiment cell.
 package main
 
 import (
@@ -80,7 +81,7 @@ func parseFile(path string) (map[string]result, error) {
 }
 
 func main() {
-	guard := flag.String("allocs-guard", "HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection",
+	guard := flag.String("allocs-guard", "HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection|WorkloadFill",
 		"fail when a benchmark matching this regexp regresses in allocs/op")
 	flag.Parse()
 	if flag.NArg() != 2 {
