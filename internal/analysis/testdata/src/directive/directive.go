@@ -1,10 +1,13 @@
 // Package fixture exercises the suppression-directive grammar and the
 // directive audit: one directive covering a line with findings from
 // two analyzers, directives naming the wrong analyzer, stale
-// directives, and malformed ones.
+// directives, malformed ones, and a named allow on a determinism rule.
 package fixture
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
 
 // oneDirectiveTwoAnalyzers hits the multi-finding edge: the single
 // line below carries both a maprange finding (unsorted drain) and a
@@ -94,4 +97,12 @@ func namedAllowOK(m map[string]int) []int {
 		out = append(out, v)
 	}
 	return out
+}
+
+// allowWallClock suppresses one of the folded determinism rules by
+// name: the justified allow covers the wallclock finding on the line
+// below, so the finding is dropped and the directive counts as used.
+func allowWallClock() int64 {
+	//tmplint:allow wallclock host-side log stamp that never reaches simulator state
+	return time.Now().UnixNano()
 }
