@@ -2,9 +2,10 @@ package tieredmem_test
 
 // Docs-sync tests: the counter and histogram lists in OBSERVABILITY.md
 // are checked in both directions against the names a fully
-// instrumented run actually registers. A new runtime metric without a
-// doc entry fails, and so does a documented name that no longer
-// exists — the doc cannot drift from the code.
+// instrumented run actually registers, and ANALYSIS.md's analyzer
+// sections against the tmplint suite. A new runtime metric or analyzer
+// without a doc entry fails, and so does a documented name that no
+// longer exists — the doc cannot drift from the code.
 
 import (
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"tieredmem/internal/analysis"
 	"tieredmem/internal/core"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/order"
@@ -119,6 +121,38 @@ func TestDocsSyncHistograms(t *testing.T) {
 	for _, name := range order.SortedKeys(doc) {
 		if !registered[name] {
 			t.Errorf("OBSERVABILITY.md documents histogram %s, which no instrumented run registers", name)
+		}
+	}
+}
+
+// TestDocsSyncAnalyzers pins ANALYSIS.md's "Analyzers" section to
+// analysis.Analyzers(), both directions: exactly one
+// "### <name> — " heading per analyzer in the suite, and no heading
+// for an analyzer the suite lacks.
+func TestDocsSyncAnalyzers(t *testing.T) {
+	raw, err := os.ReadFile("ANALYSIS.md")
+	if err != nil {
+		t.Fatalf("read ANALYSIS.md: %v", err)
+	}
+	_, rest, ok := strings.Cut(string(raw), "\n## Analyzers\n")
+	if !ok {
+		t.Fatal("ANALYSIS.md has no \"Analyzers\" section")
+	}
+	section, _, _ := strings.Cut(rest, "\n## ")
+	doc := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^### (\S+) — `).FindAllStringSubmatch(section, -1) {
+		doc[m[1]]++
+	}
+	suite := map[string]bool{}
+	for _, a := range analysis.Analyzers() {
+		suite[a.Name] = true
+		if n := doc[a.Name]; n != 1 {
+			t.Errorf("ANALYSIS.md has %d \"### %s — \" headings, want exactly 1", n, a.Name)
+		}
+	}
+	for _, name := range order.SortedKeys(doc) {
+		if !suite[name] {
+			t.Errorf("ANALYSIS.md documents analyzer %s, which analysis.Analyzers() does not return", name)
 		}
 	}
 }
