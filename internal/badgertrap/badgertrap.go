@@ -36,15 +36,12 @@ type Config struct {
 	// PerPTECost is the wall-clock cost of poisoning one PTE during
 	// Track.
 	PerPTECost int64
-	// HotThreshold is the per-epoch fault count at which Thermostat
-	// would classify a page hot.
-	HotThreshold uint32
 }
 
 // DefaultConfig mirrors the BadgerTrap paper's measured ~1 us fault
 // cost.
 func DefaultConfig() Config {
-	return Config{FaultCost: 1000, PerPTECost: 30, HotThreshold: 4}
+	return Config{FaultCost: 1000, PerPTECost: 30}
 }
 
 // Stats counts profiler activity.
@@ -144,21 +141,6 @@ func (p *Profiler) Track(pids []int) int64 {
 	return cost
 }
 
-// Untrack removes the poison from every leaf of the given processes.
-func (p *Profiler) Untrack(pids []int) {
-	for _, pid := range pids {
-		table, ok := p.machine.Tables()[pid]
-		if !ok {
-			continue
-		}
-		table.WalkRange(func(vpn mem.VPN, pte *pagetable.PTE, huge bool) bool {
-			*pte &^= pagetable.BitPoison
-			return true
-		})
-	}
-	p.machine.FlushAllTLBs()
-}
-
 // HarvestEpoch returns per-page fault counts as an EpochStats (counts
 // in the Abit field for rank compatibility) and resets the
 // accumulator.
@@ -172,19 +154,6 @@ func (p *Profiler) HarvestEpoch(epoch int) core.EpochStats {
 	}
 	p.active = p.active[:0]
 	return stats
-}
-
-// HotPages returns the pages whose current-epoch fault count reaches
-// the Thermostat threshold.
-func (p *Profiler) HotPages() []core.PageKey {
-	var out []core.PageKey
-	p.sortActive()
-	for _, id := range p.active {
-		if p.counts[id] >= p.cfg.HotThreshold {
-			out = append(out, p.tab.Key(id))
-		}
-	}
-	return out
 }
 
 // DistinctPages returns how many pages have faulted this epoch.

@@ -69,9 +69,7 @@ func TestTrackCountsTLBMisses(t *testing.T) {
 
 func TestHarvestAndHotClassification(t *testing.T) {
 	m := testMachine(t)
-	cfg := DefaultConfig()
-	cfg.HotThreshold = 2
-	p, _ := New(cfg, m)
+	p, _ := New(DefaultConfig(), m)
 	touch(t, m, 1, 0x1000)
 	touch(t, m, 1, 0x2000)
 	p.Track([]int{1})
@@ -80,28 +78,15 @@ func TestHarvestAndHotClassification(t *testing.T) {
 	m.FlushAllTLBs()
 	touch(t, m, 1, 0x1000)
 	touch(t, m, 1, 0x2000)
-	hot := p.HotPages()
-	if len(hot) != 1 || hot[0] != (core.PageKey{PID: 1, VPN: 1}) {
-		t.Errorf("hot pages = %v, want page 1 only", hot)
-	}
 	ep := p.HarvestEpoch(0)
 	if len(ep.Pages) != 2 {
 		t.Fatalf("harvest has %d pages, want 2", len(ep.Pages))
 	}
+	if pg := ep.Pages[0]; pg.Key != (core.PageKey{PID: 1, VPN: 1}) || pg.Abit != 2 {
+		t.Errorf("first harvested page = %v with %d faults, want page 1 with 2", pg.Key, pg.Abit)
+	}
 	if p.DistinctPages() != 0 {
 		t.Errorf("harvest did not reset")
-	}
-}
-
-func TestUntrackStopsCounting(t *testing.T) {
-	m := testMachine(t)
-	p, _ := New(DefaultConfig(), m)
-	touch(t, m, 1, 0x1000)
-	p.Track([]int{1})
-	p.Untrack([]int{1})
-	touch(t, m, 1, 0x1000)
-	if p.Stats().Faults != 0 {
-		t.Errorf("untracked page faulted")
 	}
 }
 

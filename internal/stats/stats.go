@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit the experiment
 // harnesses use: empirical CDFs (Fig. 5), time-by-address heatmaps
-// (Figs. 3 and 4), histograms, and summary statistics. Everything is
+// (Figs. 3 and 4), and summary statistics. Everything is
 // deterministic and allocation-conscious.
 package stats
 
@@ -131,41 +131,4 @@ func Summarize(samples []uint64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d max=%d mean=%.1f top10%%=%.0f%%",
 		s.N, s.Min, s.P50, s.P90, s.P99, s.Max, s.Mean, s.GiniLikeRatio*100)
-}
-
-// Histogram is a fixed-bucket histogram over uint64 observations.
-type Histogram struct {
-	bounds []uint64 // ascending upper bounds; last bucket is open
-	counts []uint64
-}
-
-// NewHistogram builds a histogram with the given ascending inclusive
-// upper bounds plus one overflow bucket.
-func NewHistogram(bounds []uint64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v uint64) {
-	idx := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[idx]++
-}
-
-// Buckets returns (upper-bound, count) pairs; the final pair has
-// upper-bound 0 signifying the open overflow bucket.
-func (h *Histogram) Buckets() [][2]uint64 {
-	out := make([][2]uint64, 0, len(h.counts))
-	for i, c := range h.counts {
-		var b uint64
-		if i < len(h.bounds) {
-			b = h.bounds[i]
-		}
-		out = append(out, [2]uint64{b, c})
-	}
-	return out
 }

@@ -125,35 +125,6 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]uint64{10, 100})
-	for _, v := range []uint64{1, 10, 11, 99, 100, 101, 5000} {
-		h.Add(v)
-	}
-	b := h.Buckets()
-	if len(b) != 3 {
-		t.Fatalf("buckets = %d", len(b))
-	}
-	if b[0][1] != 2 { // <=10: {1, 10}
-		t.Errorf("bucket 0 = %d, want 2", b[0][1])
-	}
-	if b[1][1] != 3 { // <=100: {11, 99, 100}
-		t.Errorf("bucket 1 = %d, want 3", b[1][1])
-	}
-	if b[2][1] != 2 { // overflow: {101, 5000}
-		t.Errorf("overflow = %d, want 2", b[2][1])
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("descending bounds accepted")
-		}
-	}()
-	NewHistogram([]uint64{10, 5})
-}
-
 func TestHeatmapBinning(t *testing.T) {
 	h := NewHeatmap(10, 10, 0, 100, 0, 1000)
 	h.Add(5, 50, 1)    // bin (0,0)
