@@ -24,6 +24,18 @@ func launderedSeed() *fault.Plane {
 	return fault.New(fault.Spec{}, ext.Roll()) // want `global-rand-derived value flows into a fault-package call` `launders global randomness into internal/ code`
 }
 
+// An explicitly instantiated callee is still a static call: the
+// index expression around it must not hide its taint fact.
+func launderedGeneric(t *telemetry.Tracer) {
+	t.EmitDaemonTick(ext.Generic[int](), 1) // want `wall-clock-derived value flows into a telemetry call` `launders wall-clock time into internal/ code`
+}
+
+// Draw's source is itself an instantiated generic (rand.N[int64]), so
+// the fact exists only if the taint pass resolves that callee.
+func launderedGenericSeed() *fault.Plane {
+	return fault.New(fault.Spec{}, ext.Draw()) // want `global-rand-derived value flows into a fault-package call` `launders global randomness into internal/ code`
+}
+
 // An admission budget set from the host clock would make every
 // admit/defer/reject decision wall-clock-dependent — exactly the
 // laundering path the analyzer must catch.

@@ -7,6 +7,7 @@ package ext
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -25,6 +26,18 @@ func Indirect() int64 {
 // Roll draws from the process-global rand source.
 func Roll() int64 {
 	return rand.Int63()
+}
+
+// Generic derives from the wall clock behind a type parameter, so its
+// callers must instantiate it explicitly: ext.Generic[int]().
+func Generic[T any]() int64 {
+	return time.Now().UnixNano()
+}
+
+// Draw draws from the process-global rand source through math/rand/v2's
+// explicitly instantiated generic rand.N.
+func Draw() int64 {
+	return randv2.N[int64](1 << 40)
 }
 
 // Pure is untainted: no fact is exported for it, and feeding it into
