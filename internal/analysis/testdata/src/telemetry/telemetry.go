@@ -30,6 +30,16 @@ func randomStamp(t *telemetry.Tracer) {
 	t.EmitShootdown(int64(rand.Int63()), 0, 1) // want `global rand.Int63 flows into a telemetry call`
 }
 
+// hostStamp lives in the caller's own package, and a sink still counts
+// it: unlike wallclock, the telemetry rule has no internal/ exemption.
+func hostStamp() int64 {
+	return time.Now().UnixNano()
+}
+
+func launderedLocal(t *telemetry.Tracer) {
+	t.EmitDaemonTick(hostStamp(), 1) // want `wall-clock-derived value flows into a telemetry call: fixture.hostStamp derives from time.Now`
+}
+
 func virtualTimeOK(t *telemetry.Tracer, now int64) {
 	// Virtual timestamps handed down from the simulated machine are the
 	// sanctioned stamp.

@@ -11,6 +11,13 @@ func wallTime() int64 {
 	return int64(time.Since(t)) // want `time.Since in internal/ code`
 }
 
+// callsWallTime is not a second finding: wallTime's own body carries
+// the direct ones, so the wallclock rule counts laundering only
+// through callees outside internal/.
+func callsWallTime() int64 {
+	return wallTime() + 1
+}
+
 func virtualTimeOK(nowNS int64) int64 {
 	// Arithmetic on virtual timestamps and duration constants is fine.
 	return nowNS + int64(5*time.Millisecond)
