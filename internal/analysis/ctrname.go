@@ -44,7 +44,7 @@ func runCtrName(pass *Pass) {
 	// internal/telemetry's own delegation (Tracer.Counter forwarding to
 	// Registry.Counter) is the API's plumbing, not a registration site;
 	// the contract binds callers.
-	if strings.HasSuffix(pass.Path(), telemetryPkgSuffix) {
+	if inPkg(pass.Path(), "internal/telemetry") {
 		return
 	}
 	sites := make(map[string][]token.Position)
@@ -122,7 +122,7 @@ func isCounterRegistration(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil || fn.Name() != "Counter" {
 		return false
 	}
-	if !strings.HasSuffix(fn.Pkg().Path(), telemetryPkgSuffix) {
+	if !inPkg(fn.Pkg().Path(), "internal/telemetry") {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -134,7 +134,7 @@ func isCounterRegistration(pass *Pass, call *ast.CallExpr) bool {
 // the counter alphabet).
 func isTelemetryNameHelper(fn *types.Func) bool {
 	return fn.Name() == "Name" && fn.Pkg() != nil &&
-		strings.HasSuffix(fn.Pkg().Path(), telemetryPkgSuffix)
+		inPkg(fn.Pkg().Path(), "internal/telemetry")
 }
 
 // constString returns e's compile-time string value, if it has one.

@@ -29,7 +29,7 @@ func runDenseMap(pass *Pass) {
 	}
 	// internal/core (and core/pageidx beneath it) is where the dense
 	// representation and its map-boundary adapters (RanksFromMap) live.
-	if strings.HasSuffix(path, "internal/core") || strings.Contains(path, "internal/core/") {
+	if inPkg(path, "internal/core") {
 		return
 	}
 	for _, file := range pass.Files() {

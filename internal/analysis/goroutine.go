@@ -32,11 +32,8 @@ func runGoroutine(pass *Pass) {
 	if !strings.Contains(path, "internal/") {
 		return
 	}
-	for _, allowed := range []string{"internal/runner", "internal/telemetry"} {
-		if strings.HasSuffix(path, allowed) || strings.Contains(path, allowed+"/") ||
-			strings.Contains(path, allowed+" ") || strings.Contains(path, allowed+"_test ") {
-			return
-		}
+	if inPkg(path, "internal/runner") || inPkg(path, "internal/telemetry") {
+		return
 	}
 	for _, file := range pass.Files() {
 		ast.Inspect(file, func(n ast.Node) bool {
