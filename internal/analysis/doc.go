@@ -21,11 +21,15 @@
 // analyzing the defining package and visible to every later pass that
 // imports it. The taint pass runs first on every package — requesting
 // analyzers only filters which findings are reported — and marks
-// exported functions whose results derive from wall-clock time or
-// global math/rand; wallclock, telemetry, and faultrand consume those
-// facts, making their checks transitive across package boundaries.
-// rankpath and ctrname export facts of their own ("rankcmp",
-// "namefunc", "ctrsites") the same way.
+// functions whose results derive from wall-clock time or global
+// math/rand. rankpath and ctrname export facts of their own
+// ("rankcmp", "namefunc", "ctrsites") the same way.
+//
+// wallclock, telemetry and faultrand are the rows of one determinism
+// rule table (determinism.go) that one walker runs. They consume the
+// taint facts, which makes their checks transitive across package
+// boundaries, and taintSourceOf is the only code that classifies a
+// wall-clock or global-rand source.
 //
 // Findings are filtered (suppression directives, requested set,
 // test-variant scoping) and sorted by (file, line, column, analyzer),
