@@ -309,6 +309,29 @@ func BenchmarkMachineExecute(b *testing.B) {
 	}
 }
 
+// machineSink keeps the compiler from dropping a measured call.
+var machineSink *cpu.Machine
+
+// BenchmarkNewMachine builds the benchmark's hpc-bigfoot machine:
+// xsbench's footprint over sim.DefaultChain's two tiers at ratio 16.
+// Its B/op is the memory a run sets up before its first reference,
+// most of it one page descriptor per frame, so a change that regrows
+// per-frame state shows in the bench-compare diff.
+func BenchmarkNewMachine(b *testing.B) {
+	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
+	chain, err := sim.DefaultChain(w, 16, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(w, 4096, 0).CPU
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if machineSink, err = cpu.NewMachine(cfg, chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorkloadFill measures reference generation alone, for the
 // Table III generators and the two synthetic ones the benchmark's
 // phase-churn and write-audit workloads run. Each is timed after 2^20
@@ -607,7 +630,7 @@ func BenchmarkHarvestSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Refresh per-epoch evidence directly; only the harvest itself
 		// is under measurement.
-		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
+		r.Machine.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
 	}
 }

@@ -83,7 +83,9 @@ func taintSourceOf(fn *types.Func) (wall, rnd bool) {
 // calleeOf resolves a call expression's static callee, or nil for
 // dynamic calls (function values, interface methods). An explicit
 // instantiation, f[T](…) or pkg.F[K, V](…), resolves to the generic
-// function it instantiates.
+// function it instantiates, and a method of an instantiated type,
+// Box[int]{}.M(), to the generic type's method: facts are exported on
+// the declared objects.
 func calleeOf(pass *Pass, call *ast.CallExpr) *types.Func {
 	fun := ast.Unparen(call.Fun)
 	switch ix := fun.(type) {
@@ -92,15 +94,17 @@ func calleeOf(pass *Pass, call *ast.CallExpr) *types.Func {
 	case *ast.IndexListExpr:
 		fun = ast.Unparen(ix.X)
 	}
+	var f *types.Func
 	switch fn := fun.(type) {
 	case *ast.Ident:
-		f, _ := pass.Types().ObjectOf(fn).(*types.Func)
-		return f
+		f, _ = pass.Types().ObjectOf(fn).(*types.Func)
 	case *ast.SelectorExpr:
-		f, _ := pass.Types().ObjectOf(fn.Sel).(*types.Func)
-		return f
+		f, _ = pass.Types().ObjectOf(fn.Sel).(*types.Func)
 	}
-	return nil
+	if f == nil {
+		return nil
+	}
+	return f.Origin()
 }
 
 // callTaint reports the taint carried by one call's result: a primary

@@ -30,6 +30,12 @@ func launderedGeneric(t *telemetry.Tracer) {
 	t.EmitDaemonTick(ext.Generic[int](), 1) // want `wall-clock-derived value flows into a telemetry call` `launders wall-clock time into internal/ code`
 }
 
+// A method of an instantiated generic type resolves to the method of
+// the generic type, where its taint fact was exported.
+func launderedGenericMethod(t *telemetry.Tracer) {
+	t.EmitDaemonTick(ext.Box[int]{}.Stamp(), 1) // want `wall-clock-derived value flows into a telemetry call` `launders wall-clock time into internal/ code`
+}
+
 // Draw's source is itself an instantiated generic (rand.N[int64]), so
 // the fact exists only if the taint pass resolves that callee.
 func launderedGenericSeed() *fault.Plane {

@@ -128,7 +128,7 @@ func TestHarvestEpochIntoZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		// Refresh per-epoch evidence directly (the accelerator path is
 		// exercised elsewhere; here only the harvest itself is timed).
-		m.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
+		m.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		p.HarvestEpochInto(&ep)
 	})
 	if allocs != 0 {

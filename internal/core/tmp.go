@@ -462,13 +462,14 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 	}
 	dst.Epoch = p.epoch
 	dst.Pages = dst.Pages[:0]
-	p.machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
+	phys := p.machine.Phys
+	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
 		if pd.Epoch == (mem.Evidence{}) {
 			return
 		}
 		dst.Pages = append(dst.Pages, PageStat{
-			Key:      PageKey{PID: pd.PID, VPN: pd.VPage},
-			Tier:     pd.Tier,
+			Key:      PageKey{PID: int(pd.PID), VPN: pd.VPage},
+			Tier:     phys.TierOf(pfn),
 			Evidence: pd.Epoch,
 		})
 		// Resetting here rather than in a second ResetEpochAll pass is
@@ -586,7 +587,7 @@ func RankedPages(stats EpochStats, m Method) []PageStat {
 			out = append(out, ps)
 		}
 	}
-	// Sort packed keys, not 48-byte PageStats: a page's position under
+	// Sort packed keys, not 40-byte PageStats: a page's position under
 	// RankCmp is (rank descending, slow-tier bit, PID, VPN), and when
 	// those fields' bit-widths fit one machine word — every realistic
 	// harvest — the whole order packs into a single uint64 per page,
@@ -701,17 +702,17 @@ func AttachTruth(phys *mem.PhysMem, ep *EpochStats) {
 		tab.Intern(ep.Pages[i].Key)
 	}
 	observed := len(ep.Pages)
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		key := PageKey{PID: pd.PID, VPN: pd.VPage}
+	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
+		key := PageKey{PID: int(pd.PID), VPN: pd.VPage}
 		if id, ok := tab.Lookup(key); ok && int(id) < observed {
 			ep.Pages[id].True = pd.Epoch.True
-			ep.Pages[id].Tier = pd.Tier
+			ep.Pages[id].Tier = phys.TierOf(pfn)
 			return
 		}
 		if pd.Epoch.True > 0 {
 			ep.Pages = append(ep.Pages, PageStat{
 				Key:      key,
-				Tier:     pd.Tier,
+				Tier:     phys.TierOf(pfn),
 				Evidence: mem.Evidence{True: pd.Epoch.True},
 			})
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"tieredmem/internal/cache"
 	"tieredmem/internal/cpu"
@@ -36,6 +37,14 @@ func smallConfig() Config {
 	cfg.HWPC.Window = 1_000
 	cfg.FilterInterval = 10_000
 	return cfg
+}
+
+// TestPageStatSize pins the harvest record: a harvest holds one per
+// page with evidence, so its width scales the harvest buffer.
+func TestPageStatSize(t *testing.T) {
+	if got := unsafe.Sizeof(PageStat{}); got != 40 {
+		t.Errorf("PageStat is %d bytes, want 40", got)
+	}
 }
 
 func TestMethodString(t *testing.T) {

@@ -526,7 +526,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 	// Cache hierarchy access with the physical address.
 	res := c.Cache.Access(o.PAddr, r.IP, isStore)
 	o.PrefetchHit = res.PrefetchHit
-	pd := m.Phys.Page(pfn)
 	switch res.Level {
 	case cache.HitL1:
 		lat += LatL1
@@ -541,16 +540,17 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 		c.PMU.Add(pmu.EvL1Miss, 1)
 		c.PMU.Add(pmu.EvL2Miss, 1)
 	case cache.MissAll:
-		spec := m.Phys.TierSpecOf(pd.Tier)
+		tier := m.Phys.TierOf(pfn)
+		spec := m.Phys.TierSpecOf(tier)
 		memLat := spec.ReadLatency
 		if isStore {
 			memLat = spec.WriteLatency
 		}
 		if m.latAdjust != nil {
-			memLat = m.latAdjust(c.ID, pd.Tier, memLat)
+			memLat = m.latAdjust(c.ID, tier, memLat)
 		}
 		lat += memLat
-		if pd.Tier == mem.FastTier {
+		if tier == mem.FastTier {
 			o.Source = trace.SrcTier1
 		} else {
 			o.Source = trace.SrcTier2
@@ -560,7 +560,7 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 		c.PMU.Add(pmu.EvLLCMiss, 1)
 		// Ground truth for hitrate/Oracle: a demand access served
 		// from memory.
-		if pd.Epoch.True != ^uint32(0) {
+		if pd := m.Phys.Page(pfn); pd.Epoch.True != ^uint32(0) {
 			pd.Epoch.True++
 		}
 	}

@@ -112,11 +112,11 @@ func (e *Emulator) Repoison() {
 	e.stats.Windows++
 	phys := e.machine.Phys
 	tables := e.machine.Tables()
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		if pd.Tier == mem.FastTier {
+	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
+		if phys.TierOf(pfn) == mem.FastTier {
 			return
 		}
-		table, ok := tables[pd.PID]
+		table, ok := tables[int(pd.PID)]
 		if !ok {
 			return
 		}

@@ -48,7 +48,7 @@ func New() *Checker { return &Checker{} }
 // Violation is one broken invariant; Error joins all of them, so a
 // single failed epoch reports every law it broke at once.
 type Violation struct {
-	// Rule names the invariant ("tier-conservation", "tier-mismatch",
+	// Rule names the invariant ("tier-conservation",
 	// "duplicate-frame", "dangling-mapping", "descriptor-mismatch",
 	// "leaked-frame", "shadow-conservation", "mover-accounting").
 	Rule string
@@ -108,21 +108,7 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		}
 	}
 
-	// 2. Tier identity: every allocated descriptor's Tier field agrees
-	// with its frame's position in the chain's PFN carving. A mover
-	// bug that moved counters without moving the frame (or vice versa)
-	// breaks this before it breaks per-tier totals — each tier's
-	// used+free can balance while two descriptors sit in each other's
-	// tiers.
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		lo, hi := phys.TierRange(pd.Tier)
-		if pd.Frame < lo || pd.Frame >= hi {
-			add("tier-mismatch", "PFN %d (pid %d vpn %#x) claims tier %d which spans [%d, %d)",
-				pd.Frame, pd.PID, uint64(pd.VPage), pd.Tier, lo, hi)
-		}
-	})
-
-	// 3. Mapping -> frame: every present leaf resolves to allocated
+	// 2. Mapping -> frame: every present leaf resolves to allocated
 	// frames whose descriptors point back, and no frame is mapped
 	// twice (by one table or across tables).
 	pids := make([]int, 0, len(tables))
@@ -162,9 +148,9 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 					}
 					continue
 				}
-				if pd.PID != pid || pd.VPage != pv || pd.Frame != pfn {
-					if !add("descriptor-mismatch", "PFN %d descriptor says pid=%d vpn=%#x frame=%d, mapping says pid=%d vpn=%#x",
-						pfn, pd.PID, uint64(pd.VPage), pd.Frame, pid, uint64(pv)) {
+				if int(pd.PID) != pid || pd.VPage != pv {
+					if !add("descriptor-mismatch", "PFN %d descriptor says pid=%d vpn=%#x, mapping says pid=%d vpn=%#x",
+						pfn, pd.PID, uint64(pd.VPage), pid, uint64(pv)) {
 						return false
 					}
 				}
@@ -173,20 +159,20 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		})
 	}
 
-	// 4. Frame -> mapping: an allocated frame no mapping claimed this
+	// 3. Frame -> mapping: an allocated frame no mapping claimed this
 	// pass leaked (lost page). Counting both directions plus the
 	// duplicate check above makes mapping <-> allocated-frame a
 	// bijection.
 	if mapped != totalUsed && len(e.Violations) < maxViolations {
-		phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-			if c.owner[pd.Frame].stamp != stamp {
+		phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
+			if c.owner[pfn].stamp != stamp {
 				add("leaked-frame", "PFN %d allocated (pid %d vpn %#x, tier %d) but mapped by no page table",
-					pd.Frame, pd.PID, uint64(pd.VPage), pd.Tier)
+					pfn, pd.PID, uint64(pd.VPage), phys.TierOf(pfn))
 			}
 		})
 	}
 
-	// 5. Shadow conservation: shadow frames and shadowed primaries form
+	// 4. Shadow conservation: shadow frames and shadowed primaries form
 	// a bijection — every shadow's link names an allocated primary in a
 	// faster tier that links back and agrees on page identity — and the
 	// per-tier shadow counters match the flags. The pass walks the raw
@@ -198,32 +184,34 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		if spd.Flags&mem.FlagShadow == 0 {
 			continue
 		}
-		shadowSeen[spd.Tier]++
+		tier := phys.TierOf(pfn)
+		shadowSeen[tier]++
 		if c.owner[pfn].stamp == stamp {
 			add("shadow-conservation", "shadow PFN %d is mapped by pid %d vpn %#x",
 				pfn, c.owner[pfn].pid, uint64(c.owner[pfn].vpn))
 			continue
 		}
-		primary := phys.Page(spd.ShadowLink)
+		link := mem.PFN(spd.ShadowLink)
+		primary := phys.Page(link)
 		switch {
 		case !primary.Allocated() || primary.Flags&mem.FlagShadowed == 0:
 			add("shadow-conservation", "shadow PFN %d links to PFN %d which is not a shadowed primary",
-				pfn, spd.ShadowLink)
-		case primary.ShadowLink != pfn:
+				pfn, link)
+		case mem.PFN(primary.ShadowLink) != pfn:
 			add("shadow-conservation", "shadow PFN %d links to PFN %d whose shadow link is PFN %d",
-				pfn, spd.ShadowLink, primary.ShadowLink)
+				pfn, link, primary.ShadowLink)
 		case primary.PID != spd.PID || primary.VPage != spd.VPage:
 			add("shadow-conservation", "shadow PFN %d (pid %d vpn %#x) disagrees with primary PFN %d (pid %d vpn %#x)",
-				pfn, spd.PID, uint64(spd.VPage), primary.Frame, primary.PID, uint64(primary.VPage))
-		case primary.Tier >= spd.Tier:
+				pfn, spd.PID, uint64(spd.VPage), link, primary.PID, uint64(primary.VPage))
+		case phys.TierOf(link) >= tier:
 			add("shadow-conservation", "shadow PFN %d in tier %d is not slower than its primary PFN %d in tier %d",
-				pfn, spd.Tier, primary.Frame, primary.Tier)
+				pfn, tier, link, phys.TierOf(link))
 		}
 	}
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
-		if pd.Flags&mem.FlagShadowed != 0 && phys.Page(pd.ShadowLink).Flags&mem.FlagShadow == 0 {
+	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
+		if pd.Flags&mem.FlagShadowed != 0 && phys.Page(mem.PFN(pd.ShadowLink)).Flags&mem.FlagShadow == 0 {
 			add("shadow-conservation", "shadowed primary PFN %d links to PFN %d which holds no shadow",
-				pd.Frame, pd.ShadowLink)
+				pfn, pd.ShadowLink)
 		}
 	})
 	for t := 0; t < phys.Tiers(); t++ {
@@ -234,7 +222,7 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		}
 	}
 
-	// 6. Mover accounting: the per-reason counters partition the
+	// 5. Mover accounting: the per-reason counters partition the
 	// aggregate, transaction outcomes partition transaction starts,
 	// retry outcomes never exceed attempts, and the queue respects its
 	// bound.

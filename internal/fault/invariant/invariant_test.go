@@ -97,16 +97,6 @@ func TestCheckCatchesDuplicateFrame(t *testing.T) {
 	wantViolation(t, New().Check(phys, tables, nil), "duplicate-frame")
 }
 
-func TestCheckCatchesTierMismatch(t *testing.T) {
-	phys, tables := buildMapped(t, 16)
-	pfn, _ := tables[100].Frame(6)
-	pd := phys.Page(pfn)
-	pd.Tier = pd.Tier ^ 1 // counters moved, frame did not
-	// The per-tier used/free counters still balance — only the
-	// identity rule can see this.
-	wantViolation(t, New().Check(phys, tables, nil), "tier-mismatch")
-}
-
 func TestCheckCleanThreeTierChain(t *testing.T) {
 	chain, err := mem.ParseTierChain("dram:8/cxl:8/nvm:16")
 	if err != nil {

@@ -138,7 +138,7 @@ func TestAccumulatorInvokedOnDrain(t *testing.T) {
 	e, _ := New(cfg, phys)
 	var seen []trace.Sample
 	e.SetAccumulator(func(s trace.Sample, pd *mem.PageDescriptor) {
-		if pd == nil || pd.Frame != pfn {
+		if pd != phys.Page(pfn) {
 			t.Errorf("accumulator got wrong descriptor")
 		}
 		seen = append(seen, s)

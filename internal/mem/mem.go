@@ -15,7 +15,9 @@ const (
 
 // TierID identifies a memory tier. Tier 0 is the fast tier ("tier 1
 // memory" in the paper: DRAM); tier 1 is the slow tier ("tier 2": NVM).
-type TierID int
+// A chain has a handful of tiers; 32 bits keep core.PageStat at 40
+// bytes.
+type TierID int32
 
 const (
 	// FastTier is DRAM-class memory (the paper's tier 1).
@@ -112,21 +114,31 @@ func (e *Evidence) Add(o Evidence) {
 // profiling observations here (the paper's extended struct page): the
 // current epoch's Evidence, which the profiler harvests and clears at
 // each epoch horizon, and the all-time ground-truth total.
+//
+// The descriptor holds no frame number and no tier: the frame is its
+// index in PhysMem's array, and the tier is the one whose PFN range
+// holds that index (PhysMem.TierOf). The field order packs the record
+// to 48 bytes, paid once per simulated frame.
 type PageDescriptor struct {
-	Frame PFN
-	Tier  TierID
-	PID   int // owning process, -1 when free
 	VPage VPN // virtual page currently mapped to this frame
-	Flags PageFlags
+
+	// Epoch is the evidence observed this epoch.
+	Epoch Evidence
+
+	// PID is the owning process, -1 when free. The allocator rejects
+	// a PID outside 32 bits (ErrPIDRange), the width the binary trace
+	// format already stores.
+	PID int32
 
 	// ShadowLink pairs a shadowed primary with its shadow frame:
 	// on a FlagShadowed frame it names the shadow, on a FlagShadow
 	// frame it names the primary. Meaningless unless one of those
-	// flags is set.
-	ShadowLink PFN
+	// flags is set. NewPhysMem rejects a machine whose PFNs do not
+	// fit 32 bits (ErrTooManyFrames).
+	ShadowLink uint32
 
-	// Epoch is the evidence observed this epoch.
-	Epoch Evidence
+	Flags PageFlags
+
 	// TrueTotal is Epoch.True summed over finished epochs; emul's
 	// hot-page test reads it.
 	TrueTotal uint64

@@ -67,8 +67,80 @@ func TestEvidenceAdd(t *testing.T) {
 // descriptor array is sized to the whole machine, so every byte here
 // is paid once per simulated frame.
 func TestPageDescriptorSize(t *testing.T) {
-	if got := unsafe.Sizeof(PageDescriptor{}); got > 80 {
-		t.Errorf("PageDescriptor is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(PageDescriptor{}); got > 48 {
+		t.Errorf("PageDescriptor is %d bytes, want at most 48", got)
+	}
+}
+
+// TestTierOfMatchesTierRange holds TierOf, which compares a PFN with
+// the tier bases, to the tier whose TierRange holds the PFN, on 2-, 3-
+// and 4-tier chains.
+func TestTierOfMatchesTierRange(t *testing.T) {
+	for _, text := range []string{
+		"dram:3/nvm:5",
+		"dram:4/cxl:1/nvm:7",
+		"dram:2/cxl:3/nvm:1/ssd:6",
+	} {
+		chain, err := ParseTierChain(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := NewPhysMem(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pfn := PFN(0); int(pfn) < pm.TotalFrames(); pfn++ {
+			got := pm.TierOf(pfn)
+			if lo, hi := pm.TierRange(got); pfn < lo || pfn >= hi {
+				t.Errorf("%s: TierOf(%d) = %d, whose range is [%d, %d)", text, pfn, got, lo, hi)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: TierOf(%d) past the last frame did not panic", text, pm.TotalFrames())
+				}
+			}()
+			pm.TierOf(PFN(pm.TotalFrames()))
+		}()
+	}
+}
+
+// TestNewPhysMemRejectsTooManyFrames: ShadowLink stores a PFN in 32
+// bits, so a machine of 2^32 frames is refused before any descriptor
+// is allocated.
+func TestNewPhysMemRejectsTooManyFrames(t *testing.T) {
+	_, err := NewPhysMem(DefaultTiers(1<<31, 1<<31))
+	if !errors.Is(err, ErrTooManyFrames) {
+		t.Errorf("NewPhysMem of 2^32 frames: err = %v, want ErrTooManyFrames", err)
+	}
+}
+
+// TestAllocRejectsPIDOutsideInt32: a descriptor stores its owner in 32
+// bits, so every allocator entry point refuses a wider PID and claims
+// no frame.
+func TestAllocRejectsPIDOutsideInt32(t *testing.T) {
+	pm := newTestMem(t, 2*HugePages, HugePages)
+	for _, pid := range []int{1 << 31, -1<<31 - 1} {
+		if _, err := pm.Alloc(FastTier, pid, 0); !errors.Is(err, ErrPIDRange) {
+			t.Errorf("Alloc pid %d: err = %v, want ErrPIDRange", pid, err)
+		}
+		if _, err := pm.AllocIn(FastTier, pid, 0); !errors.Is(err, ErrPIDRange) {
+			t.Errorf("AllocIn pid %d: err = %v, want ErrPIDRange", pid, err)
+		}
+		if _, err := pm.AllocHuge(FastTier, pid, 0); !errors.Is(err, ErrPIDRange) {
+			t.Errorf("AllocHuge pid %d: err = %v, want ErrPIDRange", pid, err)
+		}
+	}
+	if pm.UsedFrames(FastTier)+pm.UsedFrames(SlowTier) != 0 {
+		t.Errorf("a rejected allocation claimed a frame")
+	}
+	pfn, err := pm.Alloc(FastTier, 1<<31-1, 0)
+	if err != nil {
+		t.Fatalf("Alloc at the largest int32 pid: %v", err)
+	}
+	if got := pm.Page(pfn).PID; got != 1<<31-1 {
+		t.Errorf("descriptor PID = %d, want %d", got, 1<<31-1)
 	}
 }
 
@@ -107,7 +179,7 @@ func TestAllocBasics(t *testing.T) {
 		t.Fatalf("Alloc: %v", err)
 	}
 	pd := pm.Page(pfn)
-	if !pd.Allocated() || pd.PID != 1 || pd.VPage != 100 || pd.Tier != FastTier {
+	if !pd.Allocated() || pd.PID != 1 || pd.VPage != 100 || pm.TierOf(pfn) != FastTier {
 		t.Errorf("descriptor not initialized: %+v", pd)
 	}
 	if pm.UsedFrames(FastTier) != 1 || pm.FreeFrames(FastTier) != 3 {
@@ -346,12 +418,15 @@ func TestForEachAllocated(t *testing.T) {
 	count := 0
 	var last PFN
 	first := true
-	pm.ForEachAllocated(func(pd *PageDescriptor) {
+	pm.ForEachAllocated(func(pfn PFN, pd *PageDescriptor) {
 		count++
-		if !first && pd.Frame <= last {
-			t.Errorf("not ascending: %d after %d", pd.Frame, last)
+		if pd != pm.Page(pfn) {
+			t.Errorf("PFN %d passed with another frame's descriptor", pfn)
 		}
-		last, first = pd.Frame, false
+		if !first && pfn <= last {
+			t.Errorf("not ascending: %d after %d", pfn, last)
+		}
+		last, first = pfn, false
 	})
 	if count != 2 {
 		t.Errorf("visited %d frames, want 2", count)

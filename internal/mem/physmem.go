@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"tieredmem/internal/fault"
 	"tieredmem/internal/telemetry"
@@ -18,6 +19,15 @@ var ErrNoContiguous = errors.New("mem: no contiguous frame run for huge page")
 
 // ErrNoTiers rejects a PhysMem configured with zero tiers.
 var ErrNoTiers = errors.New("mem: at least one tier required")
+
+// ErrTooManyFrames rejects a PhysMem of 2^32 frames or more: a
+// descriptor's ShadowLink stores a PFN in 32 bits.
+var ErrTooManyFrames = errors.New("mem: frame count exceeds 32-bit PFN range")
+
+// ErrPIDRange rejects an allocation for a PID outside int32: a
+// descriptor stores its owner in 32 bits, as the binary trace format
+// does.
+var ErrPIDRange = errors.New("mem: pid outside 32-bit range")
 
 // Typed sentinel errors for the migration paths: callers branch with
 // errors.Is to decide whether a failure is transient (worth a deferred
@@ -164,6 +174,9 @@ func NewPhysMem(specs []TierSpec) (*PhysMem, error) {
 		}
 		total += s.Frames
 	}
+	if uint64(total) > math.MaxUint32 {
+		return nil, fmt.Errorf("mem: %d frames: %w", total, ErrTooManyFrames)
+	}
 	pm := &PhysMem{
 		tiers: make([]tierState, len(specs)),
 		pds:   make([]PageDescriptor, total),
@@ -179,13 +192,10 @@ func NewPhysMem(specs []TierSpec) (*PhysMem, error) {
 		}
 		ts.freeCount = s.Frames
 		ts.hugeCur = s.Frames
-		for f := 0; f < s.Frames; f++ {
-			pd := &pm.pds[int(next)+f]
-			pd.Frame = next + PFN(f)
-			pd.Tier = TierID(i)
-			pd.PID = -1
-		}
 		next += PFN(s.Frames)
+	}
+	for i := range pm.pds {
+		pm.pds[i].PID = -1
 	}
 	return pm, nil
 }
@@ -205,14 +215,23 @@ func (pm *PhysMem) FreeFrames(t TierID) int { return pm.tiers[t].freeCount }
 // UsedFrames returns the number of allocated frames in a tier.
 func (pm *PhysMem) UsedFrames(t TierID) int { return pm.tiers[t].inUse }
 
-// TierOf returns the tier containing a frame.
+// TierOf returns the tier whose PFN range holds a frame, found by
+// comparing the frame with each tier's base. Like Page it panics on a
+// PFN past the last frame.
 func (pm *PhysMem) TierOf(pfn PFN) TierID {
-	return pm.pds[pfn].Tier
+	if pfn >= PFN(len(pm.pds)) {
+		panic(fmt.Sprintf("mem: PFN %d out of range (total %d frames)", pfn, len(pm.pds)))
+	}
+	t := len(pm.tiers) - 1
+	for pfn < pm.tiers[t].base {
+		t--
+	}
+	return TierID(t)
 }
 
 // TierRange returns the half-open PFN range [lo, hi) a tier owns in
-// the machine's contiguous frame space. Invariant checkers use it to
-// assert a descriptor's Tier field agrees with the frame's position.
+// the machine's contiguous frame space. TierOf(pfn) is the tier whose
+// range holds pfn.
 func (pm *PhysMem) TierRange(t TierID) (lo, hi PFN) {
 	ts := &pm.tiers[t]
 	return ts.base, ts.base + PFN(len(ts.free))
@@ -233,7 +252,7 @@ func (pm *PhysMem) Page(pfn PFN) *PageDescriptor {
 }
 
 // claim marks one frame allocated and initializes its descriptor.
-func (pm *PhysMem) claim(ts *tierState, local int, pid int, vpn VPN) PFN {
+func (pm *PhysMem) claim(ts *tierState, local int, pid int32, vpn VPN) PFN {
 	ts.free[local] = false
 	ts.freeCount--
 	ts.inUse++
@@ -255,7 +274,7 @@ func (pm *PhysMem) claim(ts *tierState, local int, pid int, vpn VPN) PFN {
 // When the tier is out of free frames but holds shadow copies, the
 // lowest-indexed shadow is reclaimed first: shadows are a cache of
 // clean page content and always lose to real allocation demand.
-func (pm *PhysMem) allocIn(ti int, pid int, vpn VPN) (PFN, bool) {
+func (pm *PhysMem) allocIn(ti int, pid int32, vpn VPN) (PFN, bool) {
 	ts := &pm.tiers[ti]
 	if ts.freeCount == 0 {
 		if ts.shadowCount == 0 {
@@ -277,12 +296,25 @@ func (pm *PhysMem) allocIn(ti int, pid int, vpn VPN) (PFN, bool) {
 	return 0, false
 }
 
+// pid32 narrows an allocation's PID to the descriptor's 32 bits,
+// rejecting one that does not fit with ErrPIDRange.
+func pid32(pid int) (int32, error) {
+	if pid < math.MinInt32 || pid > math.MaxInt32 {
+		return 0, fmt.Errorf("mem: allocate for pid %d: %w", pid, ErrPIDRange)
+	}
+	return int32(pid), nil
+}
+
 // Alloc takes a free frame from the given tier for (pid, vpn). If the
 // tier is exhausted it spills to the next slower tier, the behaviour of
 // a first-come-first-allocate tiered system (the paper's baseline).
 func (pm *PhysMem) Alloc(t TierID, pid int, vpn VPN) (PFN, error) {
+	p, err := pid32(pid)
+	if err != nil {
+		return 0, err
+	}
 	for ti := int(t); ti < len(pm.tiers); ti++ {
-		if pfn, ok := pm.allocIn(ti, pid, vpn); ok {
+		if pfn, ok := pm.allocIn(ti, p, vpn); ok {
 			if ti != int(t) {
 				pm.ctrSpill.Add(1)
 			}
@@ -298,10 +330,14 @@ func (pm *PhysMem) Alloc(t TierID, pid int, vpn VPN) (PFN, error) {
 // both the genuine out-of-frames case and fault-injected transient
 // pressure, so the mover's retry logic treats them uniformly.
 func (pm *PhysMem) AllocIn(t TierID, pid int, vpn VPN) (PFN, error) {
+	p, err := pid32(pid)
+	if err != nil {
+		return 0, err
+	}
 	if pm.faults.FailAllocIn() {
 		return 0, fmt.Errorf("mem: tier %v allocation pressure (injected): %w", t, ErrTierFull)
 	}
-	if pfn, ok := pm.allocIn(int(t), pid, vpn); ok {
+	if pfn, ok := pm.allocIn(int(t), p, vpn); ok {
 		return pfn, nil
 	}
 	return 0, fmt.Errorf("mem: tier %v full: %w (%w)", t, ErrTierFull, ErrOutOfMemory)
@@ -316,6 +352,10 @@ func (pm *PhysMem) AllocHuge(t TierID, pid int, vpnBase VPN) (PFN, error) {
 	if uint64(vpnBase)%HugePages != 0 {
 		return 0, fmt.Errorf("mem: huge vpn base %#x not 2 MiB aligned", uint64(vpnBase))
 	}
+	p, err := pid32(pid)
+	if err != nil {
+		return 0, err
+	}
 	exhausted := true
 	for ti := int(t); ti < len(pm.tiers); ti++ {
 		ts := &pm.tiers[ti]
@@ -323,13 +363,13 @@ func (pm *PhysMem) AllocHuge(t TierID, pid int, vpnBase VPN) (PFN, error) {
 			continue
 		}
 		exhausted = false
-		if pfn, ok := pm.allocHugeIn(ts, pid, vpnBase, ts.hugeCur); ok {
+		if pfn, ok := pm.allocHugeIn(ts, p, vpnBase, ts.hugeCur); ok {
 			pm.ctrAllocHuge.Add(1)
 			return pfn, nil
 		}
 		// Wrap once: retry from the top of the tier.
 		if ts.hugeCur != len(ts.free) {
-			if pfn, ok := pm.allocHugeIn(ts, pid, vpnBase, len(ts.free)); ok {
+			if pfn, ok := pm.allocHugeIn(ts, p, vpnBase, len(ts.free)); ok {
 				pm.ctrAllocHuge.Add(1)
 				return pfn, nil
 			}
@@ -343,7 +383,7 @@ func (pm *PhysMem) AllocHuge(t TierID, pid int, vpnBase VPN) (PFN, error) {
 
 // allocHugeIn scans downward from the local index `from` for an
 // aligned free run of HugePages frames and claims it.
-func (pm *PhysMem) allocHugeIn(ts *tierState, pid int, vpnBase VPN, from int) (PFN, bool) {
+func (pm *PhysMem) allocHugeIn(ts *tierState, pid int32, vpnBase VPN, from int) (PFN, bool) {
 	start := from - HugePages
 	if start >= 0 {
 		// Align the tier-local start so the resulting PFN is 2 MiB
@@ -380,12 +420,12 @@ func (pm *PhysMem) Free(pfn PFN) {
 		panic(fmt.Sprintf("mem: double free of PFN %d", pfn))
 	}
 	if pd.Flags&FlagShadowed != 0 {
-		pm.dropShadow(pd.ShadowLink)
+		pm.dropShadow(PFN(pd.ShadowLink))
 	}
 	pd.Flags = 0
 	pd.PID = -1
 	pd.ShadowLink = 0
-	ts := &pm.tiers[pd.Tier]
+	ts := &pm.tiers[pm.TierOf(pfn)]
 	local := int(pfn - ts.base)
 	ts.free[local] = true
 	ts.freeCount++
@@ -400,11 +440,12 @@ func (pm *PhysMem) FreeHuge(basePFN PFN) {
 	}
 }
 
-// ForEachAllocated invokes fn for every allocated frame, ascending
-// PFN. The walk covers each tier's claimed-watermark span rather than
-// the whole frame array, so epoch-horizon passes scale with the
-// working set, not the machine size.
-func (pm *PhysMem) ForEachAllocated(fn func(*PageDescriptor)) {
+// ForEachAllocated invokes fn with the frame number and descriptor of
+// every allocated frame, ascending PFN. The walk covers each tier's
+// claimed-watermark span rather than the whole frame array, so
+// epoch-horizon passes scale with the working set, not the machine
+// size.
+func (pm *PhysMem) ForEachAllocated(fn func(PFN, *PageDescriptor)) {
 	for t := range pm.tiers {
 		pm.ForEachAllocatedIn(TierID(t), fn)
 	}
@@ -414,7 +455,7 @@ func (pm *PhysMem) ForEachAllocated(fn func(*PageDescriptor)) {
 // ascending PFN, over the tier's claimed-watermark span. A pass that
 // only needs some tiers (the mover's demotion walk skips the bottom
 // one) pays for those tiers alone.
-func (pm *PhysMem) ForEachAllocatedIn(t TierID, fn func(*PageDescriptor)) {
+func (pm *PhysMem) ForEachAllocatedIn(t TierID, fn func(PFN, *PageDescriptor)) {
 	ts := &pm.tiers[t]
 	if ts.inUse == 0 {
 		return
@@ -422,7 +463,7 @@ func (pm *PhysMem) ForEachAllocatedIn(t TierID, fn func(*PageDescriptor)) {
 	lo := int(ts.base)
 	for i := lo; i < lo+ts.hiWater; i++ {
 		if pm.pds[i].Allocated() {
-			fn(&pm.pds[i])
+			fn(PFN(i), &pm.pds[i])
 		}
 	}
 }
@@ -471,17 +512,17 @@ func (pm *PhysMem) MakeShadow(oldPFN, newPFN PFN) {
 		panic(fmt.Sprintf("mem: MakeShadow on unallocated PFN %d", oldPFN))
 	}
 	if old.Flags&FlagShadowed != 0 {
-		pm.dropShadow(old.ShadowLink)
+		pm.dropShadow(PFN(old.ShadowLink))
 		pm.ctrShadowInvalid.Add(1)
 	}
 	old.Flags = FlagShadow
-	old.ShadowLink = newPFN
-	ts := &pm.tiers[old.Tier]
+	old.ShadowLink = uint32(newPFN)
+	ts := &pm.tiers[pm.TierOf(oldPFN)]
 	ts.inUse--
 	ts.shadowCount++
 	pd := &pm.pds[newPFN]
 	pd.Flags |= FlagShadowed
-	pd.ShadowLink = oldPFN
+	pd.ShadowLink = uint32(oldPFN)
 	pm.ctrShadowMade.Add(1)
 }
 
@@ -492,7 +533,7 @@ func (pm *PhysMem) ShadowFor(pfn PFN, t TierID) (PFN, bool) {
 	if pd.Flags&FlagShadowed == 0 {
 		return 0, false
 	}
-	if spfn := pd.ShadowLink; pm.pds[spfn].Tier == t {
+	if spfn := PFN(pd.ShadowLink); pm.TierOf(spfn) == t {
 		return spfn, true
 	}
 	return 0, false
@@ -508,7 +549,7 @@ func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
 	if pd.Flags&FlagShadowed == 0 {
 		panic(fmt.Sprintf("mem: AdoptShadow on unshadowed PFN %d", pfn))
 	}
-	spfn := pd.ShadowLink
+	spfn := PFN(pd.ShadowLink)
 	spd := &pm.pds[spfn]
 	spd.PID = pd.PID
 	spd.VPage = pd.VPage
@@ -517,7 +558,7 @@ func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
 	spd.CarryProfile(pd)
 	pd.Flags &^= FlagShadowed
 	pd.ShadowLink = 0
-	ts := &pm.tiers[spd.Tier]
+	ts := &pm.tiers[pm.TierOf(spfn)]
 	ts.inUse++
 	ts.shadowCount--
 	return spfn
@@ -531,7 +572,7 @@ func (pm *PhysMem) InvalidateShadowOf(pfn PFN) {
 	if pd.Flags&FlagShadowed == 0 {
 		return
 	}
-	pm.dropShadow(pd.ShadowLink)
+	pm.dropShadow(PFN(pd.ShadowLink))
 	pd.Flags &^= FlagShadowed
 	pd.ShadowLink = 0
 	pm.ctrShadowInvalid.Add(1)
@@ -556,7 +597,7 @@ func (pm *PhysMem) dropShadow(spfn PFN) {
 	spd.Flags = 0
 	spd.PID = -1
 	spd.ShadowLink = 0
-	ts := &pm.tiers[spd.Tier]
+	ts := &pm.tiers[pm.TierOf(spfn)]
 	ts.free[int(spfn-ts.base)] = true
 	ts.freeCount++
 	ts.shadowCount--

@@ -61,16 +61,16 @@ func (mv *Mover) migrationCostNS(key core.PageKey, target mem.TierID) int64 {
 	if !ok {
 		return 0
 	}
-	pd := phys.Page(pfn)
-	if pd.Tier == target {
+	tier := phys.TierOf(pfn)
+	if tier == target {
 		return 0
 	}
-	if mv.Transactional && target > pd.Tier {
+	if mv.Transactional && target > tier {
 		if _, hit := phys.ShadowFor(pfn, target); hit {
 			return 0
 		}
 	}
-	return PageCopyCostNS(phys.TierSpecOf(pd.Tier), phys.TierSpecOf(target))
+	return PageCopyCostNS(phys.TierSpecOf(tier), phys.TierSpecOf(target))
 }
 
 // admit charges one migration against the epoch's budget and reports

@@ -24,22 +24,22 @@ func refCandidates(mv *Mover, sel Selection, queuedKeys map[core.PageKey]struct{
 	last := mem.TierID(nt - 1)
 	demoteByTier := make([][]demoteCand, nt)
 	promoteByTier := make([][]core.PageKey, nt)
-	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
+	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
 		if pd.Flags&mem.FlagNonMigratable != 0 {
 			return
 		}
-		key := core.PageKey{PID: pd.PID, VPN: pd.VPage}
+		key := core.PageKey{PID: int(pd.PID), VPN: pd.VPage}
 		if queuedKeys != nil {
 			if _, queued := queuedKeys[key]; queued {
 				return
 			}
 		}
 		_, selected := sel[key]
-		switch {
-		case !selected && pd.Tier < last:
-			demoteByTier[pd.Tier] = append(demoteByTier[pd.Tier], demoteCand{key: key})
-		case selected && pd.Tier != mem.FastTier:
-			promoteByTier[pd.Tier] = append(promoteByTier[pd.Tier], key)
+		switch tier := phys.TierOf(pfn); {
+		case !selected && tier < last:
+			demoteByTier[tier] = append(demoteByTier[tier], demoteCand{key: key})
+		case selected && tier != mem.FastTier:
+			promoteByTier[tier] = append(promoteByTier[tier], key)
 		}
 	})
 	return demoteByTier, promoteByTier
@@ -91,7 +91,7 @@ func newCandRig(t *testing.T, chain string, seed int64) *candRig {
 func (r *candRig) frames() [][]*mem.PageDescriptor {
 	out := make([][]*mem.PageDescriptor, r.m.Phys.Tiers())
 	for t := range out {
-		r.m.Phys.ForEachAllocatedIn(mem.TierID(t), func(pd *mem.PageDescriptor) { out[t] = append(out[t], pd) })
+		r.m.Phys.ForEachAllocatedIn(mem.TierID(t), func(_ mem.PFN, pd *mem.PageDescriptor) { out[t] = append(out[t], pd) })
 	}
 	return out
 }
@@ -104,7 +104,7 @@ func pick(frames [][]*mem.PageDescriptor, t, i int) (core.PageKey, *mem.PageDesc
 		return core.PageKey{}, nil, false
 	}
 	pd := fs[i%len(fs)]
-	return core.PageKey{PID: pd.PID, VPN: pd.VPage}, pd, true
+	return core.PageKey{PID: int(pd.PID), VPN: pd.VPage}, pd, true
 }
 
 // touch runs n references from (pid, vpn) through Machine.Execute.
@@ -130,7 +130,7 @@ func (r *candRig) choose(rng *rand.Rand, n int, bulkTier int, queue bool) {
 	frames := r.frames()
 	if bulkTier >= 0 {
 		for _, pd := range frames[bulkTier%len(frames)] {
-			r.sel[core.PageKey{PID: pd.PID, VPN: pd.VPage}] = struct{}{}
+			r.sel[core.PageKey{PID: int(pd.PID), VPN: pd.VPage}] = struct{}{}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -167,10 +167,10 @@ func (r *candRig) choose(rng *rand.Rand, n int, bulkTier int, queue bool) {
 // small, tie-heavy A-bit counts.
 func (r *candRig) ranks(rng *rand.Rand) core.Ranks {
 	var stats core.EpochStats
-	r.m.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
+	r.m.Phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
 		stats.Pages = append(stats.Pages, core.PageStat{
-			Key:      core.PageKey{PID: pd.PID, VPN: pd.VPage},
-			Tier:     pd.Tier,
+			Key:      core.PageKey{PID: int(pd.PID), VPN: pd.VPage},
+			Tier:     r.m.Phys.TierOf(pfn),
 			Evidence: mem.Evidence{Abit: uint32(rng.Intn(4))},
 		})
 	})

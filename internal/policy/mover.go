@@ -257,10 +257,10 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	if !ok {
 		return fmt.Errorf("policy: page pid=%d vpn=%#x vanished during split: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
 	}
-	oldPD := phys.Page(oldPFN)
-	if oldPD.Tier == target {
+	if phys.TierOf(oldPFN) == target {
 		return nil
 	}
+	oldPD := phys.Page(oldPFN)
 	if oldPD.Flags&mem.FlagNonMigratable != 0 {
 		return fmt.Errorf("policy: page pid=%d vpn=%#x is pinned: %w", key.PID, uint64(key.VPN), mem.ErrPinned)
 	}
@@ -310,8 +310,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 // huge page, and cleared the pinned checks.
 func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.TierID, oldPFN mem.PFN) error {
 	phys := mv.machine.Phys
-	oldPD := phys.Page(oldPFN)
-	promote := target < oldPD.Tier
+	promote := target < phys.TierOf(oldPFN)
 	if !promote {
 		if spfn, ok := phys.ShadowFor(oldPFN, target); ok {
 			if mv.faults.StaleShadow() {
@@ -345,7 +344,7 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 		phys.Free(newPFN)
 		return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
 	}
-	phys.Page(newPFN).CarryProfile(oldPD)
+	phys.Page(newPFN).CarryProfile(phys.Page(oldPFN))
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
 		mv.TxRemapFailed++
@@ -464,11 +463,11 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 	}
 	for t := 0; t < nt-1; t++ {
 		cands := make([]demoteCand, 0, phys.UsedFrames(mem.TierID(t)))
-		phys.ForEachAllocatedIn(mem.TierID(t), func(pd *mem.PageDescriptor) {
+		phys.ForEachAllocatedIn(mem.TierID(t), func(_ mem.PFN, pd *mem.PageDescriptor) {
 			if pd.Flags&mem.FlagNonMigratable != 0 {
 				return
 			}
-			key := core.PageKey{PID: pd.PID, VPN: pd.VPage}
+			key := core.PageKey{PID: int(pd.PID), VPN: pd.VPage}
 			if _, selected := sel[key]; selected || isQueued(key) {
 				return
 			}
@@ -491,15 +490,15 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 			continue
 		}
 		pd := phys.Page(pfn)
-		if !pd.Allocated() || pd.Tier == mem.FastTier || pd.Flags&mem.FlagNonMigratable != 0 || isQueued(key) {
+		if !pd.Allocated() || phys.TierOf(pfn) == mem.FastTier || pd.Flags&mem.FlagNonMigratable != 0 || isQueued(key) {
 			continue
 		}
 		frames = append(frames, pfn)
 	}
 	slices.Sort(frames)
 	for _, pfn := range frames {
-		pd := phys.Page(pfn)
-		promote[pd.Tier] = append(promote[pd.Tier], core.PageKey{PID: pd.PID, VPN: pd.VPage})
+		pd, t := phys.Page(pfn), phys.TierOf(pfn)
+		promote[t] = append(promote[t], core.PageKey{PID: int(pd.PID), VPN: pd.VPage})
 	}
 	return demote, promote
 }
@@ -524,7 +523,7 @@ func fillRanks(cands []demoteCand, ranks core.Ranks) {
 func (mv *Mover) retryTarget(key core.PageKey, promote bool, last mem.TierID) mem.TierID {
 	if table, ok := mv.machine.Tables()[key.PID]; ok {
 		if pfn, ok := table.Frame(key.VPN); ok {
-			t := mv.machine.Phys.Page(pfn).Tier
+			t := mv.machine.Phys.TierOf(pfn)
 			if promote {
 				if t == mem.FastTier {
 					return mem.FastTier

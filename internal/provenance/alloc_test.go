@@ -39,7 +39,7 @@ func TestDetachedRecorderHarvestAllocs(t *testing.T) {
 	r.Profiler.HarvestEpochInto(&ep) // grow the scratch once
 	key := core.PageKey{PID: 100, VPN: 1}
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
+		r.Machine.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
 		if rec.Enabled() {
 			t.Fatal("nil recorder claims to be enabled")

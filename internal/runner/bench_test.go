@@ -69,7 +69,7 @@ func harvestAllocsPerOp(t *testing.T) float64 {
 	var ep core.EpochStats
 	r.Profiler.HarvestEpochInto(&ep) // grow the scratch once
 	return testing.AllocsPerRun(100, func() {
-		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
+		r.Machine.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
 	})
 }

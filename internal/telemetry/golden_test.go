@@ -121,6 +121,43 @@ func TestGoldenJSONL(t *testing.T) {
 	checkGolden(t, "events_jsonl", got)
 }
 
+// chunkWriter records the size of every write it receives.
+type chunkWriter struct {
+	buf   bytes.Buffer
+	sizes []int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.buf.Write(p)
+}
+
+// TestWriteJSONLStreams: a long run reaches the writer in chunks of
+// about 64 KiB, not in one write of the whole run, and the chunks join
+// into one line per event plus the run header.
+func TestWriteJSONLStreams(t *testing.T) {
+	const ticks = 5000
+	tr := New()
+	for i := int64(0); i < ticks; i++ {
+		tr.EmitDaemonTick(i*1_000, 50)
+	}
+	var w chunkWriter
+	if err := WriteJSONL(&w, []Labeled{{Label: "long", Tracer: tr}}); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	if len(w.sizes) < 2 {
+		t.Errorf("a %d-byte log arrived in %d write(s), want 64 KiB chunks", w.buf.Len(), len(w.sizes))
+	}
+	for i, n := range w.sizes {
+		if n > 1<<16+1<<10 {
+			t.Errorf("write %d is %d bytes, want at most 64 KiB plus one line", i, n)
+		}
+	}
+	if lines := bytes.Count(w.buf.Bytes(), []byte("\n")); lines != ticks+1 {
+		t.Errorf("log has %d lines, want %d", lines, ticks+1)
+	}
+}
+
 func TestGoldenChromeTrace(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteChromeTrace(&b, fixtureRuns()); err != nil {

@@ -28,7 +28,8 @@ const SchemaVersion = 1
 // The run line carries SchemaVersion so downstream consumers can
 // detect format changes; histogram lines follow totals, empty
 // histograms omitted. Kind-specific payload fields are documented in
-// OBSERVABILITY.md.
+// OBSERVABILITY.md. The log reaches w in chunks of about 64 KiB, so a
+// long run is never rendered whole in memory.
 func WriteJSONL(w io.Writer, traces []Labeled) error {
 	var b strings.Builder
 	for _, lt := range traces {
@@ -48,6 +49,12 @@ func WriteJSONL(w io.Writer, traces []Labeled) error {
 			if e.Kind == KindEpochCut && cutIdx < len(cuts) {
 				writeCountersLine(&b, "counters", cuts[cutIdx].Epoch, cuts[cutIdx].Now, cuts[cutIdx].Deltas)
 				cutIdx++
+			}
+			if b.Len() >= 1<<16 {
+				if _, err := io.WriteString(w, b.String()); err != nil {
+					return err
+				}
+				b.Reset()
 			}
 		}
 		if totals := lt.Tracer.Registry().Totals(); len(totals) > 0 {

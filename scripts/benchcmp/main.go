@@ -1,7 +1,7 @@
 // Command benchcmp compares two `go test -bench -benchmem` outputs —
-// the PR head and its merge base — and prints a delta table. It is
-// the comparator behind the bench-compare CI job and uses only the
-// standard library.
+// the PR head and its merge base — and prints a delta table of ns/op,
+// B/op and allocs/op. It is the comparator behind the bench-compare CI
+// job and uses only the standard library.
 //
 // Usage:
 //
@@ -31,14 +31,14 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// result holds one benchmark line's measurements. allocs is -1 when
-// the line carried no allocs/op column (benchmark ran without
-// -benchmem or never calls ReportAllocs).
+// result holds one benchmark line's measurements. bytes and allocs
+// are -1 when the line carried no B/op or allocs/op column (benchmark
+// ran without -benchmem or never calls ReportAllocs).
 type result struct {
 	nsPerOp float64
+	bytes   float64
 	allocs  float64
 }
 
@@ -48,7 +48,10 @@ type result struct {
 // counts still line up.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 
-var allocsCol = regexp.MustCompile(`([0-9.]+) allocs/op`)
+var (
+	bytesCol  = regexp.MustCompile(`([0-9.]+) B/op`)
+	allocsCol = regexp.MustCompile(`([0-9.]+) allocs/op`)
+)
 
 func parseFile(path string) (map[string]result, error) {
 	f, err := os.Open(path)
@@ -67,7 +70,10 @@ func parseFile(path string) (map[string]result, error) {
 		if err != nil {
 			continue
 		}
-		r := result{nsPerOp: ns, allocs: -1}
+		r := result{nsPerOp: ns, bytes: -1, allocs: -1}
+		if a := bytesCol.FindStringSubmatch(m[3]); a != nil {
+			r.bytes, _ = strconv.ParseFloat(a[1], 64)
+		}
 		if a := allocsCol.FindStringSubmatch(m[3]); a != nil {
 			r.allocs, _ = strconv.ParseFloat(a[1], 64)
 		}
@@ -119,21 +125,21 @@ func main() {
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "%-50s %14s %14s %9s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "allocs")
+	fmt.Fprintf(w, "%-50s %14s %14s %9s %19s %9s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs")
 	failed := false
 	for _, n := range names {
 		o, haveOld := old[n]
 		c, haveNew := cur[n]
 		switch {
 		case !haveNew:
-			fmt.Fprintf(w, "%-50s %14.0f %14s %9s %9s\n", n, o.nsPerOp, "gone", "", "")
+			fmt.Fprintf(w, "%-50s %14.0f %14s %9s %19s %9s\n", n, o.nsPerOp, "gone", "", "", "")
 		case !haveOld:
-			fmt.Fprintf(w, "%-50s %14s %14.0f %9s %9s\n", n, "new", c.nsPerOp, "", allocsStr(c))
+			fmt.Fprintf(w, "%-50s %14s %14.0f %9s %19s %9s\n", n, "new", c.nsPerOp, "", colStr(c.bytes), colStr(c.allocs))
 		default:
 			delta := (c.nsPerOp - o.nsPerOp) / o.nsPerOp * 100
-			fmt.Fprintf(w, "%-50s %14.0f %14.0f %+8.1f%% %9s\n",
-				n, o.nsPerOp, c.nsPerOp, delta, allocsDelta(o, c))
+			fmt.Fprintf(w, "%-50s %14.0f %14.0f %+8.1f%% %19s %9s\n",
+				n, o.nsPerOp, c.nsPerOp, delta, colDelta(o.bytes, c.bytes), colDelta(o.allocs, c.allocs))
 			if guardRE.MatchString(n) && o.allocs >= 0 && c.allocs > o.allocs {
 				failed = true
 				fmt.Fprintf(w, "FAIL: %s allocs/op regressed: %.0f -> %.0f\n",
@@ -147,16 +153,19 @@ func main() {
 	}
 }
 
-func allocsStr(r result) string {
-	if r.allocs < 0 {
+// colStr renders one -benchmem column value, empty when absent.
+func colStr(v float64) string {
+	if v < 0 {
 		return ""
 	}
-	return strconv.FormatFloat(r.allocs, 'f', -1, 64)
+	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
-func allocsDelta(o, c result) string {
-	if o.allocs < 0 || c.allocs < 0 {
+// colDelta renders a -benchmem column as old->new, empty unless both
+// runs carried it.
+func colDelta(o, c float64) string {
+	if o < 0 || c < 0 {
 		return ""
 	}
-	return strings.TrimSpace(fmt.Sprintf("%s->%s", allocsStr(o), allocsStr(c)))
+	return colStr(o) + "->" + colStr(c)
 }

@@ -34,6 +34,16 @@ func Generic[T any]() int64 {
 	return time.Now().UnixNano()
 }
 
+// Box is a generic type whose method reads the wall clock. A call
+// through an instantiation, ext.Box[int]{}.Stamp(), names the
+// instantiated method, while the taint fact sits on the generic one.
+type Box[T any] struct{}
+
+// Stamp derives directly from the wall clock.
+func (Box[T]) Stamp() int64 {
+	return time.Now().UnixNano()
+}
+
 // Draw draws from the process-global rand source through math/rand/v2's
 // explicitly instantiated generic rand.N.
 func Draw() int64 {
