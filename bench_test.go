@@ -451,50 +451,6 @@ func BenchmarkSumEpochs(b *testing.B) {
 	}
 }
 
-// shardHarvests builds one epoch's per-cell harvests the way the
-// sharded pipeline produces them: a fixed total page count split into
-// disjoint per-cell key spaces (each cell owns its own PIDs), pages
-// pre-sorted in (PID,VPN) order within a cell.
-func shardHarvests(shards, totalPages int) []core.EpochStats {
-	per := totalPages / shards
-	out := make([]core.EpochStats, shards)
-	for s := range out {
-		out[s].Epoch = 7
-		out[s].Pages = make([]core.PageStat, per)
-		for i := range out[s].Pages {
-			out[s].Pages[i] = core.PageStat{
-				Key:      core.PageKey{PID: 100 + s, VPN: mem.VPN(i)},
-				Tier:     mem.TierID(s % 2),
-				Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 3), True: uint32(i % 5)},
-			}
-		}
-	}
-	return out
-}
-
-// BenchmarkMergeHarvests measures the epoch-cut reduce of the sharded
-// pipeline: fusing per-cell dense harvests into one canonical
-// (PID,VPN)-ordered epoch. Total pages are held constant so the
-// shard-count axis isolates merge cost, and the recycled Merger is the
-// steady-state path the fused run takes every epoch — the CI
-// bench-compare job pins it at 0 allocs/op alongside
-// BenchmarkHarvestSteadyState.
-func BenchmarkMergeHarvests(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			parts := shardHarvests(shards, 32768)
-			m := core.NewMerger(0)
-			var dst core.EpochStats
-			m.Merge(&dst, parts) // grow table and scratch once
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Merge(&dst, parts)
-			}
-		})
-	}
-}
-
 // BenchmarkRankedPages measures the full canonical sort of a large
 // merged harvest.
 func BenchmarkRankedPages(b *testing.B) {

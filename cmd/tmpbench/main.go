@@ -20,17 +20,12 @@
 //	tmpbench -out results                 # everything (several minutes)
 //	tmpbench -exp fig6 -workloads gups    # one experiment, one workload
 //	tmpbench -parallel 1                  # sequential cells (same bytes, slower)
-//	tmpbench -exp speedup -shards 8       # shard each machine across 8 workers
-//	tmpbench -heavy-refs 0                # keep heavy families at -refs
 //
-// Independent experiment cells fan out on a bounded worker pool
-// (-parallel, default GOMAXPROCS); results reassemble in submission
-// order, so the emitted files are byte-identical at any width. The
-// speedup/overhead families default to a 100M-reference regime
-// (-heavy-refs; 0 keeps them at -refs) and, with -shards N,
-// additionally partition each simulated machine per core and run the
-// per-core cells on an intra-cell shard pool — output stays
-// byte-identical at any shard width >= 1.
+// Every family runs at -refs references per simulated machine, and
+// each machine runs on one goroutine. Independent experiment cells fan
+// out on a bounded worker pool (-parallel, default GOMAXPROCS);
+// results reassemble in submission order, so the emitted files are
+// byte-identical at any width.
 package main
 
 import (
@@ -39,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,10 +46,14 @@ import (
 	"tieredmem/internal/teleout"
 )
 
+// experimentNames lists every -exp value but "all", in the order "all"
+// runs them.
+var experimentNames = []string{"fig2", "table4", "fig3", "fig4", "fig5", "fig6", "overhead", "speedup", "methods", "colocation", "epochsweep", "multitier", "bwcontend"}
+
 func main() {
 	var (
 		out       = flag.String("out", "results", "output directory")
-		exp       = flag.String("exp", "all", "experiment: all, fig2, table4, fig3, fig4, fig5, fig6, overhead, speedup, methods, colocation, epochsweep, multitier, bwcontend")
+		exp       = flag.String("exp", "all", "experiment: all, "+strings.Join(experimentNames, ", "))
 		refs      = flag.Int("refs", 8_000_000, "references per profiling run")
 		seed      = flag.Int64("seed", 42, "workload seed")
 		scale     = flag.Int("scale", 0, "footprint scale shift")
@@ -62,8 +62,6 @@ func main() {
 		faults    = flag.String("faults", "", "fault-injection spec applied to every cell, e.g. 'ibs.drop=0.05,mem.enomem=0.2' or 'all=0.1' (see ROBUSTNESS.md)")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: all eight)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for independent experiment cells (1 = sequential; output is byte-identical at any setting)")
-		shards    = flag.Int("shards", 0, "intra-cell shard-pool width for the speedup/overhead families: each simulated machine is partitioned per core and its cells run on this many workers (0 = legacy single-goroutine machine; output is byte-identical at any width >= 1)")
-		heavyRefs = flag.Int("heavy-refs", 100_000_000, "references per run for the speedup/overhead families; 0 keeps them at -refs (other families always use -refs)")
 		stats     = flag.Bool("stats", true, "print per-experiment worker-pool stats to stderr")
 		tracOut   = flag.String("trace", "", "write a Chrome trace_viewer JSON of every profiled cell (open in chrome://tracing or Perfetto)")
 		evtsOut   = flag.String("events", "", "write the structured JSONL event log of every profiled cell")
@@ -87,6 +85,13 @@ func main() {
 	if err != nil {
 		usageFatal(err)
 	}
+	names := experimentNames
+	if *exp != "all" {
+		if !slices.Contains(experimentNames, *exp) {
+			usageFatal(fmt.Errorf("unknown experiment %q (all, %s)", *exp, strings.Join(experimentNames, ", ")))
+		}
+		names = []string{*exp}
+	}
 	opts := experiments.Options{
 		Seed:       *seed,
 		ScaleShift: *scale,
@@ -96,8 +101,6 @@ func main() {
 		Parallel:   *parallel,
 		Trace:      *tracOut != "" || *evtsOut != "" || *metrics,
 		Faults:     faultSpec,
-		Shards:     *shards,
-		HeavyRefs:  *heavyRefs,
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
@@ -163,22 +166,11 @@ func main() {
 		"multitier":  func() error { return runMultiTier(opts, *out) },
 		"bwcontend":  func() error { return runBWContend(opts, *out) },
 	}
-	order := []string{"fig2", "table4", "fig3", "fig4", "fig5", "fig6", "overhead", "speedup", "methods", "colocation", "epochsweep", "multitier", "bwcontend"}
 
-	if *exp == "all" {
-		for _, name := range order {
-			fmt.Fprintf(os.Stderr, "tmpbench: running %s...\n", name)
-			if err := runs[name](); err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
-			}
-		}
-	} else {
-		run, ok := runs[*exp]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q", *exp))
-		}
-		if err := run(); err != nil {
-			fatal(err)
+	for _, name := range names {
+		fmt.Fprintf(os.Stderr, "tmpbench: running %s...\n", name)
+		if err := runs[name](); err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 	}
 

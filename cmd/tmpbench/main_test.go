@@ -1,43 +1,70 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestFaultsUnknownSiteIsUsageError pins the same -faults contract as
-// tmpsim's: a typo'd injection site must list the valid site names,
-// print usage, and exit 2. See cmd/tmpsim/main_test.go.
-func TestFaultsUnknownSiteIsUsageError(t *testing.T) {
+// usageErrorOutput re-execs the test binary as tmpbench with args,
+// running in dir, and returns its combined output. It fails the test
+// unless the process exits 2, the code the flag package gives an
+// unknown flag. The child re-enters the calling test, so that test
+// must call usageErrorOutput before anything else.
+func usageErrorOutput(t *testing.T, dir string, args ...string) string {
+	t.Helper()
 	if os.Getenv("TMPBENCH_RUN_MAIN") == "1" {
-		os.Args = []string{"tmpbench", "-faults", "bogus.site=1"}
+		os.Args = append([]string{"tmpbench"}, args...)
 		main()
-		return // unreachable: usageFatal exits
+		t.Fatal("main returned; want a usage error")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestFaultsUnknownSiteIsUsageError")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-test.run=^"+t.Name()+"$")
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "TMPBENCH_RUN_MAIN=1")
 	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
 		t.Fatalf("want exit error, got %v\noutput:\n%s", err, out)
 	}
 	if code := ee.ExitCode(); code != 2 {
 		t.Errorf("exit code %d, want 2 (usage error)\noutput:\n%s", code, out)
 	}
-	text := string(out)
-	for _, want := range []string{
-		"unknown site",
-		"bogus.site",
-		"known:",
-		"mem.copyabort",
-		"mem.shadowstale",
-		"Usage of",
-		"-faults",
-	} {
+	return string(out)
+}
+
+// wantAll fails the test for every want missing from the output.
+func wantAll(t *testing.T, text string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
 		if !strings.Contains(text, want) {
 			t.Errorf("usage output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestFaultsUnknownSiteIsUsageError pins the same -faults contract as
+// tmpsim's: a typo'd injection site must list the valid site names,
+// print usage, and exit 2. See cmd/tmpsim/main_test.go.
+func TestFaultsUnknownSiteIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "", "-faults", "bogus.site=1")
+	wantAll(t, text, "unknown site", "bogus.site", "known:", "mem.copyabort", "mem.shadowstale", "Usage of", "-faults")
+}
+
+// TestExpUnknownIsUsageError pins that a mistyped -exp names the valid
+// experiments, prints usage and exits 2 before the -out directory is
+// created.
+func TestExpUnknownIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	text := usageErrorOutput(t, dir, "-exp", "fig7", "-out", "results")
+	wantAll(t, text, "unknown experiment", "fig7", "fig6", "bwcontend", "Usage of", "-exp")
+	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-out directory exists after an unknown -exp (stat: %v)", err)
 	}
 }

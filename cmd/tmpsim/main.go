@@ -83,13 +83,13 @@ func main() {
 		}
 	}
 
+	// A bad -method, -faults or -policy value is a usage error, not a
+	// runtime failure: the error lists every valid value, and exit code
+	// 2 plus the flag usage matches what a mistyped flag produces.
 	m, err := core.ParseMethod(*method)
 	if err != nil {
-		fatal(err)
+		usageFatal(err)
 	}
-	// A bad -faults spec is a usage error, not a runtime failure: the
-	// parse error lists every valid site name, and exit code 2 plus the
-	// flag usage matches what a mistyped flag produces.
 	faultSpec, err := fault.ParseSpec(*faults)
 	if err != nil {
 		usageFatal(err)
@@ -106,7 +106,7 @@ func main() {
 	case "none":
 		mkPol = nil
 	default:
-		fatal(fmt.Errorf("unknown policy %q (history, decay, none)", *polName))
+		usageFatal(fmt.Errorf("unknown policy %q (history, decay, none)", *polName))
 	}
 	var pol policy.Policy
 	if mkPol != nil {

@@ -1,45 +1,72 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 )
 
-// TestFaultsUnknownSiteIsUsageError pins the CLI contract for a typo'd
-// -faults site: the error must name the valid sites (so the user can
-// fix the spec without reading source), print usage, and exit 2 — the
-// same shape the flag package gives an unknown flag. The test re-execs
-// itself as the CLI via an env guard.
-func TestFaultsUnknownSiteIsUsageError(t *testing.T) {
+// usageErrorOutput re-execs the test binary as tmpsim with args and
+// returns its combined output. It fails the test unless the process
+// exits 2, the code the flag package gives an unknown flag. The child
+// re-enters the calling test via an env guard, so that test must call
+// usageErrorOutput before anything else.
+func usageErrorOutput(t *testing.T, args ...string) string {
+	t.Helper()
 	if os.Getenv("TMPSIM_RUN_MAIN") == "1" {
-		os.Args = []string{"tmpsim", "-faults", "bogus.site=1"}
+		os.Args = append([]string{"tmpsim"}, args...)
 		main()
-		return // unreachable: usageFatal exits
+		t.Fatal("main returned; want a usage error")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestFaultsUnknownSiteIsUsageError")
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
 	cmd.Env = append(os.Environ(), "TMPSIM_RUN_MAIN=1")
 	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
 		t.Fatalf("want exit error, got %v\noutput:\n%s", err, out)
 	}
 	if code := ee.ExitCode(); code != 2 {
 		t.Errorf("exit code %d, want 2 (usage error)\noutput:\n%s", code, out)
 	}
-	text := string(out)
-	for _, want := range []string{
+	return string(out)
+}
+
+// wantAll fails the test for every want missing from the output.
+func wantAll(t *testing.T, text string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(text, want) {
+			t.Errorf("usage output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestFaultsUnknownSiteIsUsageError pins the CLI contract for a typo'd
+// -faults site: the error must name the valid sites (so the user can
+// fix the spec without reading source), print usage, and exit 2 — the
+// same shape the flag package gives an unknown flag.
+func TestFaultsUnknownSiteIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-faults", "bogus.site=1")
+	wantAll(t, text,
 		"unknown site",
 		"bogus.site",
 		"known:",        // the error lists every valid site name
 		"mem.copyabort", // including the transactional-migration sites
 		"mem.shadowstale",
 		"Usage of",
-		"-faults",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("usage output missing %q:\n%s", want, text)
-		}
-	}
+		"-faults")
+}
+
+// TestPolicyUnknownIsUsageError pins the same contract for -policy.
+func TestPolicyUnknownIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-policy", "bogus")
+	wantAll(t, text, "unknown policy", "bogus", "history, decay, none", "Usage of", "-policy")
+}
+
+// TestMethodUnknownIsUsageError pins the same contract for -method.
+func TestMethodUnknownIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-method", "bogus")
+	wantAll(t, text, "unknown method", "bogus", "abit, ibs, tmp, devprof", "Usage of", "-method")
 }

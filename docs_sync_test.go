@@ -181,11 +181,8 @@ func TestDocsSyncShardFlags(t *testing.T) {
 		docs    []string // docs that must mention -flag
 	}{
 		{"shards",
-			[]string{"cmd/tmpsim/main.go", "cmd/tmpbench/main.go"},
+			[]string{"cmd/tmpsim/main.go"},
 			[]string{"README.md", "EXPERIMENTS.md", "PERFORMANCE.md"}},
-		{"heavy-refs",
-			[]string{"cmd/tmpbench/main.go"},
-			[]string{"EXPERIMENTS.md"}},
 		{"txmig",
 			[]string{"cmd/tmpsim/main.go"},
 			[]string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},

@@ -349,10 +349,6 @@ func (fp *FinishPass) PackageFact(pkg *types.Package, kind string) Fact {
 	return fp.eng.pkgFacts[pkgFactKey{pkg, kind}]
 }
 
-// IsTarget reports whether pkg is an analysis target (findings in it
-// are wanted) rather than a dependency loaded only for facts.
-func (fp *FinishPass) IsTarget(pkg *Package) bool { return fp.eng.targets[pkg] }
-
 // Reportf records a finding at a position already resolved against
 // the engine's file set.
 func (fp *FinishPass) Reportf(pkg *Package, pos token.Position, format string, args ...any) {

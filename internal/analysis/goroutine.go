@@ -9,7 +9,7 @@ import (
 // Goroutine fences concurrency into the two packages built for it.
 // The determinism contract says parallelism lives in internal/runner
 // (the worker pool with submission-order reassembly, including the
-// ShardGroup fork-join primitive the sharded epoch pipeline rides on)
+// ShardGroup fork-join primitive the sharded placement pipeline rides on)
 // and internal/telemetry (the tracer's drain); everywhere else in
 // internal/, a `go` statement, a channel, a select, or a sync.Map is a
 // second scheduler sneaking into a simulator whose outputs must be a

@@ -64,29 +64,6 @@ type Options struct {
 	// of their config and parallel == sequential still holds under
 	// injection.
 	Faults fault.Spec
-	// Shards, when > 0, routes the heavy experiment families (speedup,
-	// overhead) through the intra-cell sharded pipeline with this
-	// worker-pool width (the tmpbench -shards flag): each cell's
-	// simulated machine is partitioned per core and executed on
-	// runner.ShardGroup. 0 keeps the legacy single-goroutine cell.
-	// Sharded cells model per-core partitioned machines, so their
-	// absolute numbers differ from -shards 0 runs; output stays a pure
-	// function of (seed, config) at any width (see sim.RunSharded).
-	Shards int
-	// HeavyRefs, when > 0, overrides Refs for the heavy experiment
-	// families only (speedup, overhead): tmpbench raises those toward
-	// the 100M-ref regime by default while -heavy-refs 0 — and every
-	// test that uses DefaultOptions — keeps the seed-budget Refs.
-	HeavyRefs int
-}
-
-// heavyRefs is the per-workload reference count for the heavy
-// experiment families.
-func (o Options) heavyRefs() int {
-	if o.HeavyRefs > 0 {
-		return o.HeavyRefs
-	}
-	return o.Refs
 }
 
 // faultPlane derives one cell's private fault plane; nil (inert) when

@@ -95,33 +95,14 @@ func Overhead(opts Options) ([]OverheadRow, error) {
 }
 
 // runDuration executes one profiling configuration and returns the
-// end-to-end virtual duration. With Options.Shards > 0 the machine is
-// partitioned per core and executed on the sharded pipeline; the fused
-// duration is the slowest cell — the partitioned machine's critical
-// path — so the overhead ratios compare like with like.
+// end-to-end virtual duration.
 func runDuration(opts Options, name string, mutate func(*sim.Config)) (int64, error) {
-	mk := func() workload.Workload {
-		return workload.MustNew(name, opts.workloadConfig())
-	}
 	w, err := workload.New(name, opts.workloadConfig())
 	if err != nil {
 		return 0, err
 	}
-	cfg := sim.DefaultConfig(w, opts.BasePeriod, opts.heavyRefs())
+	cfg := sim.DefaultConfig(w, opts.BasePeriod, opts.Refs)
 	mutate(&cfg)
-	if opts.Shards > 0 {
-		res, err := sim.RunSharded(sim.ShardedConfig{
-			Base:      cfg,
-			Shards:    opts.Shards,
-			NowNS:     opts.NowNS,
-			FaultSpec: opts.Faults,
-			FaultSeed: opts.Seed,
-		}, mk)
-		if err != nil {
-			return 0, err
-		}
-		return res.DurationNS, nil
-	}
 	cfg.Faults = opts.faultPlane()
 	r, err := sim.New(cfg, w)
 	if err != nil {

@@ -55,15 +55,9 @@ var speedupArms = []struct {
 	{"sim-tmp", true, false},
 }
 
-// speedupArm runs one self-contained placement simulation. With
-// Options.Shards > 0 the arm's machine is partitioned per core and
-// executed on the sharded pipeline; the fused result has the same
-// shape, so row assembly is identical on both paths.
+// speedupArm runs one self-contained placement simulation.
 func speedupArm(opts Options, name string, history, useEmul bool) (sim.PlacementResult, error) {
 	const ratio = 16
-	mk := func() workload.Workload {
-		return workload.MustNew(name, opts.workloadConfig())
-	}
 	w, err := workload.New(name, opts.workloadConfig())
 	if err != nil {
 		return sim.PlacementResult{}, err
@@ -74,27 +68,11 @@ func speedupArm(opts Options, name string, history, useEmul bool) (sim.Placement
 		costs = &c
 	}
 	period := ibs.PeriodForRate(opts.BasePeriod, ibs.Rate4x)
-	if opts.Shards > 0 {
-		cfg := sim.DefaultPlacementConfig(w, period, opts.heavyRefs(), ratio, nil, core.MethodCombined)
-		cfg.EmulCosts = costs
-		scfg := sim.ShardedPlacementConfig{
-			Base:      cfg,
-			Shards:    opts.Shards,
-			NowNS:     opts.NowNS,
-			FaultSpec: opts.Faults,
-			FaultSeed: opts.Seed,
-		}
-		if history {
-			scfg.MkPolicy = func() policy.Policy { return policy.History{} }
-		}
-		r, err := sim.RunShardedPlacement(scfg, mk)
-		return r.PlacementResult, err
-	}
 	var p policy.Policy
 	if history {
 		p = policy.History{}
 	}
-	cfg := sim.DefaultPlacementConfig(w, period, opts.heavyRefs(), ratio, p, core.MethodCombined)
+	cfg := sim.DefaultPlacementConfig(w, period, opts.Refs, ratio, p, core.MethodCombined)
 	cfg.EmulCosts = costs
 	cfg.Faults = opts.faultPlane()
 	return sim.RunPlacement(cfg, w)

@@ -61,7 +61,7 @@ func WriteLog(w io.Writer, logs []Log) error {
 		b.WriteString(`{"type":"run","schema":`)
 		b.WriteString(strconv.Itoa(lg.Schema))
 		b.WriteString(`,"label":`)
-		quoteJSON(&b, lg.Label)
+		telemetry.WriteJSONString(&b, lg.Label)
 		b.WriteString(`,"last_k":`)
 		b.WriteString(strconv.Itoa(lg.LastK))
 		b.WriteString(`,"pingpong_k":`)
@@ -119,7 +119,7 @@ func writeDecisionLine(b *strings.Builder, key core.PageKey, rec *Record) {
 	b.WriteString(`,"tier":`)
 	b.WriteString(strconv.FormatInt(int64(rec.Tier), 10))
 	b.WriteString(`,"verdict":`)
-	quoteJSON(b, rec.Verdict.Reason(rec.Fail))
+	telemetry.WriteJSONString(b, rec.Verdict.Reason(rec.Fail))
 	b.WriteString(`,"from":`)
 	b.WriteString(strconv.FormatInt(int64(rec.From), 10))
 	b.WriteString(`,"to":`)
@@ -129,30 +129,8 @@ func writeDecisionLine(b *strings.Builder, key core.PageKey, rec *Record) {
 	b.WriteString(`,"degraded":`)
 	b.WriteString(strconv.FormatBool(rec.Degraded))
 	b.WriteString(`,"method":`)
-	quoteJSON(b, rec.Method.String())
+	telemetry.WriteJSONString(b, rec.Method.String())
 	b.WriteString("}\n")
-}
-
-// quoteJSON quotes s with the minimal escaping labels and reason
-// strings can need.
-func quoteJSON(b *strings.Builder, s string) {
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			b.WriteString(`\u00`)
-			b.WriteByte(hex[c>>4])
-			b.WriteByte(hex[c&0xf])
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
 }
 
 // logLine is the union of the three line shapes for the reader.

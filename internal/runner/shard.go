@@ -3,9 +3,9 @@ package runner
 import "fmt"
 
 // ShardGroup is the fork-join primitive behind the intra-cell sharded
-// epoch pipeline: it runs fn(0..shards-1) on the bounded pool and
+// placement pipeline: it runs fn(0..shards-1) on the bounded pool and
 // returns the results indexed by shard, never by completion order.
-// cfg.Workers is the pool width (the tmpsim/tmpbench -shards value);
+// cfg.Workers is the pool width (the tmpsim -shards value);
 // the shard count itself is fixed by the simulated machine (one shard
 // per per-core cell), so changing the worker width changes wall-clock
 // only, never which shard computes what. Each fn call must be a pure

@@ -26,9 +26,9 @@ var update = flag.Bool("update", false, "rewrite testdata goldens")
 // differential contract that an N-tier-capable simulator configured
 // with the legacy two tiers is a strict superset of the seed — same
 // ranks, same placement results, same telemetry stream, byte for byte.
-// The sharded_* and chain_* fixtures pin width-1 sharded runs and
-// 3-/4-tier chains the same way, where the width and repeat tests
-// only compare runs with each other.
+// The sharded_placement_* and chain_* fixtures pin width-1 sharded
+// placement runs and 3-/4-tier chains the same way, where the width
+// and repeat tests only compare runs with each other.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

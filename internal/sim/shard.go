@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"tieredmem/internal/core"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
@@ -13,78 +12,30 @@ import (
 	"tieredmem/internal/workload"
 )
 
-// The intra-cell sharded epoch pipeline. A single experiment cell used
-// to be strictly serial: one goroutine drove every reference of the
-// simulated machine. Sharding partitions that machine into per-core
-// cells — process i runs on core i mod cores, exactly the pinning rule
-// cpu.Machine uses — and executes each cell on the bounded worker pool
-// (runner.ShardGroup) with fully private state: its own workload
-// slice, machine, profiler, policy, fault plane, tracer, and flight
-// recorder. Results are fused with deterministic reduces that walk
-// cells in cell-index order, never completion order: harvests merge
-// through core.Merger (canonical (PID, VPN) output), counters add in
-// cell order, telemetry exports per-cell traces in cell order, and
-// provenance logs concatenate disjoint page sets into one canonical
-// log. Because the partition is fixed by the machine shape (cores and
-// processes) and every reduce is ordered, the output is a pure
-// function of (seed, config): -shards N changes wall-clock only, and
-// the -shards 1 == -shards 8 byte-identity is regression-tested.
+// The intra-cell sharded placement pipeline (tmpsim -shards). A
+// placement run is otherwise strictly serial: one goroutine drives
+// every reference of the simulated machine. Sharding partitions that
+// machine into per-core cells — process i runs on core i mod cores,
+// exactly the pinning rule cpu.Machine uses — and executes each cell
+// on the bounded worker pool (runner.ShardGroup) with fully private
+// state: its own workload slice, machine, profiler, policy, fault
+// plane, tracer, and flight recorder. Results are fused with
+// deterministic reduces that walk cells in cell-index order, never
+// completion order: counters add in cell order, telemetry exports
+// per-cell traces in cell order, and provenance logs concatenate
+// disjoint page sets into one canonical log. Because the partition is
+// fixed by the machine shape (cores and processes) and every reduce is
+// ordered, the output is a pure function of (seed, config): -shards N
+// changes wall-clock only, and the -shards 1 == -shards 8
+// byte-identity is regression-tested.
 //
 // The sharded machine model is a deliberate variant of the monolithic
 // one: each cell owns a private LLC (the way-partitioned / CAT
 // setting), a private slice of each tier's frames, and a per-cell TMP
 // daemon, so its absolute numbers differ from a -shards 0 run. What it
 // preserves exactly is the profiling semantics under test — per-page
-// evidence, ranks, placement verdicts — at a refs/sec that scales with
-// cores.
-
-// ShardedConfig wraps a profiling-run Config for sharded execution.
-type ShardedConfig struct {
-	// Base is the whole-machine configuration. Its CPU.Cores fixes the
-	// partition (one cell per core with processes to run); its Tracer
-	// and Faults fields must be nil — per-cell instances are derived
-	// from Trace/FaultSpec/FaultSeed below so no state crosses cells.
-	Base Config
-	// Shards is the worker-pool width (the -shards flag): how many
-	// cells execute concurrently. It never affects which cell computes
-	// what. <= 0 means GOMAXPROCS.
-	Shards int
-	// NowNS is the optional wall clock for runner stats (mains inject
-	// time.Since; internal packages must not read the wall clock).
-	NowNS func() int64
-	// Label prefixes per-cell telemetry labels ("<label>/cell<i>").
-	Label string
-	// Trace builds a private tracer per cell, exported in cell order.
-	Trace bool
-	// FaultSpec, when non-zero, gives every cell a private fault plane
-	// seeded FaultSeed+cell — deterministic, independent streams.
-	FaultSpec fault.Spec
-	FaultSeed int64
-}
-
-// ShardedResult is a fused profiling run plus per-cell observability.
-type ShardedResult struct {
-	Result
-	// Cells is the partition width (min(cores, processes)).
-	Cells int
-	// Stats is the shard pool's timing (speedup measurement).
-	Stats runner.Stats
-	// Telemetry holds each cell's labeled tracer in cell order; empty
-	// unless Trace was set.
-	Telemetry []telemetry.Labeled
-	// Planes holds each cell's fault plane in cell order (nil entries
-	// when FaultSpec is zero).
-	Planes []*fault.Plane
-}
-
-// FaultsInjectedTotal sums injections across the cells' planes.
-func (r ShardedResult) FaultsInjectedTotal() uint64 {
-	var total uint64
-	for _, p := range r.Planes {
-		total += p.TotalInjected()
-	}
-	return total
-}
+// evidence, ranks, placement verdicts — within each cell, at a
+// refs/sec that scales with cores.
 
 // shardTiers carves a whole-machine tier sizing into one cell's share:
 // every tier keeps 1/cells of its frames plus the huge-fault slack
@@ -164,14 +115,14 @@ func planShards(mk func() workload.Workload, cores int, label string, trace bool
 // runShards fans a plan's cells out on a pool of the given width and
 // returns their results in cell order. A cell with references runs
 // run on its share of totalRefs and its slice of a fresh mk()
-// instance; a cell without any yields the zero R.
-func runShards[R any](p *shardPlan, width int, nowNS func() int64, totalRefs int, mk func() workload.Workload,
-	run func(cell, refs int, w workload.Workload) (R, error)) ([]R, runner.Stats, error) {
+// instance; a cell without any yields the zero PlacementResult.
+func runShards(p *shardPlan, width int, nowNS func() int64, totalRefs int, mk func() workload.Workload,
+	run func(cell, refs int, w workload.Workload) (PlacementResult, error)) ([]PlacementResult, runner.Stats, error) {
 	procs := len(p.probe.Processes())
 	return runner.ShardGroup(
 		runner.Config{Workers: width, NowNS: nowNS}, p.cells,
 		func(c int) string { return cellLabel(p.label, c) },
-		func(cell int) (zero R, err error) {
+		func(cell int) (zero PlacementResult, err error) {
 			refs := workload.SliceRefs(int64(totalRefs), procs, cell, p.cells)
 			if refs == 0 {
 				return zero, nil
@@ -184,103 +135,33 @@ func runShards[R any](p *shardPlan, width int, nowNS func() int64, totalRefs int
 		})
 }
 
-// RunSharded executes a profiling run sharded per core and fuses the
-// result. mk must build a fresh workload from the seed on every call
-// (cells slice private instances; generators carry live RNG state).
-// Epoch k of the fused result merges every cell's epoch-k harvest
-// through core.Merger — canonical (PID, VPN) order, cell-index walk —
-// so ranks computed from it are a pure function of (seed, config)
-// regardless of Shards.
-func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult, error) {
-	if scfg.Base.Tracer != nil || scfg.Base.Faults != nil {
-		return ShardedResult{}, fmt.Errorf("sim: sharded runs derive per-cell tracers and fault planes; set ShardedConfig.Trace/FaultSpec, not Base.Tracer/Base.Faults")
-	}
-	p, err := planShards(mk, scfg.Base.CPU.Cores, scfg.Label, scfg.Trace, scfg.FaultSpec, scfg.FaultSeed)
-	if err != nil {
-		return ShardedResult{}, err
-	}
-	sres := ShardedResult{Cells: p.cells, Telemetry: p.labeled, Planes: p.planes}
-	results, stats, err := runShards(p, scfg.Shards, scfg.NowNS, scfg.Base.TotalRefs, mk,
-		func(cell, refs int, w workload.Workload) (Result, error) {
-			cfg := scfg.Base
-			cfg.CPU.Cores = 1
-			cfg.TotalRefs = refs
-			cfg.Tiers = shardTiers(scfg.Base.Tiers, p.cells)
-			cfg.Tracer = p.tracers[cell]
-			cfg.Faults = p.planes[cell]
-			r, err := New(cfg, w)
-			if err != nil {
-				return Result{}, err
-			}
-			return r.Run()
-		})
-	sres.Stats = stats
-	if err != nil {
-		return sres, err
-	}
-
-	// Deterministic reduce: walk cells in cell order, fuse epoch k
-	// across cells through the Merger, sum counters, keep the slowest
-	// cell's virtual duration (cells run concurrently in the modeled
-	// machine, so the machine's duration is the critical path).
-	sres.Workload = p.probe.Name()
-	sres.NumCores = p.cells
-	maxEpochs := 0
-	for _, r := range results {
-		if len(r.Epochs) > maxEpochs {
-			maxEpochs = len(r.Epochs)
-		}
-	}
-	merger := core.NewMerger(0)
-	scratch := make([]core.EpochStats, 0, p.cells)
-	for k := 0; k < maxEpochs; k++ {
-		scratch = scratch[:0]
-		for _, r := range results {
-			if k < len(r.Epochs) {
-				scratch = append(scratch, r.Epochs[k])
-			}
-		}
-		var fused core.EpochStats
-		merger.Merge(&fused, scratch)
-		fused.Epoch = k
-		sres.Epochs = append(sres.Epochs, fused)
-	}
-	for c, r := range results {
-		sres.Refs += r.Refs
-		if r.DurationNS > sres.DurationNS {
-			sres.DurationNS = r.DurationNS
-		}
-		sres.IBSOverheadNS += r.IBSOverheadNS
-		sres.AbitOverheadNS += r.AbitOverheadNS
-		sres.HWPCOverheadNS += r.HWPCOverheadNS
-		sres.MinorFaults += r.MinorFaults
-		sres.HugeFaults += r.HugeFaults
-		sres.Quarantined = prefixQuarantined(sres.Quarantined, scfg.Label, c, r.Quarantined)
-	}
-	return sres, nil
-}
-
 // ShardedPlacementConfig wraps a PlacementConfig for sharded
 // execution.
 type ShardedPlacementConfig struct {
 	// Base is the whole-machine configuration. Its Policy, Tracer,
 	// Faults, and Prov fields must be nil: policies may be stateful
 	// (History keeps last-epoch state, Decay keeps scores), so each
-	// cell constructs its own from MkPolicy, and observability is
-	// derived per cell like RunSharded does.
+	// cell constructs its own from MkPolicy, and tracers, fault planes
+	// and recorders are derived per cell.
 	Base PlacementConfig
 	// Shards is the worker-pool width (the -shards flag); <= 0 means
 	// GOMAXPROCS. Never affects output bytes.
 	Shards int
-	NowNS  func() int64
-	Label  string
+	// NowNS is the optional wall clock for runner stats (mains inject
+	// time.Since; internal packages must not read the wall clock).
+	NowNS func() int64
+	// Label prefixes per-cell telemetry labels ("<label>/cell<i>").
+	Label string
 	// MkPolicy builds one cell's private policy instance; nil runs the
 	// first-touch baseline arm.
 	MkPolicy func() policy.Policy
-	Trace    bool
+	// Trace builds a private tracer per cell, exported in cell order.
+	Trace bool
 	// Prov builds a private flight recorder per policy cell; the fused
 	// log (one per run, canonical page order) is in the result.
-	Prov      bool
+	Prov bool
+	// FaultSpec, when non-zero, gives every cell a private fault plane
+	// seeded FaultSeed+cell — deterministic, independent streams.
 	FaultSpec fault.Spec
 	FaultSeed int64
 }

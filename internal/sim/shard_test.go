@@ -20,28 +20,6 @@ func shardMk(seed int64) func() workload.Workload {
 	}
 }
 
-// runShardedOnce executes a sharded profiling run at the given pool
-// width.
-func runShardedOnce(t *testing.T, width int, spec fault.Spec) ShardedResult {
-	t.Helper()
-	mk := shardMk(42)
-	cfg := DefaultConfig(mk(), 16384, 400_000)
-	res, err := RunSharded(ShardedConfig{
-		Base: cfg, Shards: width, Label: "prof",
-		Trace: true, FaultSpec: spec, FaultSeed: 42,
-	}, mk)
-	if err != nil {
-		t.Fatalf("RunSharded(width=%d): %v", width, err)
-	}
-	if len(res.Epochs) == 0 {
-		t.Fatal("sharded run harvested no epochs")
-	}
-	if res.Refs != cfg.TotalRefs {
-		t.Fatalf("sharded run executed %d refs, want %d (cell budgets must partition the total)", res.Refs, cfg.TotalRefs)
-	}
-	return res
-}
-
 // telemetryDump renders a run's telemetry export bytes.
 func telemetryDump(t *testing.T, runs []telemetry.Labeled) string {
 	t.Helper()
@@ -50,73 +28,6 @@ func telemetryDump(t *testing.T, runs []telemetry.Labeled) string {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	return b.String()
-}
-
-// TestShardedRanksIdenticalAcrossWidths is the tentpole's byte-identity
-// gate: the fused per-epoch ranks — the simulator's externally visible
-// profiling output — must be byte-identical at -shards 1 and -shards 8
-// (and reproducible at a fixed width). The partition is fixed by the
-// machine shape, so the pool width can only change wall-clock.
-func TestShardedRanksIdenticalAcrossWidths(t *testing.T) {
-	seq := runShardedOnce(t, 1, fault.Spec{})
-	seqDump := rankDump(seq.Result)
-	for _, width := range []int{3, 8} {
-		par := runShardedOnce(t, width, fault.Spec{})
-		if d := rankDump(par.Result); d != seqDump {
-			t.Fatalf("-shards 1 vs -shards %d rank output diverged:\nseq:\n%s\npar:\n%s",
-				width, head(seqDump, 30), head(d, 30))
-		}
-	}
-	again := runShardedOnce(t, 1, fault.Spec{})
-	if rankDump(again.Result) != seqDump {
-		t.Fatal("same seed, same width produced different sharded output")
-	}
-	// Different seed must change the stream or the dump is vacuous.
-	mk := shardMk(43)
-	other, err := RunSharded(ShardedConfig{Base: DefaultConfig(mk(), 16384, 400_000), Shards: 1}, mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rankDump(other.Result) == seqDump {
-		t.Fatal("different seeds produced identical sharded output")
-	}
-}
-
-// TestShardedTelemetryIdenticalAcrossWidths pins the telemetry JSONL
-// export: per-cell tracers serialize in cell order, so the bytes are
-// width-independent.
-func TestShardedTelemetryIdenticalAcrossWidths(t *testing.T) {
-	seq := runShardedOnce(t, 1, fault.Spec{})
-	par := runShardedOnce(t, 8, fault.Spec{})
-	if len(seq.Telemetry) != seq.Cells {
-		t.Fatalf("want %d per-cell tracers, got %d", seq.Cells, len(seq.Telemetry))
-	}
-	if a, b := telemetryDump(t, seq.Telemetry), telemetryDump(t, par.Telemetry); a != b {
-		t.Fatal("-shards 1 vs -shards 8 telemetry JSONL diverged")
-	}
-}
-
-// TestShardedChaosIdenticalAcrossWidths is the chaos-matrix arm of the
-// sharded identity contract: with every fault site injecting at 10%,
-// ranks and telemetry must still be byte-identical across widths —
-// per-cell fault planes are seeded by cell index, never by worker.
-func TestShardedChaosIdenticalAcrossWidths(t *testing.T) {
-	spec, err := fault.ParseSpec("all=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := runShardedOnce(t, 1, spec)
-	par := runShardedOnce(t, 8, spec)
-	if a, b := rankDump(seq.Result), rankDump(par.Result); a != b {
-		t.Fatalf("faulted -shards 1 vs -shards 8 rank output diverged:\nseq:\n%s\npar:\n%s",
-			head(a, 30), head(b, 30))
-	}
-	if a, b := telemetryDump(t, seq.Telemetry), telemetryDump(t, par.Telemetry); a != b {
-		t.Fatal("faulted -shards 1 vs -shards 8 telemetry diverged")
-	}
-	if seq.FaultsInjectedTotal() == 0 {
-		t.Fatal("all=0.1 injected nothing; the chaos arm is vacuous")
-	}
 }
 
 // shardedPlacementDump renders a fused placement run's externally
@@ -325,36 +236,15 @@ func TestShardedGoldenEmptyCells(t *testing.T) {
 	checkGolden(t, "sharded_placement_emptycells.golden", shardedGoldenDump(t, res))
 }
 
-// TestShardedGoldenRanks pins width-1 sharded profiling runs: the
-// fused ranks and per-cell telemetry as digests, the fused totals as
-// text.
-func TestShardedGoldenRanks(t *testing.T) {
-	for _, tc := range []struct{ name, spec string }{{"unfaulted", ""}, {"faulted", "all=0.1"}} {
-		t.Run(tc.name, func(t *testing.T) {
-			spec, err := fault.ParseSpec(tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := runShardedOnce(t, 1, spec)
-			got := fmt.Sprintf("cells=%d refs=%d dur=%d minor=%d huge=%d inj=%d quar=%v\n",
-				res.Cells, res.Refs, res.DurationNS, res.MinorFaults, res.HugeFaults,
-				res.FaultsInjectedTotal(), res.Quarantined) +
-				digestLine("ranks", rankDump(res.Result)) +
-				digestLine("telemetry", telemetryDump(t, res.Telemetry))
-			checkGolden(t, "sharded_ranks_"+tc.name+".golden", got)
-		})
-	}
-}
-
 // TestShardedConfigRejectsSharedState pins the anti-race guard: base
 // configs carrying a shared tracer, plane, recorder, or policy are
 // rejected rather than silently shared across cells.
 func TestShardedConfigRejectsSharedState(t *testing.T) {
 	mk := shardMk(42)
-	cfg := DefaultConfig(mk(), 16384, 1000)
+	cfg := DefaultPlacementConfig(mk(), 16384, 1000, 16, nil, core.MethodCombined)
 	cfg.Tracer = telemetry.New()
-	if _, err := RunSharded(ShardedConfig{Base: cfg, Shards: 2}, mk); err == nil {
-		t.Fatal("RunSharded accepted a shared Base.Tracer")
+	if _, err := RunShardedPlacement(ShardedPlacementConfig{Base: cfg, Shards: 2}, mk); err == nil {
+		t.Fatal("RunShardedPlacement accepted a shared Base.Tracer")
 	}
 	pcfg := DefaultPlacementConfig(mk(), 16384, 1000, 16, policy.History{}, core.MethodCombined)
 	if _, err := RunShardedPlacement(ShardedPlacementConfig{Base: pcfg, Shards: 2}, mk); err == nil {
@@ -374,8 +264,8 @@ func TestShardedRejectsCombined(t *testing.T) {
 		}
 		return c
 	}
-	cfg := DefaultConfig(mkc(), 16384, 1000)
-	if _, err := RunSharded(ShardedConfig{Base: cfg, Shards: 2}, mkc); err == nil {
-		t.Fatal("RunSharded accepted a combined workload")
+	cfg := DefaultPlacementConfig(mkc(), 16384, 1000, 16, nil, core.MethodCombined)
+	if _, err := RunShardedPlacement(ShardedPlacementConfig{Base: cfg, Shards: 2}, mkc); err == nil {
+		t.Fatal("RunShardedPlacement accepted a combined workload")
 	}
 }

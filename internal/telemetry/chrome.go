@@ -117,7 +117,7 @@ func writeArgs(b *strings.Builder, args []argKV) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		writeJSONString(b, a.k)
+		WriteJSONString(b, a.k)
 		b.WriteByte(':')
 		b.WriteString(strconv.FormatUint(a.v, 10))
 	}
@@ -132,10 +132,10 @@ func eventPrefix(b *strings.Builder, ph string, pid, tid int, name, cat string, 
 	b.WriteString(`,"tid":`)
 	b.WriteString(strconv.Itoa(tid))
 	b.WriteString(`,"name":`)
-	writeJSONString(b, name)
+	WriteJSONString(b, name)
 	if cat != "" {
 		b.WriteString(`,"cat":`)
-		writeJSONString(b, cat)
+		WriteJSONString(b, cat)
 	}
 	b.WriteString(`,"ts":`)
 	b.WriteString(strconv.FormatInt(ts, 10))
@@ -179,7 +179,7 @@ func metaEvent(pid int, name, value string) string {
 	b.WriteString(`,"name":"`)
 	b.WriteString(name)
 	b.WriteString(`","args":{"name":`)
-	writeJSONString(&b, value)
+	WriteJSONString(&b, value)
 	b.WriteString("}}")
 	return b.String()
 }
@@ -193,7 +193,7 @@ func metaEvent2(pid, tid int, name, value string) string {
 	b.WriteString(`,"name":"`)
 	b.WriteString(name)
 	b.WriteString(`","args":{"name":`)
-	writeJSONString(&b, value)
+	WriteJSONString(&b, value)
 	b.WriteString("}}")
 	return b.String()
 }

@@ -37,7 +37,7 @@ func WriteJSONL(w io.Writer, traces []Labeled) error {
 		b.WriteString(`{"type":"run","schema":`)
 		b.WriteString(strconv.Itoa(SchemaVersion))
 		b.WriteString(`,"label":`)
-		writeJSONString(&b, lt.Label)
+		WriteJSONString(&b, lt.Label)
 		b.WriteString("}\n")
 		cuts := lt.Tracer.EpochCuts()
 		cutIdx := 0
@@ -71,7 +71,7 @@ func WriteJSONL(w io.Writer, traces []Labeled) error {
 				continue
 			}
 			b.WriteString(`{"type":"hist","name":`)
-			writeJSONString(&b, h.Name())
+			WriteJSONString(&b, h.Name())
 			writeUintField(&b, "count", h.Count())
 			writeUintField(&b, "p50", h.Percentile(50))
 			writeUintField(&b, "p90", h.Percentile(90))
@@ -112,7 +112,7 @@ func writeEventLine(b *strings.Builder, e *Event) {
 		writeUintField(b, "dropped", e.B)
 	case KindGate:
 		b.WriteString(`,"counter":`)
-		writeJSONString(b, e.Name)
+		WriteJSONString(b, e.Name)
 		b.WriteString(`,"open":`)
 		b.WriteString(strconv.FormatBool(e.Open))
 		writeUintField(b, "window", e.A)
@@ -123,7 +123,7 @@ func writeEventLine(b *strings.Builder, e *Event) {
 		b.WriteString(`,"vpn":"0x`)
 		b.WriteString(strconv.FormatUint(e.VPN, 16))
 		b.WriteString(`","dir":`)
-		writeJSONString(b, e.Name)
+		WriteJSONString(b, e.Name)
 	case KindShootdown:
 		writeIntField(b, "cost_ns", e.Dur)
 		writeUintField(b, "pages", e.A)
@@ -132,7 +132,7 @@ func writeEventLine(b *strings.Builder, e *Event) {
 		writeUintField(b, "registered", e.B)
 	case KindQuarantine:
 		b.WriteString(`,"mechanism":`)
-		writeJSONString(b, e.Name)
+		WriteJSONString(b, e.Name)
 		writeUintField(b, "failures", e.A)
 		writeUintField(b, "attempts", e.B)
 	case KindDevFlush:
@@ -162,7 +162,7 @@ func writeValuesObject(b *strings.Builder, vals []CounterValue) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		writeJSONString(b, kv.Name)
+		WriteJSONString(b, kv.Name)
 		b.WriteByte(':')
 		b.WriteString(strconv.FormatUint(kv.Value, 10))
 	}
@@ -183,9 +183,10 @@ func writeUintField(b *strings.Builder, name string, v uint64) {
 	b.WriteString(strconv.FormatUint(v, 10))
 }
 
-// writeJSONString quotes s with the minimal escaping our label and
-// counter names can need (quotes, backslashes, control bytes).
-func writeJSONString(b *strings.Builder, s string) {
+// WriteJSONString quotes s with the minimal escaping labels, counter
+// names and provenance reason strings can need (quotes, backslashes,
+// control bytes).
+func WriteJSONString(b *strings.Builder, s string) {
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
 		c := s[i]

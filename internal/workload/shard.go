@@ -20,7 +20,7 @@ type sliceable interface{ mux() *multiplex }
 // rule cpu.Machine uses for scheduling), the returned workload emits
 // exactly the global reference stream filtered to core `cell`'s
 // processes, in the global order. This is the partitioning rule of the
-// sharded epoch pipeline (PERFORMANCE.md): because the global Fill is
+// sharded placement pipeline (PERFORMANCE.md): because the global Fill is
 // itself a one-ref round-robin over processes in ascending index
 // order, the kept processes (still in ascending index order, still
 // round-robin) reproduce the restriction of the global stream without

@@ -9,7 +9,7 @@ import (
 // TestSliceMatchesGlobalStream is the partitioning-correctness proof:
 // for every cell, the sliced workload's stream must equal the global
 // stream restricted to the cell's processes, ref for ref. This is what
-// lets the sharded pipeline claim its fused epochs aggregate exactly
+// lets the sharded pipeline claim its cells together execute exactly
 // the references the sequential run would have produced.
 func TestSliceMatchesGlobalStream(t *testing.T) {
 	const cores = 3

@@ -260,19 +260,6 @@ func MustNew(name string, cfg Config) Workload {
 	return w
 }
 
-// All builds every Table III workload with the same config, in
-// presentation order.
-func All(cfg Config) []Workload {
-	out := make([]Workload, 0, len(Names))
-	first := cfg.FirstPID
-	for i, n := range Names {
-		c := cfg
-		c.FirstPID = first + i*64 // keep PID ranges disjoint
-		out = append(out, MustNew(n, c))
-	}
-	return out
-}
-
 // sortedCopy returns a sorted copy of xs (used by generators building
 // lookup grids).
 func sortedCopy(xs []uint64) []uint64 {

@@ -262,22 +262,6 @@ func TestPhaseShiftMovesHotSet(t *testing.T) {
 	}
 }
 
-func TestAllAssignsDisjointPIDs(t *testing.T) {
-	ws := All(DefaultConfig())
-	if len(ws) != len(Names) {
-		t.Fatalf("All built %d workloads", len(ws))
-	}
-	seen := map[int]string{}
-	for _, w := range ws {
-		for _, pid := range w.Processes() {
-			if prev, ok := seen[pid]; ok {
-				t.Fatalf("pid %d shared by %s and %s", pid, prev, w.Name())
-			}
-			seen[pid] = w.Name()
-		}
-	}
-}
-
 func TestFillExactLength(t *testing.T) {
 	w := MustNew("web-serving", DefaultConfig())
 	for _, n := range []int{1, 7, 1024} {

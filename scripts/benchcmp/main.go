@@ -9,18 +9,19 @@
 //
 // Benchmarks present only in new.txt are reported as "new" (the merge
 // base predates them); benchmarks present only in old.txt are
-// reported as "gone". Neither fails the comparison. The one hard
-// gate is the allocation guard: any benchmark whose name matches
-// -allocs-guard (default
-// HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection|WorkloadFill)
-// and whose allocs/op increased over the base exits 1 — the
-// steady-state harvest, the sharded pipeline's epoch-cut merge, the
-// per-reference Machine.Execute path and every generator's
-// steady-state Workload.Fill are contractually allocation-free, and
-// the mover's steady-state ApplySelection allocates a fixed handful of
-// per-epoch columns; a regression there (building the rank table
-// eagerly again, say) silently re-inflates every epoch (or every
-// reference) of every experiment cell.
+// reported as "gone". The one hard gate is the allocation guard: any
+// benchmark whose name matches -allocs-guard (default
+// HarvestSteadyState|MachineExecute|ApplySelection|WorkloadFill)
+// and whose allocs/op increased over the base, or which is gone from
+// new.txt, exits 1 — the steady-state harvest, the per-reference
+// Machine.Execute path and every generator's steady-state
+// Workload.Fill are contractually allocation-free, and the mover's
+// steady-state ApplySelection allocates a fixed handful of per-epoch
+// columns; a regression there (building the rank table eagerly again,
+// say) silently re-inflates every epoch (or every reference) of every
+// experiment cell. A guarded benchmark that is deleted or renamed
+// would otherwise take its gate with it; retiring one means dropping
+// it from the guard (and the CI -bench list) in the same change.
 package main
 
 import (
@@ -87,8 +88,8 @@ func parseFile(path string) (map[string]result, error) {
 }
 
 func main() {
-	guard := flag.String("allocs-guard", "HarvestSteadyState|MergeHarvests|MachineExecute|ApplySelection|WorkloadFill",
-		"fail when a benchmark matching this regexp regresses in allocs/op")
+	guard := flag.String("allocs-guard", "HarvestSteadyState|MachineExecute|ApplySelection|WorkloadFill",
+		"fail when a benchmark matching this regexp regresses in allocs/op or is gone")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcmp [-allocs-guard REGEX] old.txt new.txt")
@@ -134,6 +135,10 @@ func main() {
 		switch {
 		case !haveNew:
 			fmt.Fprintf(w, "%-50s %14.0f %14s %9s %19s %9s\n", n, o.nsPerOp, "gone", "", "", "")
+			if guardRE.MatchString(n) {
+				failed = true
+				fmt.Fprintf(w, "FAIL: %s is guarded but gone from the new run\n", n)
+			}
 		case !haveOld:
 			fmt.Fprintf(w, "%-50s %14s %14.0f %9s %19s %9s\n", n, "new", c.nsPerOp, "", colStr(c.bytes), colStr(c.allocs))
 		default:
