@@ -17,7 +17,9 @@ import (
 	"tieredmem/internal/ibs"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
+	"tieredmem/internal/provenance"
 	"tieredmem/internal/sim"
+	"tieredmem/internal/telemetry"
 	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
 )
@@ -588,6 +590,36 @@ func BenchmarkHarvestSteadyState(b *testing.B) {
 		// is under measurement.
 		r.Machine.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
+	}
+}
+
+// BenchmarkObserveHarvest measures the flight recorder's epoch with a
+// tracer attached, on the 16 Ki-page harvest BenchmarkRankedPages
+// sorts: evidence and selection recorded per page, rank positions from
+// the recorder's reused scratch, held verdicts and rank churn at
+// FinishEpoch. The contract is 0 allocs/op once the recorder has seen
+// the working set; the bench-compare CI job fails the build if this
+// regresses.
+func BenchmarkObserveHarvest(b *testing.B) {
+	stats := core.SumEpochs(hotPathEpochs(8, 16384))
+	rec := provenance.New()
+	rec.SetTracer(telemetry.New())
+	selected := func(k core.PageKey) bool { return k.VPN%8 == 0 }
+	epoch := 0
+	observe := func() {
+		rec.BeginEpoch(epoch, core.MethodCombined, core.MethodCombined, 0)
+		rec.ObserveHarvest(stats, selected)
+		rec.FinishEpoch()
+		epoch++
+	}
+	// Intern the working set and grow the scratch; the selection
+	// columns swap every epoch, so both need a turn.
+	observe()
+	observe()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe()
 	}
 }
 

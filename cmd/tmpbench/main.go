@@ -44,6 +44,7 @@ import (
 	"tieredmem/internal/runner"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/teleout"
+	"tieredmem/internal/workload"
 )
 
 // experimentNames lists every -exp value but "all", in the order "all"
@@ -104,6 +105,11 @@ func main() {
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
+		for _, name := range opts.Workloads {
+			if _, err := workload.New(name, workload.Config{}); err != nil {
+				usageFatal(err)
+			}
+		}
 	}
 	// internal/ packages keep the virtual-time discipline (no wall
 	// clock under tmplint); main injects the monotonic clock the

@@ -68,3 +68,15 @@ func TestExpUnknownIsUsageError(t *testing.T) {
 		t.Errorf("-out directory exists after an unknown -exp (stat: %v)", err)
 	}
 }
+
+// TestWorkloadsUnknownIsUsageError pins that a mistyped -workloads
+// entry names the valid workloads, prints usage and exits 2 before the
+// -out directory is created or any experiment starts.
+func TestWorkloadsUnknownIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	text := usageErrorOutput(t, dir, "-exp", "fig2", "-workloads", "bogus", "-out", "results")
+	wantAll(t, text, "unknown name", "bogus", "data-caching", "Usage of", "-workloads")
+	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-out directory exists after an unknown -workloads entry (stat: %v)", err)
+	}
+}

@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("workload", "data-caching", "workload name (Table III or phase-shift)")
+		name     = flag.String("workload", "data-caching", "workload name (Table III, phase-shift or write-split)")
 		refs     = flag.Int("refs", 6_000_000, "memory references to execute")
 		ratio    = flag.Int("ratio", 16, "footprint:fast-tier capacity ratio")
 		polName  = flag.String("policy", "history", "placement policy: history, decay, none (baseline only)")
@@ -83,9 +83,10 @@ func main() {
 		}
 	}
 
-	// A bad -method, -faults or -policy value is a usage error, not a
-	// runtime failure: the error lists every valid value, and exit code
-	// 2 plus the flag usage matches what a mistyped flag produces.
+	// A bad -method, -faults, -policy or -workload value is a usage
+	// error, not a runtime failure: the error lists every valid value,
+	// and exit code 2 plus the flag usage matches what a mistyped flag
+	// produces.
 	m, err := core.ParseMethod(*method)
 	if err != nil {
 		usageFatal(err)
@@ -113,9 +114,11 @@ func main() {
 		pol = mkPol()
 	}
 
-	mk := func() workload.Workload {
-		return workload.MustNew(*name, workload.Config{Seed: *seed, ScaleShift: *scale, FirstPID: 100})
+	wcfg := workload.Config{Seed: *seed, ScaleShift: *scale, FirstPID: 100}
+	if _, err := workload.New(*name, wcfg); err != nil {
+		usageFatal(err)
 	}
+	mk := func() workload.Workload { return workload.MustNew(*name, wcfg) }
 
 	// -tiers accepts either a chain depth (sized for the workload from
 	// -ratio) or a full spec; empty leaves each machine to size its own

@@ -65,6 +65,14 @@ func TestPolicyUnknownIsUsageError(t *testing.T) {
 	wantAll(t, text, "unknown policy", "bogus", "history, decay, none", "Usage of", "-policy")
 }
 
+// TestWorkloadUnknownIsUsageError pins the same contract for
+// -workload: the error names every valid workload, Table III's and the
+// two extra generators.
+func TestWorkloadUnknownIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-workload", "bogus", "-refs", "1000")
+	wantAll(t, text, "unknown name", "bogus", "data-caching", "phase-shift", "write-split", "Usage of", "-workload")
+}
+
 // TestMethodUnknownIsUsageError pins the same contract for -method.
 func TestMethodUnknownIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-method", "bogus")

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -579,12 +580,63 @@ func (p *Profiler) Epoch() int { return p.epoch }
 // comparator every selector shares. Pages with zero rank under the
 // method are excluded — the profiler never saw them. Callers that
 // only consume a prefix should use TopK, which produces the same
-// prefix without sorting the whole harvest.
+// prefix without sorting the whole harvest; callers that rank every
+// epoch and need only positions should reuse a RankOrder.
 func RankedPages(stats EpochStats, m Method) []PageStat {
-	out := make([]PageStat, 0, len(stats.Pages))
-	for _, ps := range stats.Pages {
-		if ps.Rank(m) > 0 {
-			out = append(out, ps)
+	var o RankOrder
+	order := o.Of(stats, m)
+	out := make([]PageStat, len(order))
+	for pos, i := range order {
+		out[pos] = stats.Pages[i]
+	}
+	return out
+}
+
+// RankOrder is reusable scratch for a harvest's canonical order; the
+// zero value is ready to use. A caller that ranks every epoch keeps
+// one, and its Of calls allocate nothing once the scratch has grown to
+// the harvest.
+type RankOrder struct {
+	idx  []int32
+	keys []packedRank
+}
+
+// packedRank is one page's position in the canonical order packed
+// into a word, with the page's index in the harvest.
+type packedRank struct {
+	key uint64
+	idx int32
+}
+
+// Of returns the indices into stats.Pages of the pages with a nonzero
+// rank under m, in RankedPages order: RankedPages(stats, m)[pos] is
+// stats.Pages[Of(stats, m)[pos]]. The result aliases o and stays valid
+// until the next call.
+func (o *RankOrder) Of(stats EpochStats, m Method) []int32 {
+	pages := stats.Pages
+	if cap(o.idx) < len(pages) {
+		o.idx = make([]int32, 0, len(pages))
+	}
+	o.idx = o.idx[:0]
+	var maxRank, maxPID, maxVPN uint64
+	negPID := false
+	for i := range pages {
+		ps := &pages[i]
+		r := ps.Rank(m)
+		if r == 0 {
+			continue
+		}
+		o.idx = append(o.idx, int32(i))
+		if r > maxRank {
+			maxRank = r
+		}
+		if ps.Key.PID < 0 {
+			negPID = true
+		} else if p := uint64(ps.Key.PID); p > maxPID {
+			maxPID = p
+		}
+		if v := uint64(ps.Key.VPN); v > maxVPN {
+			maxVPN = v
 		}
 	}
 	// Sort packed keys, not 40-byte PageStats: a page's position under
@@ -596,56 +648,32 @@ func RankedPages(stats EpochStats, m Method) []PageStat {
 	// Keys are unique (distinct pages), so the packed word alone is a
 	// total order and the differential tests (TopK == RankedPages for
 	// every method and tie shape) pin the encoding to RankCmp.
-	var maxRank, maxPID, maxVPN uint64
-	negPID := false
-	for i := range out {
-		if r := out[i].Rank(m); r > maxRank {
-			maxRank = r
-		}
-		if out[i].Key.PID < 0 {
-			negPID = true
-		} else if p := uint64(out[i].Key.PID); p > maxPID {
-			maxPID = p
-		}
-		if v := uint64(out[i].Key.VPN); v > maxVPN {
-			maxVPN = v
-		}
-	}
 	pidBits, vpnBits := bits.Len64(maxPID), bits.Len64(maxVPN)
 	if !negPID && bits.Len64(maxRank)+1+pidBits+vpnBits <= 64 {
-		type pk struct {
-			key uint64
-			idx int32
+		if cap(o.keys) < len(o.idx) {
+			o.keys = make([]packedRank, 0, len(o.idx))
 		}
-		keys := make([]pk, len(out))
-		for i := range out {
-			k := (maxRank-out[i].Rank(m))<<(1+pidBits+vpnBits) |
-				uint64(out[i].Key.PID)<<vpnBits |
-				uint64(out[i].Key.VPN)
-			if out[i].Tier != mem.FastTier {
+		o.keys = o.keys[:0]
+		for _, i := range o.idx {
+			ps := &pages[i]
+			k := (maxRank-ps.Rank(m))<<(1+pidBits+vpnBits) |
+				uint64(ps.Key.PID)<<vpnBits |
+				uint64(ps.Key.VPN)
+			if ps.Tier != mem.FastTier {
 				k |= 1 << (pidBits + vpnBits)
 			}
-			keys[i] = pk{key: k, idx: int32(i)}
+			o.keys = append(o.keys, packedRank{key: k, idx: i})
 		}
-		slices.SortFunc(keys, func(a, b pk) int {
-			if a.key < b.key {
-				return -1
-			}
-			if a.key > b.key {
-				return 1
-			}
-			return 0
-		})
-		res := make([]PageStat, len(out))
-		for i := range keys {
-			res[i] = out[keys[i].idx]
+		slices.SortFunc(o.keys, func(a, b packedRank) int { return cmp.Compare(a.key, b.key) })
+		for pos := range o.keys {
+			o.idx[pos] = o.keys[pos].idx
 		}
-		return res
+		return o.idx
 	}
 	// Degenerate field ranges (wild VPNs, negative PIDs): comparator
 	// sort on the canonical order directly.
-	slices.SortFunc(out, func(a, b PageStat) int { return statCmp(&a, &b, m) })
-	return out
+	slices.SortFunc(o.idx, func(a, b int32) int { return statCmp(&pages[a], &pages[b], m) })
+	return o.idx
 }
 
 // SumEpochs merges per-epoch harvests into one cumulative harvest:

@@ -106,7 +106,8 @@ func TestQuarantineDevprofDegradesToCombined(t *testing.T) {
 		t.Errorf("QuarantinedMechanisms = %v, want [devprof]", qs)
 	}
 	found := false
-	for _, e := range tr.Events() {
+	for w := tr.Events(); w.Next(); {
+		e := w.Event()
 		if e.Kind == telemetry.KindQuarantine && e.Name == "devprof" {
 			found = true
 			if e.A == 0 || e.B == 0 {

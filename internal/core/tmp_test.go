@@ -340,7 +340,8 @@ func TestQuarantineDegradesToSurvivor(t *testing.T) {
 	}
 	// The decision left its evidence in the event stream.
 	found := false
-	for _, e := range tr.Events() {
+	for w := tr.Events(); w.Next(); {
+		e := w.Event()
 		if e.Kind == telemetry.KindQuarantine && e.Name == "ibs" {
 			found = true
 			if e.A == 0 || e.B == 0 {

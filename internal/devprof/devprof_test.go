@@ -242,7 +242,10 @@ func TestTelemetryRecordsFlushes(t *testing.T) {
 	if _, err := tk.FlushAt(500); err != nil {
 		t.Fatalf("FlushAt: %v", err)
 	}
-	events := tel.Events()
+	var events []telemetry.Event
+	for w := tel.Events(); w.Next(); {
+		events = append(events, *w.Event())
+	}
 	if len(events) != 1 || events[0].Kind != telemetry.KindDevFlush {
 		t.Fatalf("events = %+v, want one KindDevFlush", events)
 	}

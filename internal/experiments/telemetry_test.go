@@ -23,7 +23,7 @@ func traceDump(t *testing.T, parallel int) []byte {
 		t.Fatalf("traced suite (parallel=%d) captured no telemetry runs", parallel)
 	}
 	for _, r := range runs {
-		if len(r.Tracer.Events()) == 0 {
+		if w := r.Tracer.Events(); !w.Next() {
 			t.Fatalf("run %s recorded no events", r.Label)
 		}
 	}

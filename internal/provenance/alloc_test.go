@@ -11,6 +11,7 @@ import (
 	"tieredmem/internal/mem"
 	"tieredmem/internal/provenance"
 	"tieredmem/internal/sim"
+	"tieredmem/internal/telemetry"
 	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
 )
@@ -22,18 +23,7 @@ import (
 // is the same harvest loop BenchmarkHarvestSteadyState times and
 // harvestAllocsPerOp (internal/runner) pins without the recorder.
 func TestDetachedRecorderHarvestAllocs(t *testing.T) {
-	w := workload.MustNew("gups", workload.Config{Seed: 2, FirstPID: 100})
-	r, err := sim.New(sim.DefaultConfig(w, 4096, 1), w)
-	if err != nil {
-		t.Fatalf("harvest allocs probe: %v", err)
-	}
-	buf := make([]trace.Ref, 4096)
-	w.Fill(buf)
-	for j := range buf {
-		if _, err := r.Machine.Execute(buf[j]); err != nil {
-			t.Fatalf("harvest allocs probe: %v", err)
-		}
-	}
+	r := probeRunner(t)
 	var rec *provenance.Recorder // detached, as in every un-audited run
 	var ep core.EpochStats
 	r.Profiler.HarvestEpochInto(&ep) // grow the scratch once
@@ -52,4 +42,53 @@ func TestDetachedRecorderHarvestAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state harvest with detached recorder allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestAttachedRecorderEpochAllocs pins the observability-on cost of the
+// flight recorder's steady state at zero too: once its columns and
+// scratch cover the working set, an epoch of harvest, BeginEpoch,
+// ObserveHarvest (rank positions included), NoteMove and FinishEpoch
+// allocates nothing, with a tracer feeding the recorder's histograms.
+// Recording costs memory in proportion to the pages kept, not to the
+// epochs run.
+func TestAttachedRecorderEpochAllocs(t *testing.T) {
+	r := probeRunner(t)
+	rec := provenance.New()
+	rec.SetTracer(telemetry.New())
+	var ep core.EpochStats
+	selected := func(k core.PageKey) bool { return k.VPN%4 == 0 }
+	epoch := 0
+	step := func() {
+		r.Machine.Phys.ForEachAllocated(func(_ mem.PFN, pd *mem.PageDescriptor) { pd.Epoch.Abit = 1 })
+		r.Profiler.HarvestEpochInto(&ep)
+		rec.BeginEpoch(epoch, core.MethodCombined, core.MethodCombined, 0)
+		rec.ObserveHarvest(ep, selected)
+		rec.NoteMove(ep.Pages[0].Key, epoch%2 == 0, mem.TierID(epoch%2))
+		rec.FinishEpoch()
+		epoch++
+	}
+	step() // grow the harvest scratch and the recorder's columns once
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("steady-state epoch with an attached recorder allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// probeRunner builds a small GUPS machine and executes one batch, so
+// a harvest has pages to report.
+func probeRunner(t *testing.T) *sim.Runner {
+	t.Helper()
+	w := workload.MustNew("gups", workload.Config{Seed: 2, FirstPID: 100})
+	r, err := sim.New(sim.DefaultConfig(w, 4096, 1), w)
+	if err != nil {
+		t.Fatalf("harvest allocs probe: %v", err)
+	}
+	buf := make([]trace.Ref, 4096)
+	w.Fill(buf)
+	for j := range buf {
+		if _, err := r.Machine.Execute(buf[j]); err != nil {
+			t.Fatalf("harvest allocs probe: %v", err)
+		}
+	}
+	return r
 }

@@ -52,85 +52,65 @@ func (lg *Log) Find(key core.PageKey) *PageLog {
 //	{"type":"page","pid":100,"vpn":"0x2a","flips":1,"dropped":0,"records":5}
 //	{"type":"decision","pid":100,"vpn":"0x2a","epoch":3,"abit":1,"ibs":2,...}
 //
-// Each page line is followed by its decision lines, oldest first.
+// Each page line is followed by its decision lines, oldest first. The
+// log reaches w in chunks of about telemetry.ChunkSize.
 func WriteLog(w io.Writer, logs []Log) error {
-	var b strings.Builder
+	var b []byte
 	for li := range logs {
 		lg := &logs[li]
-		b.Reset()
-		b.WriteString(`{"type":"run","schema":`)
-		b.WriteString(strconv.Itoa(lg.Schema))
-		b.WriteString(`,"label":`)
-		telemetry.WriteJSONString(&b, lg.Label)
-		b.WriteString(`,"last_k":`)
-		b.WriteString(strconv.Itoa(lg.LastK))
-		b.WriteString(`,"pingpong_k":`)
-		b.WriteString(strconv.Itoa(lg.PingPongK))
-		b.WriteString("}\n")
+		b = append(b, `{"type":"run"`...)
+		b = telemetry.AppendIntField(b, "schema", int64(lg.Schema))
+		b = telemetry.AppendStringField(b, "label", lg.Label)
+		b = telemetry.AppendIntField(b, "last_k", int64(lg.LastK))
+		b = telemetry.AppendIntField(b, "pingpong_k", int64(lg.PingPongK))
+		b = append(b, "}\n"...)
 		for pi := range lg.Pages {
 			pg := &lg.Pages[pi]
-			b.WriteString(`{"type":"page","pid":`)
-			b.WriteString(strconv.Itoa(pg.Key.PID))
-			b.WriteString(`,"vpn":"0x`)
-			b.WriteString(strconv.FormatUint(uint64(pg.Key.VPN), 16))
-			b.WriteString(`","flips":`)
-			b.WriteString(strconv.FormatUint(uint64(pg.Flips), 10))
-			b.WriteString(`,"dropped":`)
-			b.WriteString(strconv.FormatUint(pg.Dropped, 10))
-			b.WriteString(`,"records":`)
-			b.WriteString(strconv.Itoa(len(pg.Records)))
-			b.WriteString("}\n")
+			b = append(b, `{"type":"page"`...)
+			b = telemetry.AppendIntField(b, "pid", int64(pg.Key.PID))
+			b = telemetry.AppendHexField(b, "vpn", uint64(pg.Key.VPN))
+			b = telemetry.AppendUintField(b, "flips", uint64(pg.Flips))
+			b = telemetry.AppendUintField(b, "dropped", pg.Dropped)
+			b = telemetry.AppendIntField(b, "records", int64(len(pg.Records)))
+			b = append(b, "}\n"...)
 			for ri := range pg.Records {
-				writeDecisionLine(&b, pg.Key, &pg.Records[ri])
+				b = appendDecisionLine(b, pg.Key, &pg.Records[ri])
 			}
-			if b.Len() >= 1<<16 {
-				if _, err := io.WriteString(w, b.String()); err != nil {
+			if len(b) >= telemetry.ChunkSize {
+				if _, err := w.Write(b); err != nil {
 					return err
 				}
-				b.Reset()
+				b = b[:0]
 			}
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
+	}
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeDecisionLine(b *strings.Builder, key core.PageKey, rec *Record) {
-	b.WriteString(`{"type":"decision","pid":`)
-	b.WriteString(strconv.Itoa(key.PID))
-	b.WriteString(`,"vpn":"0x`)
-	b.WriteString(strconv.FormatUint(uint64(key.VPN), 16))
-	b.WriteString(`","epoch":`)
-	b.WriteString(strconv.FormatInt(int64(rec.Epoch), 10))
-	b.WriteString(`,"abit":`)
-	b.WriteString(strconv.FormatUint(uint64(rec.Abit), 10))
-	b.WriteString(`,"ibs":`)
-	b.WriteString(strconv.FormatUint(uint64(rec.Trace), 10))
-	b.WriteString(`,"write":`)
-	b.WriteString(strconv.FormatUint(uint64(rec.Write), 10))
-	b.WriteString(`,"dev":`)
-	b.WriteString(strconv.FormatUint(uint64(rec.Dev), 10))
-	b.WriteString(`,"rank":`)
-	b.WriteString(strconv.FormatUint(rec.Rank, 10))
-	b.WriteString(`,"pos":`)
-	b.WriteString(strconv.FormatInt(int64(rec.Pos), 10))
-	b.WriteString(`,"tier":`)
-	b.WriteString(strconv.FormatInt(int64(rec.Tier), 10))
-	b.WriteString(`,"verdict":`)
-	telemetry.WriteJSONString(b, rec.Verdict.Reason(rec.Fail))
-	b.WriteString(`,"from":`)
-	b.WriteString(strconv.FormatInt(int64(rec.From), 10))
-	b.WriteString(`,"to":`)
-	b.WriteString(strconv.FormatInt(int64(rec.To), 10))
-	b.WriteString(`,"selected":`)
-	b.WriteString(strconv.FormatBool(rec.Selected))
-	b.WriteString(`,"degraded":`)
-	b.WriteString(strconv.FormatBool(rec.Degraded))
-	b.WriteString(`,"method":`)
-	telemetry.WriteJSONString(b, rec.Method.String())
-	b.WriteString("}\n")
+func appendDecisionLine(b []byte, key core.PageKey, rec *Record) []byte {
+	b = append(b, `{"type":"decision"`...)
+	b = telemetry.AppendIntField(b, "pid", int64(key.PID))
+	b = telemetry.AppendHexField(b, "vpn", uint64(key.VPN))
+	b = telemetry.AppendIntField(b, "epoch", int64(rec.Epoch))
+	b = telemetry.AppendUintField(b, "abit", uint64(rec.Abit))
+	b = telemetry.AppendUintField(b, "ibs", uint64(rec.Trace))
+	b = telemetry.AppendUintField(b, "write", uint64(rec.Write))
+	b = telemetry.AppendUintField(b, "dev", uint64(rec.Dev))
+	b = telemetry.AppendUintField(b, "rank", rec.Rank)
+	b = telemetry.AppendIntField(b, "pos", int64(rec.Pos))
+	b = telemetry.AppendIntField(b, "tier", int64(rec.Tier))
+	b = telemetry.AppendStringField(b, "verdict", rec.Verdict.Reason(rec.Fail))
+	b = telemetry.AppendIntField(b, "from", int64(rec.From))
+	b = telemetry.AppendIntField(b, "to", int64(rec.To))
+	b = telemetry.AppendBoolField(b, "selected", rec.Selected)
+	b = telemetry.AppendBoolField(b, "degraded", rec.Degraded)
+	b = telemetry.AppendStringField(b, "method", rec.Method.String())
+	return append(b, "}\n"...)
 }
 
 // logLine is the union of the three line shapes for the reader.

@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,4 +105,30 @@ func FuzzParsePageKey(f *testing.F) {
 			t.Fatalf("ParsePageKey(%q) = %v, but %q parses to %v, %v", s, k, canon, back, err)
 		}
 	})
+}
+
+// TestWriteLogAllocsFlat: the log renders into one buffer it reuses
+// for every chunk, and a failed verdict's reason is a constant, so a
+// log a hundred times longer costs no more allocations to write.
+func TestWriteLogAllocsFlat(t *testing.T) {
+	allocs := func(records int) float64 {
+		lg := Log{Schema: telemetry.SchemaVersion, Label: "long", LastK: DefaultLastK, PingPongK: DefaultPingPongK}
+		for i := 0; i < records; i += DefaultLastK {
+			pg := PageLog{Key: key(100+i%4, uint64(i))}
+			for j := 0; j < DefaultLastK; j++ {
+				pg.Records = append(pg.Records, Record{Epoch: int32(j), Pos: int32(i), Rank: uint64(j), Tier: 1, From: -1, To: -1,
+					Verdict: VerdictFailed, Fail: FailReason(j % 6), Method: core.MethodCombined})
+			}
+			lg.Pages = append(lg.Pages, pg)
+		}
+		logs := []Log{lg}
+		return testing.AllocsPerRun(3, func() {
+			if err := WriteLog(io.Discard, logs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(1_000), allocs(100_000); long != short {
+		t.Errorf("WriteLog allocates %.0f times for 100,000 records and %.0f for 1,000; want the same", long, short)
+	}
 }

@@ -115,6 +115,16 @@ func (f FailReason) String() string {
 	}
 }
 
+// failedReasons holds VerdictFailed's reason for each FailReason, so
+// Reason hands the log writer a constant instead of concatenating a
+// string per record.
+var failedReasons = func() (r [FailCopyAbort + 1]string) {
+	for f := range r {
+		r[f] = "failed:" + FailReason(f).String()
+	}
+	return r
+}()
+
 // Reason renders the verdict as its typed reason string, the taxonomy
 // the timeline prints and the log serializes.
 func (v Verdict) Reason(f FailReason) string {
@@ -136,7 +146,10 @@ func (v Verdict) Reason(f FailReason) string {
 	case VerdictSuperseded:
 		return "superseded"
 	case VerdictFailed:
-		return "failed:" + f.String()
+		if int(f) < len(failedReasons) {
+			return failedReasons[f]
+		}
+		return "failed:none"
 	case VerdictHeld:
 		return "held"
 	case VerdictDeferredAdmission:
@@ -260,6 +273,10 @@ type Recorder struct {
 	touched []uint32
 	selCur  []uint32
 	selPrev []uint32
+	// Per-harvest scratch: each harvest page's interned id, and the
+	// canonical rank order its positions come from.
+	ids   []uint32
+	order core.RankOrder
 
 	curEpoch  int32
 	method    core.Method
@@ -389,9 +406,11 @@ func (r *Recorder) ObserveHarvest(ep core.EpochStats, selected func(core.PageKey
 	if r == nil {
 		return
 	}
+	r.ids = r.ids[:0]
 	for i := range ep.Pages {
 		ps := &ep.Pages[i]
 		id, rec := r.note(ps.Key)
+		r.ids = append(r.ids, id)
 		rec.Abit, rec.Trace, rec.Write, rec.Dev = ps.Abit, ps.Trace, ps.Write, ps.Dev
 		rec.Tier = int8(ps.Tier)
 		rec.Rank = ps.Rank(r.method)
@@ -408,11 +427,8 @@ func (r *Recorder) ObserveHarvest(ep core.EpochStats, selected func(core.PageKey
 	}
 	// The fused rank position is the page's index in the canonical
 	// ranking — the same order every selector consumes.
-	ranked := core.RankedPages(ep, r.method)
-	for pos := range ranked {
-		if id, ok := r.tab.Lookup(ranked[pos].Key); ok && r.stamp[id] == r.curEpoch {
-			r.newest(id).Pos = int32(pos)
-		}
+	for pos, i := range r.order.Of(ep, r.method) {
+		r.newest(r.ids[i]).Pos = int32(pos)
 	}
 }
 

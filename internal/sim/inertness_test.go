@@ -39,7 +39,7 @@ func TestTelemetryInert(t *testing.T) {
 			head(plain, 30), head(traced, 30))
 	}
 	// Guard against a vacuous pass where the tracer never saw the run.
-	if len(tr.Events()) == 0 {
+	if w := tr.Events(); !w.Next() {
 		t.Fatal("traced run recorded no events; telemetry is not wired")
 	}
 	if len(tr.EpochCuts()) == 0 {
@@ -60,7 +60,8 @@ func TestTelemetryInert(t *testing.T) {
 func TestTelemetryVirtualStamps(t *testing.T) {
 	res, tr := runOnceTraced(t, 42)
 	var prev int64
-	for i, ev := range tr.Events() {
+	for i, w := 0, tr.Events(); w.Next(); i++ {
+		ev := w.Event()
 		if ev.Now < 0 || ev.Now > res.DurationNS {
 			t.Fatalf("event %d (%s) stamped %d, outside virtual span [0,%d]", i, ev.Kind, ev.Now, res.DurationNS)
 		}

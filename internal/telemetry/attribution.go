@@ -18,8 +18,8 @@ func (t *Tracer) Attribution(durationNS int64, cores int) []report.AttributionRo
 	}
 	var events [numSubsystems]uint64
 	var spanNS [numSubsystems]int64
-	for i := range t.events {
-		e := &t.events[i]
+	for ev := t.Events(); ev.Next(); {
+		e := ev.Event()
 		events[e.Sub]++
 		spanNS[e.Sub] += e.Dur
 	}

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Chrome trace_viewer export: the run renders as a virtual-time
@@ -23,85 +22,99 @@ import (
 // track order in the viewer.
 func chromeTID(s Subsystem) int { return int(s) }
 
+// noTID marks a process-level trace event, which carries no "tid".
+const noTID = -1
+
 // WriteChromeTrace renders labeled traces as Chrome trace_viewer JSON.
+// The document reaches w in chunks of about ChunkSize.
 func WriteChromeTrace(w io.Writer, traces []Labeled) error {
-	var b strings.Builder
-	b.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
-		b.WriteString(line)
-	}
+	o := chromeOut{b: append([]byte(nil), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"...)}
 	for ti, lt := range traces {
 		pid := ti + 1
-		emit(metaEvent(pid, "process_name", lt.Label))
+		o.meta(pid, noTID, "process_name", lt.Label)
 		// Thread-name metadata only for subsystems that appear.
 		var seen [numSubsystems]bool
-		for _, e := range lt.Tracer.Events() {
-			seen[e.Sub] = true
+		for ev := lt.Tracer.Events(); ev.Next(); {
+			seen[ev.Event().Sub] = true
 		}
 		for s := Subsystem(0); s < numSubsystems; s++ {
 			if seen[s] {
-				emit(metaEvent2(pid, chromeTID(s), "thread_name", s.String()))
-				emit(sortEvent(pid, chromeTID(s), int(s)))
+				o.meta(pid, chromeTID(s), "thread_name", s.String())
+				o.head("M", pid, chromeTID(s), "thread_sort_index")
+				o.end(argKV{"sort_index", uint64(s)})
 			}
 		}
 		cuts := lt.Tracer.EpochCuts()
 		cutIdx := 0
 		var lastCut int64
-		for i := range lt.Tracer.Events() {
-			e := &lt.Tracer.Events()[i]
+		for ev := lt.Tracer.Events(); ev.Next(); {
+			e := ev.Event()
 			switch e.Kind {
 			case KindEpochCut:
-				emit(spanEvent(pid, chromeTID(SubSim), "epoch "+strconv.Itoa(int(e.Epoch)),
-					"epoch", lastCut, e.Now-lastCut,
-					[]argKV{{"pages", e.A}}))
+				o.name = strconv.AppendInt(append(o.name[:0], "epoch "...), int64(e.Epoch), 10)
+				o.span(pid, chromeTID(SubSim), string(o.name),
+					"epoch", lastCut, e.Now-lastCut, argKV{"pages", e.A})
 				lastCut = e.Now
 				if cutIdx < len(cuts) {
 					for _, kv := range cuts[cutIdx].Deltas {
-						emit(counterEvent(pid, e.Now, kv.Name, kv.Value))
+						o.head("C", pid, 0, kv.Name)
+						o.at("", e.Now)
+						o.end(argKV{"value", kv.Value})
 					}
 					cutIdx++
 				}
 			case KindDaemonTick:
-				emit(spanEvent(pid, chromeTID(SubDaemon), "tick", "daemon", e.Now, e.Dur, nil))
+				o.span(pid, chromeTID(SubDaemon), "tick", "daemon", e.Now, e.Dur)
 			case KindAbitScan:
-				emit(spanEvent(pid, chromeTID(SubAbit), "scan", "abit", e.Now, e.Dur,
-					[]argKV{{"ptes", e.A}, {"pages", e.B}, {"huge", e.C}}))
+				o.span(pid, chromeTID(SubAbit), "scan", "abit", e.Now, e.Dur,
+					argKV{"ptes", e.A}, argKV{"pages", e.B}, argKV{"huge", e.C})
 			case KindIBSDrain:
-				emit(spanEvent(pid, chromeTID(SubIBS), "drain", "ibs", e.Now, e.Dur,
-					[]argKV{{"drained", e.A}, {"dropped", e.B}}))
+				o.span(pid, chromeTID(SubIBS), "drain", "ibs", e.Now, e.Dur,
+					argKV{"drained", e.A}, argKV{"dropped", e.B})
 			case KindGate:
-				name := "gate close " + e.Name
+				state := "gate close "
 				if e.Open {
-					name = "gate open " + e.Name
+					state = "gate open "
 				}
-				emit(instantEvent(pid, chromeTID(SubHWPC), name, "hwpc", e.Now,
-					[]argKV{{"window", e.A}, {"peak", e.B}, {"threshold_bps", e.C}}))
+				o.name = append(append(o.name[:0], state...), e.Name...)
+				o.instant(pid, chromeTID(SubHWPC), string(o.name), "hwpc", e.Now,
+					argKV{"window", e.A}, argKV{"peak", e.B}, argKV{"threshold_bps", e.C})
 			case KindMigration:
-				emit(instantEvent(pid, chromeTID(SubMover), e.Name, "mover", e.Now,
-					[]argKV{{"pid", uint64(e.PID)}, {"vpn", e.VPN}}))
+				o.instant(pid, chromeTID(SubMover), e.Name, "mover", e.Now,
+					argKV{"pid", uint64(e.PID)}, argKV{"vpn", e.VPN})
 			case KindShootdown:
-				emit(spanEvent(pid, chromeTID(SubMover), "shootdown", "mover", e.Now, e.Dur,
-					[]argKV{{"pages", e.A}}))
+				o.span(pid, chromeTID(SubMover), "shootdown", "mover", e.Now, e.Dur,
+					argKV{"pages", e.A})
 			case KindFilter:
-				emit(instantEvent(pid, chromeTID(SubDaemon), "refilter", "daemon", e.Now,
-					[]argKV{{"profiled", e.A}, {"registered", e.B}}))
+				o.instant(pid, chromeTID(SubDaemon), "refilter", "daemon", e.Now,
+					argKV{"profiled", e.A}, argKV{"registered", e.B})
 			case KindQuarantine:
-				emit(instantEvent(pid, chromeTID(SubFault), "quarantine "+e.Name, "fault", e.Now,
-					[]argKV{{"failures", e.A}, {"attempts", e.B}}))
+				o.name = append(append(o.name[:0], "quarantine "...), e.Name...)
+				o.instant(pid, chromeTID(SubFault), string(o.name), "fault", e.Now,
+					argKV{"failures", e.A}, argKV{"attempts", e.B})
 			case KindDevFlush:
-				emit(instantEvent(pid, chromeTID(SubDevProf), "dev flush", "devprof", e.Now,
-					[]argKV{{"folded", e.A}, {"lost", e.B}, {"stale", e.C}}))
+				o.instant(pid, chromeTID(SubDevProf), "dev flush", "devprof", e.Now,
+					argKV{"folded", e.A}, argKV{"lost", e.B}, argKV{"stale", e.C})
+			}
+			if len(o.b) >= ChunkSize {
+				if _, err := w.Write(o.b); err != nil {
+					return err
+				}
+				o.b = o.b[:0]
 			}
 		}
 	}
-	b.WriteString("\n]}\n")
-	_, err := io.WriteString(w, b.String())
+	o.b = append(o.b, "\n]}\n"...)
+	_, err := w.Write(o.b)
 	return err
+}
+
+// chromeOut renders trace events into one reused buffer, separating
+// the elements of the traceEvents array.
+type chromeOut struct {
+	b     []byte
+	begun bool   // an event precedes the next one
+	name  []byte // scratch for event names built from parts
 }
 
 // argKV is one args entry; values are integers so formatting is
@@ -111,101 +124,68 @@ type argKV struct {
 	v uint64
 }
 
-func writeArgs(b *strings.Builder, args []argKV) {
-	b.WriteString(`,"args":{`)
-	for i, a := range args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		WriteJSONString(b, a.k)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(a.v, 10))
+// head opens the next trace event: its phase, process, thread (unless
+// tid is noTID) and name.
+func (o *chromeOut) head(ph string, pid, tid int, name string) {
+	if o.begun {
+		o.b = append(o.b, ",\n"...)
 	}
-	b.WriteByte('}')
+	o.begun = true
+	o.b = append(o.b, `{"ph":"`...)
+	o.b = append(o.b, ph...)
+	o.b = append(o.b, '"')
+	o.b = AppendIntField(o.b, "pid", int64(pid))
+	if tid != noTID {
+		o.b = AppendIntField(o.b, "tid", int64(tid))
+	}
+	o.b = AppendStringField(o.b, "name", name)
 }
 
-func eventPrefix(b *strings.Builder, ph string, pid, tid int, name, cat string, ts int64) {
-	b.WriteString(`{"ph":"`)
-	b.WriteString(ph)
-	b.WriteString(`","pid":`)
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(`,"tid":`)
-	b.WriteString(strconv.Itoa(tid))
-	b.WriteString(`,"name":`)
-	WriteJSONString(b, name)
+// at appends the event's category, when it has one, and timestamp.
+func (o *chromeOut) at(cat string, ts int64) {
 	if cat != "" {
-		b.WriteString(`,"cat":`)
-		WriteJSONString(b, cat)
+		o.b = AppendStringField(o.b, "cat", cat)
 	}
-	b.WriteString(`,"ts":`)
-	b.WriteString(strconv.FormatInt(ts, 10))
+	o.b = AppendIntField(o.b, "ts", ts)
 }
 
-func spanEvent(pid, tid int, name, cat string, ts, dur int64, args []argKV) string {
-	var b strings.Builder
-	eventPrefix(&b, "X", pid, tid, name, cat, ts)
-	b.WriteString(`,"dur":`)
-	b.WriteString(strconv.FormatInt(dur, 10))
+// end closes the event with its integer args.
+func (o *chromeOut) end(args ...argKV) {
 	if len(args) > 0 {
-		writeArgs(&b, args)
+		o.b = append(o.b, `,"args":{`...)
+		for i, a := range args {
+			if i > 0 {
+				o.b = append(o.b, ',')
+			}
+			o.b = appendJSONString(o.b, a.k)
+			o.b = append(o.b, ':')
+			o.b = strconv.AppendUint(o.b, a.v, 10)
+		}
+		o.b = append(o.b, '}')
 	}
-	b.WriteByte('}')
-	return b.String()
+	o.b = append(o.b, '}')
 }
 
-func instantEvent(pid, tid int, name, cat string, ts int64, args []argKV) string {
-	var b strings.Builder
-	eventPrefix(&b, "i", pid, tid, name, cat, ts)
-	b.WriteString(`,"s":"t"`)
-	if len(args) > 0 {
-		writeArgs(&b, args)
-	}
-	b.WriteByte('}')
-	return b.String()
+// span renders a complete ("X") event lasting dur.
+func (o *chromeOut) span(pid, tid int, name, cat string, ts, dur int64, args ...argKV) {
+	o.head("X", pid, tid, name)
+	o.at(cat, ts)
+	o.b = AppendIntField(o.b, "dur", dur)
+	o.end(args...)
 }
 
-func counterEvent(pid int, ts int64, name string, value uint64) string {
-	var b strings.Builder
-	eventPrefix(&b, "C", pid, 0, name, "", ts)
-	writeArgs(&b, []argKV{{"value", value}})
-	b.WriteByte('}')
-	return b.String()
+// instant renders a thread-scoped instant ("i") event.
+func (o *chromeOut) instant(pid, tid int, name, cat string, ts int64, args ...argKV) {
+	o.head("i", pid, tid, name)
+	o.at(cat, ts)
+	o.b = append(o.b, `,"s":"t"`...)
+	o.end(args...)
 }
 
-func metaEvent(pid int, name, value string) string {
-	var b strings.Builder
-	b.WriteString(`{"ph":"M","pid":`)
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(`,"name":"`)
-	b.WriteString(name)
-	b.WriteString(`","args":{"name":`)
-	WriteJSONString(&b, value)
-	b.WriteString("}}")
-	return b.String()
-}
-
-func metaEvent2(pid, tid int, name, value string) string {
-	var b strings.Builder
-	b.WriteString(`{"ph":"M","pid":`)
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(`,"tid":`)
-	b.WriteString(strconv.Itoa(tid))
-	b.WriteString(`,"name":"`)
-	b.WriteString(name)
-	b.WriteString(`","args":{"name":`)
-	WriteJSONString(&b, value)
-	b.WriteString("}}")
-	return b.String()
-}
-
-func sortEvent(pid, tid, index int) string {
-	var b strings.Builder
-	b.WriteString(`{"ph":"M","pid":`)
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(`,"tid":`)
-	b.WriteString(strconv.Itoa(tid))
-	b.WriteString(`,"name":"thread_sort_index","args":{"sort_index":`)
-	b.WriteString(strconv.Itoa(index))
-	b.WriteString("}}")
-	return b.String()
+// meta renders a metadata ("M") event naming a process or thread.
+func (o *chromeOut) meta(pid, tid int, name, value string) {
+	o.head("M", pid, tid, name)
+	o.b = append(o.b, `,"args":{"name":`...)
+	o.b = appendJSONString(o.b, value)
+	o.b = append(o.b, "}}"...)
 }

@@ -158,6 +158,40 @@ func TestWriteJSONLStreams(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceStreams: a long run's trace reaches the writer
+// in chunks of about 64 KiB, like the event log, and the chunks join
+// into one valid document holding every event.
+func TestWriteChromeTraceStreams(t *testing.T) {
+	const ticks = 5000
+	tr := New()
+	for i := int64(0); i < ticks; i++ {
+		tr.EmitDaemonTick(i*1_000, 50)
+	}
+	var w chunkWriter
+	if err := WriteChromeTrace(&w, []Labeled{{Label: "long", Tracer: tr}}); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	if len(w.sizes) < 2 {
+		t.Errorf("a %d-byte trace arrived in %d write(s), want 64 KiB chunks", w.buf.Len(), len(w.sizes))
+	}
+	for i, n := range w.sizes {
+		if n > 1<<16+1<<10 {
+			t.Errorf("write %d is %d bytes, want at most 64 KiB plus one event", i, n)
+		}
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(w.buf.Bytes(), &doc); err != nil {
+		t.Fatalf("streamed trace is not valid JSON: %v", err)
+	}
+	// One process name, plus one thread name and sort index for the
+	// daemon track.
+	if n := len(doc.TraceEvents); n != ticks+3 {
+		t.Errorf("trace has %d events, want %d", n, ticks+3)
+	}
+}
+
 func TestGoldenChromeTrace(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteChromeTrace(&b, fixtureRuns()); err != nil {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"io"
 	"strconv"
-	"strings"
 )
 
 // SchemaVersion stamps every exported JSONL stream (the event log's
@@ -11,6 +10,12 @@ import (
 // consumers can detect format changes. Bump it whenever a line shape
 // changes incompatibly.
 const SchemaVersion = 1
+
+// ChunkSize is how much rendered output the exporters (WriteJSONL,
+// WriteChromeTrace, provenance.WriteLog) hold before handing it to
+// their writer: each renders into one reused byte buffer, so a long
+// run is never rendered whole in memory and the buffer grows once.
+const ChunkSize = 1 << 16
 
 // WriteJSONL renders labeled traces as a JSON-Lines event log: one
 // self-describing JSON object per line, fields in fixed order, so the
@@ -28,39 +33,41 @@ const SchemaVersion = 1
 // The run line carries SchemaVersion so downstream consumers can
 // detect format changes; histogram lines follow totals, empty
 // histograms omitted. Kind-specific payload fields are documented in
-// OBSERVABILITY.md. The log reaches w in chunks of about 64 KiB, so a
-// long run is never rendered whole in memory.
+// OBSERVABILITY.md. The log reaches w in chunks of about ChunkSize.
 func WriteJSONL(w io.Writer, traces []Labeled) error {
-	var b strings.Builder
+	var b []byte
 	for _, lt := range traces {
-		b.Reset()
-		b.WriteString(`{"type":"run","schema":`)
-		b.WriteString(strconv.Itoa(SchemaVersion))
-		b.WriteString(`,"label":`)
-		WriteJSONString(&b, lt.Label)
-		b.WriteString("}\n")
+		b = append(b, `{"type":"run"`...)
+		b = AppendIntField(b, "schema", SchemaVersion)
+		b = AppendStringField(b, "label", lt.Label)
+		b = append(b, "}\n"...)
 		cuts := lt.Tracer.EpochCuts()
 		cutIdx := 0
-		for i := range lt.Tracer.Events() {
-			e := &lt.Tracer.Events()[i]
-			writeEventLine(&b, e)
+		for ev := lt.Tracer.Events(); ev.Next(); {
+			e := ev.Event()
+			b = appendEventLine(b, e)
 			// Counter snapshots ride directly after their epoch-cut
 			// event so the log reads in virtual-time order.
 			if e.Kind == KindEpochCut && cutIdx < len(cuts) {
-				writeCountersLine(&b, "counters", cuts[cutIdx].Epoch, cuts[cutIdx].Now, cuts[cutIdx].Deltas)
+				c := &cuts[cutIdx]
+				b = append(b, `{"type":"counters"`...)
+				b = AppendIntField(b, "epoch", int64(c.Epoch))
+				b = AppendIntField(b, "now", c.Now)
+				b = appendValuesField(b, c.Deltas)
+				b = append(b, "}\n"...)
 				cutIdx++
 			}
-			if b.Len() >= 1<<16 {
-				if _, err := io.WriteString(w, b.String()); err != nil {
+			if len(b) >= ChunkSize {
+				if _, err := w.Write(b); err != nil {
 					return err
 				}
-				b.Reset()
+				b = b[:0]
 			}
 		}
 		if totals := lt.Tracer.Registry().Totals(); len(totals) > 0 {
-			b.WriteString(`{"type":"totals","values":`)
-			writeValuesObject(&b, totals)
-			b.WriteString("}\n")
+			b = append(b, `{"type":"totals"`...)
+			b = appendValuesField(b, totals)
+			b = append(b, "}\n"...)
 		}
 		// Distribution lines close the run. Empty histograms are
 		// skipped, so a run that registered handles but observed
@@ -70,138 +77,148 @@ func WriteJSONL(w io.Writer, traces []Labeled) error {
 			if h.Count() == 0 {
 				continue
 			}
-			b.WriteString(`{"type":"hist","name":`)
-			WriteJSONString(&b, h.Name())
-			writeUintField(&b, "count", h.Count())
-			writeUintField(&b, "p50", h.Percentile(50))
-			writeUintField(&b, "p90", h.Percentile(90))
-			writeUintField(&b, "p99", h.Percentile(99))
-			writeUintField(&b, "max", h.Max())
-			b.WriteString("}\n")
+			b = append(b, `{"type":"hist"`...)
+			b = AppendStringField(b, "name", h.Name())
+			b = AppendUintField(b, "count", h.Count())
+			b = AppendUintField(b, "p50", h.Percentile(50))
+			b = AppendUintField(b, "p90", h.Percentile(90))
+			b = AppendUintField(b, "p99", h.Percentile(99))
+			b = AppendUintField(b, "max", h.Max())
+			b = append(b, "}\n"...)
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
+	}
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeEventLine renders one event with its kind-typed payload fields.
-func writeEventLine(b *strings.Builder, e *Event) {
-	b.WriteString(`{"type":"event","kind":"`)
-	b.WriteString(e.Kind.String())
-	b.WriteString(`","sub":"`)
-	b.WriteString(e.Sub.String())
-	b.WriteString(`","epoch":`)
-	b.WriteString(strconv.FormatInt(int64(e.Epoch), 10))
-	b.WriteString(`,"now":`)
-	b.WriteString(strconv.FormatInt(e.Now, 10))
+// appendEventLine renders one event with its kind-typed payload fields.
+func appendEventLine(b []byte, e *Event) []byte {
+	b = append(b, `{"type":"event"`...)
+	b = AppendStringField(b, "kind", e.Kind.String())
+	b = AppendStringField(b, "sub", e.Sub.String())
+	b = AppendIntField(b, "epoch", int64(e.Epoch))
+	b = AppendIntField(b, "now", e.Now)
 	switch e.Kind {
 	case KindEpochCut:
-		writeUintField(b, "pages", e.A)
+		b = AppendUintField(b, "pages", e.A)
 	case KindDaemonTick:
-		writeIntField(b, "cost_ns", e.Dur)
+		b = AppendIntField(b, "cost_ns", e.Dur)
 	case KindAbitScan:
-		writeIntField(b, "cost_ns", e.Dur)
-		writeUintField(b, "ptes", e.A)
-		writeUintField(b, "pages", e.B)
-		writeUintField(b, "huge", e.C)
+		b = AppendIntField(b, "cost_ns", e.Dur)
+		b = AppendUintField(b, "ptes", e.A)
+		b = AppendUintField(b, "pages", e.B)
+		b = AppendUintField(b, "huge", e.C)
 	case KindIBSDrain:
-		writeIntField(b, "cost_ns", e.Dur)
-		writeUintField(b, "drained", e.A)
-		writeUintField(b, "dropped", e.B)
+		b = AppendIntField(b, "cost_ns", e.Dur)
+		b = AppendUintField(b, "drained", e.A)
+		b = AppendUintField(b, "dropped", e.B)
 	case KindGate:
-		b.WriteString(`,"counter":`)
-		WriteJSONString(b, e.Name)
-		b.WriteString(`,"open":`)
-		b.WriteString(strconv.FormatBool(e.Open))
-		writeUintField(b, "window", e.A)
-		writeUintField(b, "peak", e.B)
-		writeUintField(b, "threshold_bps", e.C)
+		b = AppendStringField(b, "counter", e.Name)
+		b = AppendBoolField(b, "open", e.Open)
+		b = AppendUintField(b, "window", e.A)
+		b = AppendUintField(b, "peak", e.B)
+		b = AppendUintField(b, "threshold_bps", e.C)
 	case KindMigration:
-		writeIntField(b, "pid", int64(e.PID))
-		b.WriteString(`,"vpn":"0x`)
-		b.WriteString(strconv.FormatUint(e.VPN, 16))
-		b.WriteString(`","dir":`)
-		WriteJSONString(b, e.Name)
+		b = AppendIntField(b, "pid", int64(e.PID))
+		b = AppendHexField(b, "vpn", e.VPN)
+		b = AppendStringField(b, "dir", e.Name)
 	case KindShootdown:
-		writeIntField(b, "cost_ns", e.Dur)
-		writeUintField(b, "pages", e.A)
+		b = AppendIntField(b, "cost_ns", e.Dur)
+		b = AppendUintField(b, "pages", e.A)
 	case KindFilter:
-		writeUintField(b, "profiled", e.A)
-		writeUintField(b, "registered", e.B)
+		b = AppendUintField(b, "profiled", e.A)
+		b = AppendUintField(b, "registered", e.B)
 	case KindQuarantine:
-		b.WriteString(`,"mechanism":`)
-		WriteJSONString(b, e.Name)
-		writeUintField(b, "failures", e.A)
-		writeUintField(b, "attempts", e.B)
+		b = AppendStringField(b, "mechanism", e.Name)
+		b = AppendUintField(b, "failures", e.A)
+		b = AppendUintField(b, "attempts", e.B)
 	case KindDevFlush:
-		writeUintField(b, "folded", e.A)
-		writeUintField(b, "lost", e.B)
-		writeUintField(b, "stale", e.C)
+		b = AppendUintField(b, "folded", e.A)
+		b = AppendUintField(b, "lost", e.B)
+		b = AppendUintField(b, "stale", e.C)
 	}
-	b.WriteString("}\n")
+	return append(b, "}\n"...)
 }
 
-func writeCountersLine(b *strings.Builder, typ string, epoch int, now int64, vals []CounterValue) {
-	b.WriteString(`{"type":"`)
-	b.WriteString(typ)
-	b.WriteString(`","epoch":`)
-	b.WriteString(strconv.Itoa(epoch))
-	b.WriteString(`,"now":`)
-	b.WriteString(strconv.FormatInt(now, 10))
-	b.WriteString(`,"values":`)
-	writeValuesObject(b, vals)
-	b.WriteString("}\n")
-}
-
-// writeValuesObject renders sorted counter values as a JSON object.
-func writeValuesObject(b *strings.Builder, vals []CounterValue) {
-	b.WriteByte('{')
+// appendValuesField renders sorted counter values as a "values" JSON
+// object field.
+func appendValuesField(b []byte, vals []CounterValue) []byte {
+	b = append(b, `,"values":{`...)
 	for i, kv := range vals {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		WriteJSONString(b, kv.Name)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(kv.Value, 10))
+		b = appendJSONString(b, kv.Name)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, kv.Value, 10)
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }
 
-func writeIntField(b *strings.Builder, name string, v int64) {
-	b.WriteString(`,"`)
-	b.WriteString(name)
-	b.WriteString(`":`)
-	b.WriteString(strconv.FormatInt(v, 10))
+// The field writers below append `,"name":value` to an open JSON
+// object. Names are constants of the line shapes and are not escaped;
+// every exporter (the event log, the Chrome trace, the provenance log)
+// renders its fields through them.
+
+// appendName appends the `,"name":` that opens a field.
+func appendName(b []byte, name string) []byte {
+	b = append(b, ',', '"')
+	b = append(b, name...)
+	return append(b, '"', ':')
 }
 
-func writeUintField(b *strings.Builder, name string, v uint64) {
-	b.WriteString(`,"`)
-	b.WriteString(name)
-	b.WriteString(`":`)
-	b.WriteString(strconv.FormatUint(v, 10))
+// AppendIntField appends a signed integer field.
+func AppendIntField(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(appendName(b, name), v, 10)
 }
 
-// WriteJSONString quotes s with the minimal escaping labels, counter
-// names and provenance reason strings can need (quotes, backslashes,
-// control bytes).
-func WriteJSONString(b *strings.Builder, s string) {
-	b.WriteByte('"')
+// AppendUintField appends an unsigned integer field.
+func AppendUintField(b []byte, name string, v uint64) []byte {
+	return strconv.AppendUint(appendName(b, name), v, 10)
+}
+
+// AppendHexField appends v as a "0x"-prefixed hex string field, the
+// form page numbers take in every log.
+func AppendHexField(b []byte, name string, v uint64) []byte {
+	b = append(appendName(b, name), `"0x`...)
+	b = strconv.AppendUint(b, v, 16)
+	return append(b, '"')
+}
+
+// AppendBoolField appends a boolean field.
+func AppendBoolField(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(appendName(b, name), v)
+}
+
+// AppendStringField appends a JSON string field.
+func AppendStringField(b []byte, name, s string) []byte {
+	return appendJSONString(appendName(b, name), s)
+}
+
+// appendJSONString appends s quoted with the minimal escaping labels,
+// counter names and provenance reason strings can need (quotes,
+// backslashes, control bytes).
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	clean := 0 // s[clean:i] needs no escaping
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case c < 0x20:
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		b = append(b, s[clean:i]...)
+		clean = i + 1
+		if c < 0x20 {
 			const hex = "0123456789abcdef"
-			b.WriteString(`\u00`)
-			b.WriteByte(hex[c>>4])
-			b.WriteByte(hex[c&0xf])
-		default:
-			b.WriteByte(c)
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		} else {
+			b = append(b, '\\', c)
 		}
 	}
-	b.WriteByte('"')
+	b = append(b, s[clean:]...)
+	return append(b, '"')
 }

@@ -108,7 +108,8 @@ const (
 	// paper's rule: gate opens while A ≥ C/10000 × B.
 	KindGate
 	// KindMigration is one page move. PID/VPN identify the page,
-	// Name = "promote" or "demote".
+	// Name = "promote" or "demote". The tracer stores migrations in a
+	// compact column of their own; Events merges them back in place.
 	KindMigration
 	// KindShootdown is the epoch batch's TLB shootdown. Dur = cost,
 	// A = pages migrated this batch.
@@ -187,11 +188,35 @@ type Event struct {
 // concurrent use — parallel experiment cells each own a private
 // tracer, and exports merge them deterministically (see Merge).
 type Tracer struct {
-	events []Event
-	reg    Registry
-	epoch  int32
+	// events holds every event but migrations, in emission order.
+	events []stored
+	// migs holds the migrations in their own compact column; each
+	// stored event counts the migrations emitted before it, which is
+	// all the merged walk needs to restore emission order.
+	migs  []migration
+	reg   Registry
+	epoch int32
 	// epochCuts snapshots counter deltas at each epoch cut.
 	epochCuts []EpochCounters
+}
+
+// stored is a recorded non-migration event and its place among the
+// migrations: migs of them were emitted before it.
+type stored struct {
+	Event
+	migs int
+}
+
+// migration is EmitMigration's fixed-width record. Page moves are most
+// of a placement run's events (94% in a faulted transactional run), so
+// they skip the 80-byte Event: the kind, subsystem and direction string
+// are implied, and the epoch is the one in force at the record's place
+// in the stream. TestMigrationRecordSize pins it at 24 bytes or less.
+type migration struct {
+	now     int64
+	vpn     uint64
+	pid     int32
+	promote bool
 }
 
 // New returns an enabled tracer with an empty registry.
@@ -202,13 +227,58 @@ func New() *Tracer {
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Events returns the recorded events in emission order.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
+// Events returns a walk over the recorded events in emission order;
+// a nil tracer's walk is empty:
+//
+//	for w := tr.Events(); w.Next(); {
+//		e := w.Event()
+//		...
+//	}
+func (t *Tracer) Events() EventWalk { return EventWalk{t: t} }
+
+// EventWalk steps through a tracer's events in emission order, merging
+// the migration column back between the events it was emitted among.
+// It allocates nothing: every step overwrites the one Event the walk
+// owns.
+type EventWalk struct {
+	t     *Tracer
+	e     Event
+	next  int   // the next stored event
+	mig   int   // the next migration record
+	epoch int32 // the epoch in force at the walk's position
 }
+
+// Next steps to the next event, reporting false once the walk is done.
+func (w *EventWalk) Next() bool {
+	t := w.t
+	if t == nil {
+		return false
+	}
+	if w.mig < len(t.migs) && (w.next == len(t.events) || w.mig < t.events[w.next].migs) {
+		m := &t.migs[w.mig]
+		w.mig++
+		dir := "demote"
+		if m.promote {
+			dir = "promote"
+		}
+		w.e = Event{Now: m.now, Kind: KindMigration, Sub: SubMover, Epoch: w.epoch,
+			PID: m.pid, VPN: m.vpn, Name: dir}
+		return true
+	}
+	if w.next == len(t.events) {
+		return false
+	}
+	w.e = t.events[w.next].Event
+	w.next++
+	if w.e.Kind == KindEpochCut {
+		w.epoch = w.e.Epoch + 1
+	}
+	return true
+}
+
+// Event returns the event Next stepped to. The walk reuses it, so a
+// caller that keeps an event past the next step copies it.
+func (w *EventWalk) Event() *Event { return &w.e }
 
 // Registry returns the tracer's counter registry (nil for a nil
 // tracer; all Registry and Counter methods tolerate nil receivers).
@@ -238,7 +308,7 @@ func (t *Tracer) EpochCuts() []EpochCounters {
 
 func (t *Tracer) emit(e Event) {
 	e.Epoch = t.epoch
-	t.events = append(t.events, e)
+	t.events = append(t.events, stored{Event: e, migs: len(t.migs)})
 }
 
 // CutEpoch records an epoch harvest: it emits a KindEpochCut event,
@@ -298,12 +368,7 @@ func (t *Tracer) EmitMigration(now int64, pid int, vpn uint64, promote bool) {
 	if t == nil {
 		return
 	}
-	name := "demote"
-	if promote {
-		name = "promote"
-	}
-	t.emit(Event{Now: now, Kind: KindMigration, Sub: SubMover,
-		PID: int32(pid), VPN: vpn, Name: name})
+	t.migs = append(t.migs, migration{now: now, vpn: vpn, pid: int32(pid), promote: promote})
 }
 
 // EmitShootdown records the batched TLB shootdown covering pages

@@ -28,7 +28,9 @@ func TestNilTracerNoOps(t *testing.T) {
 		c.Set(9)
 		_ = c.Value()
 		_ = tr.Registry().Counter("z/w")
-		_ = tr.Events()
+		for w := tr.Events(); w.Next(); {
+			t.Fatal("nil tracer walked an event")
+		}
 		_ = tr.EpochCuts()
 		h := tr.Histogram("x/y_hist")
 		h.Observe(7)
@@ -97,7 +99,10 @@ func TestEventsCarryEpoch(t *testing.T) {
 	tr.CutEpoch(100, 0)
 	tr.EmitDaemonTick(110, 1)
 
-	evs := tr.Events()
+	var evs []Event
+	for w := tr.Events(); w.Next(); {
+		evs = append(evs, *w.Event())
+	}
 	if len(evs) != 3 {
 		t.Fatalf("events = %d, want 3", len(evs))
 	}

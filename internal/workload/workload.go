@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"tieredmem/internal/mem"
 	"tieredmem/internal/trace"
@@ -247,7 +248,7 @@ func New(name string, cfg Config) (Workload, error) {
 	case "write-split":
 		return NewWriteSplit(cfg), nil
 	default:
-		return nil, fmt.Errorf("workload: unknown name %q (known: %v)", name, Names)
+		return nil, fmt.Errorf("workload: unknown name %q (known: %s, phase-shift, write-split)", name, strings.Join(Names, ", "))
 	}
 }
 
