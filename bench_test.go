@@ -496,11 +496,13 @@ func BenchmarkRanksOf(b *testing.B) {
 // BenchmarkApplySelection measures the mover's epoch cut in the steady
 // state, on an hpc-bigfoot-shaped machine: xsbench over two tiers at
 // ratio 16, warmed through sim.Drive and the placement pass's public
-// calls until the History selection is resident. Each iteration then
-// reconciles that fixed selection with a fresh RanksOf. Nothing moves,
-// so the cost is gathering candidates, which tracks the selection and
-// the upper tier rather than the footprint, and the rank table is
-// never built. The bench-compare CI job guards its allocs/op.
+// calls, with the placement loop's scratch (policy.Reusable and a
+// core.RankTable), until the History selection is resident. Each
+// iteration then reconciles that fixed selection with a table from the
+// kept RankTable. Nothing moves, so the cost is
+// gathering candidates, which tracks the selection and the upper tier
+// rather than the footprint, and the rank table is never built. The
+// contract is 0 allocs/op; the bench-compare CI job guards it.
 func BenchmarkApplySelection(b *testing.B) {
 	const ratio, warmRefs = 16, 600_000
 	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
@@ -523,6 +525,8 @@ func BenchmarkApplySelection(b *testing.B) {
 	}
 	mover := policy.NewMover(m)
 	capacity := chain[0].Frames - mem.HugePages
+	pol := policy.Reusable(cfg.Policy)
+	var ranks core.RankTable
 	var ep core.EpochStats
 	var sel policy.Selection
 	nextEpoch := cfg.EpochNS
@@ -533,8 +537,8 @@ func BenchmarkApplySelection(b *testing.B) {
 			return nil
 		}
 		prof.HarvestEpochInto(&ep)
-		sel = cfg.Policy.Select(ep, core.EpochStats{}, cfg.Method, capacity)
-		mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method))
+		sel = pol.Select(ep, core.EpochStats{}, cfg.Method, capacity)
+		mover.ApplySelection(sel, ranks.Of(ep, cfg.Method))
 		for nextEpoch <= now {
 			nextEpoch += cfg.EpochNS
 		}
@@ -543,7 +547,7 @@ func BenchmarkApplySelection(b *testing.B) {
 		b.Fatal(err)
 	}
 	for settle := 0; ; settle++ {
-		p, d := mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method))
+		p, d := mover.ApplySelection(sel, ranks.Of(ep, cfg.Method))
 		if mover.Failed > 0 {
 			b.Fatalf("warm-up migration failed (%d failures)", mover.Failed)
 		}
@@ -557,8 +561,31 @@ func BenchmarkApplySelection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, d := mover.ApplySelection(sel, core.RanksOf(ep, cfg.Method)); p+d != 0 {
+		if p, d := mover.ApplySelection(sel, ranks.Of(ep, cfg.Method)); p+d != 0 {
 			b.Fatalf("steady state moved %d pages", p+d)
+		}
+	}
+}
+
+// BenchmarkPlacementEpoch measures one whole placement epoch of the
+// policy arm — harvest, Select, rank table, ApplySelection and the
+// khugepaged pass — through sim.EpochProbe on an hpc-bigfoot-shaped
+// machine (xsbench, two tiers, ratio 16). Every epoch demotes and
+// promotes thousands of pages, so ns/op is mostly migration. The
+// contract is 0 allocs/op once the run's scratch has grown; the
+// bench-compare CI job guards it.
+func BenchmarkPlacementEpoch(b *testing.B) {
+	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
+	cfg := sim.DefaultPlacementConfig(w, 4096, 600_000, 16, policy.History{}, core.MethodCombined)
+	probe, err := sim.NewEpochProbe(cfg, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := probe.Epoch(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

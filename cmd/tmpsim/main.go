@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -86,7 +87,17 @@ func main() {
 	// A bad -method, -faults, -policy or -workload value is a usage
 	// error, not a runtime failure: the error lists every valid value,
 	// and exit code 2 plus the flag usage matches what a mistyped flag
-	// produces.
+	// produces. So is a -refs or -period that is not positive, and a
+	// -admission that is not a finite fraction.
+	if *refs <= 0 {
+		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
+	}
+	if *period <= 0 {
+		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
+	}
+	if math.IsNaN(*admfrac) || math.IsInf(*admfrac, 0) {
+		usageFatal(fmt.Errorf("-admission %v: must be a finite fraction", *admfrac))
+	}
 	m, err := core.ParseMethod(*method)
 	if err != nil {
 		usageFatal(err)

@@ -78,3 +78,25 @@ func TestMethodUnknownIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-method", "bogus")
 	wantAll(t, text, "unknown method", "bogus", "abit, ibs, tmp, devprof", "Usage of", "-method")
 }
+
+// TestAdmissionNaNIsUsageError pins that a non-finite -admission is
+// rejected before any run: converted to a budget it used to leave
+// admission silently off.
+func TestAdmissionNaNIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-admission", "NaN")
+	wantAll(t, text, "-admission NaN", "finite fraction", "Usage of")
+}
+
+// TestRefsZeroIsUsageError pins the same contract for a -refs that is
+// not positive, which used to fail inside the library with exit 1.
+func TestRefsZeroIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-refs", "0")
+	wantAll(t, text, "-refs 0", "must be positive", "Usage of")
+}
+
+// TestPeriodZeroIsUsageError pins it for a -period that is not
+// positive.
+func TestPeriodZeroIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-period", "-5")
+	wantAll(t, text, "-period -5", "must be positive", "Usage of")
+}

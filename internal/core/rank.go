@@ -11,7 +11,7 @@ package core
 // same-seed-same-ranks contract tmplint enforces assumes they agree).
 
 import (
-	"sort"
+	"slices"
 
 	"tieredmem/internal/core/pageidx"
 	"tieredmem/internal/mem"
@@ -86,24 +86,47 @@ func statLess(a, b *PageStat, m Method) bool { return statCmp(a, b, m) < 0 }
 // place and the result aliases its prefix. k >= len(s) degrades to
 // the full sort.
 func TopKFunc[T any](s []T, k int, less func(a, b T) bool) []T {
-	if k >= len(s) {
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		return s
-	}
 	if k <= 0 {
 		return s[:0]
 	}
-	h := s[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(h, i, less)
+	// Keeping into s's own prefix is safe: the heap never holds more
+	// elements than have been read, so it only overwrites read slots.
+	h := s[:0]
+	for i := range s {
+		h = keepBest(h, k, s[i], less)
 	}
-	for i := k; i < len(s); i++ {
-		if less(s[i], h[0]) {
-			h[0] = s[i]
-			siftDown(h, 0, less)
+	slices.SortFunc(h, func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
+		return 0
+	})
+	return h
+}
+
+// keepBest offers x to h, the best (at most k) elements offered so
+// far, and returns h. It is the one bounded top-K heap: h fills to k
+// in arrival order, becomes a max-heap under less at k (its root the
+// worst kept), and from then on x replaces the root only when it is
+// better. Which elements survive depends only on less, so a total
+// order keeps the same set whatever the arrival order.
+func keepBest[T any](h []T, k int, x T, less func(a, b T) bool) []T {
+	if len(h) < k {
+		h = append(h, x)
+		if len(h) == k {
+			for i := k/2 - 1; i >= 0; i-- {
+				siftDown(h, i, less)
+			}
+		}
+		return h
 	}
-	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
+	if less(x, h[0]) {
+		h[0] = x
+		siftDown(h, 0, less)
+	}
 	return h
 }
 
@@ -132,43 +155,33 @@ func siftDown[T any](h []T, i int, less func(a, b T) bool) {
 // Pages with zero rank under the method are excluded, as in
 // RankedPages. It is TopKSet followed by a sort of the survivors.
 func TopK(stats EpochStats, m Method, k int) []PageStat {
-	h := TopKSet(stats, m, k)
-	sort.Slice(h, func(i, j int) bool { return statLess(&h[i], &h[j], m) })
+	h := TopKSet(nil, stats, m, k)
+	slices.SortFunc(h, func(a, b PageStat) int { return statCmp(&a, &b, m) })
 	return h
 }
 
 // TopKSet returns the same k pages as TopK, in heap order instead of
-// sorted: a bounded max-heap keeps the k best pages seen (its root the
-// worst of them) and the O(k log k) final sort is skipped. Which pages
-// survive depends only on RankCmp, a total order over distinct keys, so
-// the set never depends on input order. Policies call it with their
-// capacity, because a selection is a set and its order never mattered.
-func TopKSet(stats EpochStats, m Method, k int) []PageStat {
+// sorted, in dst's backing array (truncated first, and grown before
+// the scan when it cannot hold min(k, len(stats.Pages))): keepBest's
+// bounded max-heap keeps the k best pages seen and the O(k log k)
+// final sort is skipped. Which pages survive depends only on RankCmp,
+// a total order over distinct keys, so the set never depends on input
+// order. Policies call it with their capacity and a reused dst,
+// because a selection is a set and its order never mattered.
+func TopKSet(dst []PageStat, stats EpochStats, m Method, k int) []PageStat {
 	if k <= 0 {
-		return nil
+		return dst[:0]
 	}
+	h := slices.Grow(dst[:0], min(k, len(stats.Pages)))
 	less := func(a, b PageStat) bool { return statLess(&a, &b, m) }
-	h := make([]PageStat, 0, min(k, len(stats.Pages)))
-	heaped := false
 	for i := range stats.Pages {
 		ps := &stats.Pages[i]
-		if ps.Rank(m) == 0 {
+		// Most pages of a large harvest lose to a full heap's root;
+		// rejecting them here spares the copy into keepBest.
+		if ps.Rank(m) == 0 || len(h) == k && !statLess(ps, &h[0], m) {
 			continue
 		}
-		if len(h) < k {
-			h = append(h, *ps)
-			continue
-		}
-		if !heaped {
-			for j := len(h)/2 - 1; j >= 0; j-- {
-				siftDown(h, j, less)
-			}
-			heaped = true
-		}
-		if statLess(ps, &h[0], m) {
-			h[0] = *ps
-			siftDown(h, 0, less)
-		}
+		h = keepBest(h, k, *ps, less)
 	}
 	return h
 }
@@ -178,19 +191,20 @@ func TopKSet(stats EpochStats, m Method, k int) []PageStat {
 // map[PageKey]uint64 the mover used to rebuild; the zero value is a
 // valid empty table (every lookup reports rank 0, i.e. coldest).
 //
-// A table from RanksOf is lazy: it interns its harvest on the first Get
-// or Len, so an epoch whose mover demotes nothing never pays for it.
-// Copies of a Ranks share that one build. A Ranks is not safe for
-// concurrent use before its first lookup.
+// A table from RankTable.Of or RanksOf is lazy: it interns its harvest
+// on the first Get or Len, so an epoch whose mover demotes nothing
+// never pays for it. Copies of a Ranks share that one build. A Ranks
+// is not safe for concurrent use before its first lookup.
 type Ranks struct {
 	t *rankTable
 }
 
 // rankTable is the state behind a Ranks. harvest holds the pages still
-// to intern; tab is nil until they are.
+// to intern while pending; tab and ranks are kept across builds.
 type rankTable struct {
 	harvest []PageStat
 	method  Method
+	pending bool
 	tab     *pageidx.Table[PageKey]
 	ranks   []uint64
 }
@@ -199,9 +213,14 @@ type rankTable struct {
 // the zero Ranks.
 func (r Ranks) built() *rankTable {
 	t := r.t
-	if t != nil && t.tab == nil {
-		t.tab = pageidx.New(len(t.harvest), PageKeyHash)
-		t.ranks = make([]uint64, 0, len(t.harvest))
+	if t != nil && t.pending {
+		if t.tab == nil {
+			t.tab = pageidx.New(len(t.harvest), PageKeyHash)
+			t.ranks = make([]uint64, 0, len(t.harvest))
+		} else {
+			t.tab.Reset()
+			t.ranks = t.ranks[:0]
+		}
 		for i := range t.harvest {
 			if rk := t.harvest[i].Rank(t.method); rk > 0 {
 				id := t.tab.Intern(t.harvest[i].Key)
@@ -212,7 +231,7 @@ func (r Ranks) built() *rankTable {
 				}
 			}
 		}
-		t.harvest = nil
+		t.harvest, t.pending = nil, false
 	}
 	return t
 }
@@ -251,13 +270,31 @@ func RanksFromMap(m map[PageKey]uint64) Ranks {
 	return Ranks{t: &rankTable{tab: tab, ranks: ranks}}
 }
 
-// RanksOf returns the hotness table for a harvest under a method; the
-// page mover uses it to demote coldest-first. Construction is O(1): the
-// table interns the harvest on its first Get or Len. Until then it
-// aliases stats.Pages, so it stays valid only until that backing array
-// is reused — the next HarvestEpochInto into the same EpochStats. Both
-// callers, sim.RunPlacement and the benchmark's replay, build it and
-// hand it to Mover.ApplySelection within the same epoch.
+// RankTable is reusable scratch for an epoch's hotness table; the zero
+// value is ready to use. A caller that ranks every epoch keeps one, and
+// the tables its Of returns build into the same interning table and
+// rank column, so they allocate nothing once those have grown to the
+// harvest. A RankTable must not be copied after its first Of.
+type RankTable struct {
+	t rankTable
+}
+
+// Of returns the hotness table for a harvest under a method. It is
+// O(1): the table interns the harvest on its first Get or Len. Until
+// then it aliases stats.Pages, so it stays valid only until that
+// backing array is reused — the next HarvestEpochInto into the same
+// EpochStats — and, since every table from one RankTable shares its
+// scratch, only until the next Of.
+func (rt *RankTable) Of(stats EpochStats, m Method) Ranks {
+	rt.t.harvest, rt.t.method, rt.t.pending = stats.Pages, m, true
+	return Ranks{t: &rt.t}
+}
+
+// RanksOf is RankTable.Of on fresh scratch: a one-shot hotness table
+// for a harvest under a method, which the page mover uses to demote
+// coldest-first. sim.RunPlacement keeps a RankTable instead; the
+// benchmark's replay calls RanksOf. Both hand the table to
+// Mover.ApplySelection within the epoch that built it.
 func RanksOf(stats EpochStats, m Method) Ranks {
-	return Ranks{t: &rankTable{harvest: stats.Pages, method: m}}
+	return new(RankTable).Of(stats, m)
 }

@@ -38,6 +38,7 @@ func tieHeavyStats(n int, seed int64) EpochStats {
 // to k — tie shapes included — and TopKSet must hold the same pages in
 // any order.
 func TestTopKMatchesFullSortTruncate(t *testing.T) {
+	var scratch []PageStat
 	for _, n := range []int{0, 1, 13, 100} {
 		stats := tieHeavyStats(n, int64(n)+1)
 		for _, m := range []Method{MethodAbit, MethodTrace, MethodCombined} {
@@ -60,7 +61,10 @@ func TestTopKMatchesFullSortTruncate(t *testing.T) {
 							n, m, k, i, got[i], want[i])
 					}
 				}
-				set := TopKSet(stats, m, k)
+				// A reused destination, alternately too small and
+				// larger than needed, must hold the same set.
+				set := TopKSet(scratch, stats, m, k)
+				scratch = set
 				sort.Slice(set, func(i, j int) bool { return statLess(&set[i], &set[j], m) })
 				if len(set) != len(want) {
 					t.Fatalf("n=%d m=%v k=%d: TopKSet len %d, full-sort len %d", n, m, k, len(set), len(want))

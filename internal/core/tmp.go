@@ -255,6 +255,9 @@ type Profiler struct {
 	onSample func(s trace.Sample)
 
 	epoch int
+	// kept is HarvestEpoch's scratch: it harvests here and hands out
+	// an exact-size copy.
+	kept EpochStats
 
 	// Telemetry (nil handles no-op when telemetry is off).
 	tel          *telemetry.Tracer
@@ -434,22 +437,29 @@ type EpochStats struct {
 // allocated page's epoch counters, resets them, and advances the epoch
 // index. This is the profiler-policy interface: the policy engine sees
 // ranked pages, not monitoring detail. The returned harvest owns its
-// backing array; callers that drop the harvest every epoch should use
-// HarvestEpochInto instead, which recycles one.
+// backing array, sized to its pages: callers that keep every harvest
+// (sim.Run) hold no slack. Callers that drop the harvest every epoch
+// should use HarvestEpochInto instead, which recycles one.
 func (p *Profiler) HarvestEpoch() EpochStats {
-	var stats EpochStats
-	p.HarvestEpochInto(&stats)
+	p.HarvestEpochInto(&p.kept)
+	stats := EpochStats{Epoch: p.kept.Epoch}
+	if len(p.kept.Pages) > 0 {
+		stats.Pages = slices.Clone(p.kept.Pages)
+	}
 	return stats
 }
 
 // HarvestEpochInto is the allocation-free harvest: dst.Pages is
 // truncated and refilled in place, so a caller that reuses one
 // EpochStats across epochs (the placement loop) pays zero allocations
-// per epoch in steady state — pinned by testing.AllocsPerRun. The
-// snapshot and the epoch reset happen in one pass over the
-// allocated-PFN span. dst must not be retained across calls by
-// anything downstream; harvests that are kept (sim.Run's Epochs
-// slice) go through HarvestEpoch, which hands out a fresh array.
+// per epoch in steady state — pinned by testing.AllocsPerRun. A
+// harvest that outgrows dst.Pages grows it in one step to the
+// harvest's upper bound, one page per allocated frame, instead of
+// through append's steps. The snapshot and the epoch reset happen in
+// one pass over the allocated-PFN span. dst must not be retained
+// across calls by anything downstream; harvests that are kept
+// (sim.Run's Epochs slice) go through HarvestEpoch, which hands out a
+// fresh array.
 func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 	p.IBS.FlushAt(p.machine.Now())
 	if p.PML != nil {
@@ -462,13 +472,20 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 		p.DevProf.FlushAt(p.machine.Now()) //nolint:errcheck
 	}
 	dst.Epoch = p.epoch
-	dst.Pages = dst.Pages[:0]
 	phys := p.machine.Phys
+	pages := dst.Pages[:0]
 	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
 		if pd.Epoch == (mem.Evidence{}) {
 			return
 		}
-		dst.Pages = append(dst.Pages, PageStat{
+		if len(pages) == cap(pages) {
+			allocated := 0
+			for t := 0; t < phys.Tiers(); t++ {
+				allocated += phys.UsedFrames(mem.TierID(t))
+			}
+			pages = slices.Grow(pages, allocated-len(pages))
+		}
+		pages = append(pages, PageStat{
 			Key:      PageKey{PID: int(pd.PID), VPN: pd.VPage},
 			Tier:     phys.TierOf(pfn),
 			Evidence: pd.Epoch,
@@ -478,6 +495,7 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 		// the ones the harvest skips.
 		pd.ResetEpoch()
 	})
+	dst.Pages = pages
 	p.epoch++
 	p.checkQuarantine(p.machine.Now())
 	if p.tel.Enabled() {

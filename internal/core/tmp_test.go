@@ -236,14 +236,17 @@ func TestRanksOf(t *testing.T) {
 	// The lazy table against an eagerly built one: every harvested key,
 	// a missing key, a crafted harvest with duplicate keys (the last
 	// nonzero rank wins) and an empty harvest, with Len agreeing whether
-	// it or Get forces the build.
+	// it or Get forces the build. Every case runs through fresh tables
+	// (RanksOf) and through two RankTables reused across all of them,
+	// which shrink, grow and go empty in turn.
 	dup := tieHeavyStats(40, 3)
 	dup.Pages = append(dup.Pages,
 		PageStat{Key: dup.Pages[5].Key, Evidence: mem.Evidence{Abit: 9, Trace: 9}},
 		PageStat{Key: dup.Pages[7].Key, Evidence: mem.Evidence{Abit: 4}},
 		PageStat{Key: dup.Pages[7].Key, Evidence: mem.Evidence{Trace: 2}},
 	)
-	for _, stats := range []EpochStats{tieHeavyStats(100, 9), dup, {}} {
+	var lenTable, getTable RankTable
+	for _, stats := range []EpochStats{tieHeavyStats(100, 9), dup, {}, tieHeavyStats(300, 4)} {
 		for _, m := range []Method{MethodAbit, MethodTrace, MethodCombined} {
 			eager := make(map[PageKey]uint64)
 			for i := range stats.Pages {
@@ -251,21 +254,28 @@ func TestRanksOf(t *testing.T) {
 					eager[stats.Pages[i].Key] = r
 				}
 			}
-			byLen := RanksOf(stats, m)
-			if byLen.Len() != len(eager) {
-				t.Fatalf("m=%v: Len before any Get = %d, want %d", m, byLen.Len(), len(eager))
-			}
-			byGet := RanksOf(stats, m)
-			if got := byGet.Get(PageKey{PID: 999, VPN: 1}); got != 0 {
-				t.Fatalf("m=%v: missing key ranks %d, want 0", m, got)
-			}
-			for _, ps := range stats.Pages {
-				if got := byGet.Get(ps.Key); got != eager[ps.Key] {
-					t.Fatalf("m=%v: Get(%v) = %d, want %d", m, ps.Key, got, eager[ps.Key])
+			for _, tabs := range []struct {
+				name         string
+				byLen, byGet Ranks
+			}{
+				{"RanksOf", RanksOf(stats, m), RanksOf(stats, m)},
+				{"RankTable", lenTable.Of(stats, m), getTable.Of(stats, m)},
+			} {
+				if got := tabs.byLen.Len(); got != len(eager) {
+					t.Fatalf("%s m=%v: Len before any Get = %d, want %d", tabs.name, m, got, len(eager))
 				}
-			}
-			if byGet.Len() != len(eager) {
-				t.Fatalf("m=%v: Len after Get = %d, want %d", m, byGet.Len(), len(eager))
+				byGet := tabs.byGet
+				if got := byGet.Get(PageKey{PID: 999, VPN: 1}); got != 0 {
+					t.Fatalf("%s m=%v: missing key ranks %d, want 0", tabs.name, m, got)
+				}
+				for _, ps := range stats.Pages {
+					if got := byGet.Get(ps.Key); got != eager[ps.Key] {
+						t.Fatalf("%s m=%v: Get(%v) = %d, want %d", tabs.name, m, ps.Key, got, eager[ps.Key])
+					}
+				}
+				if byGet.Len() != len(eager) {
+					t.Fatalf("%s m=%v: Len after Get = %d, want %d", tabs.name, m, byGet.Len(), len(eager))
+				}
 			}
 		}
 	}

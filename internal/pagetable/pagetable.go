@@ -108,7 +108,16 @@ type Table struct {
 	mapped     int // present leaf PTEs (a huge leaf counts once)
 	hugeLeaves int
 	version    uint64 // bumped on every unmap/remap/split, for staleness checks
+	// spare holds up to maxSpareLeaves leaf pages Unmap pruned, for
+	// SplitHuge to reuse: the mover splits what khugepaged collapsed,
+	// and each collapse prunes a leaf, so the cycle recycles table pages
+	// instead of allocating one per split.
+	spare []*node
 }
+
+// maxSpareLeaves bounds Table.spare; khugepaged collapses two chunks
+// per epoch.
+const maxSpareLeaves = 4
 
 // New returns an empty table for a process.
 func New(pid int) *Table {
@@ -306,6 +315,9 @@ func (t *Table) Unmap(vpn mem.VPN) bool {
 	if leaf.live == 0 {
 		pmd.children[idx] = nil
 		pmd.live--
+		if len(t.spare) < maxSpareLeaves {
+			t.spare = append(t.spare, leaf)
+		}
 	}
 	t.mapped--
 	t.version++
@@ -338,7 +350,14 @@ func (t *Table) SplitHuge(vpn mem.VPN) bool {
 		return false
 	}
 	hpte := pmd.ptes[idx]
-	leaf := &node{}
+	// Every slot of the leaf is written below, so a spare needs no
+	// clearing.
+	var leaf *node
+	if n := len(t.spare); n > 0 {
+		leaf, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else {
+		leaf = &node{}
+	}
 	inherit := hpte & (BitAccessed | BitDirty | BitPoison | BitWrite)
 	base := hpte.PFN()
 	for i := 0; i < radixSize; i++ {

@@ -367,3 +367,37 @@ func TestTableMatchesModel(t *testing.T) {
 		t.Errorf("walk visited %d, model has %d", count, len(model))
 	}
 }
+
+// TestSplitHugeReusesPrunedLeaf checks that a leaf page Unmap pruned
+// serves a later split whole: the split must map every subpage of the
+// huge frame, with no entry left from the leaf's earlier life, and
+// take the spare rather than allocate a leaf.
+func TestSplitHugeReusesPrunedLeaf(t *testing.T) {
+	tb := New(1)
+	for i := 0; i < mem.HugePages; i++ {
+		tb.Map(mem.VPN(i), mem.PFN(1000+i), true)
+	}
+	for i := 0; i < mem.HugePages; i++ {
+		tb.Unmap(mem.VPN(i))
+	}
+	if len(tb.spare) != 1 {
+		t.Fatalf("%d spare leaves after pruning one leaf, want 1", len(tb.spare))
+	}
+	base, frames := mem.VPN(mem.HugePages), mem.PFN(4*mem.HugePages)
+	tb.MapHuge(base, frames, false)
+	if !tb.SplitHuge(base) {
+		t.Fatal("SplitHuge found no huge leaf")
+	}
+	if len(tb.spare) != 0 {
+		t.Errorf("the split left the spare leaf unused")
+	}
+	for i := 0; i < mem.HugePages; i++ {
+		pfn, ok := tb.Frame(base + mem.VPN(i))
+		if !ok || pfn != frames+mem.PFN(i) {
+			t.Fatalf("subpage %d maps %d (mapped %t), want %d", i, pfn, ok, frames+mem.PFN(i))
+		}
+	}
+	if _, huge := tb.Resolve(base); huge {
+		t.Errorf("chunk still huge after split")
+	}
+}

@@ -19,6 +19,8 @@ package policy
 // there.
 
 import (
+	"math"
+
 	"tieredmem/internal/core"
 	"tieredmem/internal/mem"
 )
@@ -35,13 +37,21 @@ func PageCopyCostNS(src, dst mem.TierSpec) int64 {
 
 // AdmissionBudgetNS derives a per-epoch migration budget from an
 // epoch length and a bandwidth fraction: frac of the epoch's wall of
-// simulated time may go to migration line traffic. frac <= 0 disables
-// admission control (an unlimited budget).
+// simulated time may go to migration line traffic. frac <= 0 or NaN
+// disables admission control (an unlimited budget). A budget past
+// math.MaxInt64 (frac +Inf included) saturates there: converting it
+// directly is implementation-defined in Go and yields a negative
+// budget on amd64, which would silently disable the control asked for.
 func AdmissionBudgetNS(epochNS int64, frac float64) int64 {
-	if frac <= 0 {
+	if !(frac > 0) {
 		return 0
 	}
-	return int64(frac * float64(epochNS))
+	// float64(math.MaxInt64) rounds up to 2^63, the first value that
+	// does not fit.
+	if b := frac * float64(epochNS); b < float64(math.MaxInt64) {
+		return int64(b)
+	}
+	return math.MaxInt64
 }
 
 // admissionGated reports whether the admission controller is active.

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"tieredmem/internal/core"
@@ -85,8 +86,12 @@ func TestBoundedSelectionSweepsCapacity(t *testing.T) {
 	stats := agreementStats(45)
 	method := core.MethodCombined
 	ranked := core.RankedPages(stats, method)
+	var scratch selScratch
 	for capacity := 0; capacity <= len(ranked)+2; capacity++ {
-		sel := takeTop(stats, method, capacity)
+		sel := takeTop(nil, stats, method, capacity)
+		if reused := takeTop(&scratch, stats, method, capacity); !maps.Equal(reused, sel) {
+			t.Fatalf("capacity %d: reused scratch selects %d pages, fresh scratch %d", capacity, len(reused), len(sel))
+		}
 		wantLen := capacity
 		if wantLen > len(ranked) {
 			wantLen = len(ranked)

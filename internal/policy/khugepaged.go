@@ -30,6 +30,8 @@ type Collapser struct {
 	OverheadNS int64
 
 	charged int64 // portion of OverheadNS already charged
+	// cands is Collapse's candidate scratch, truncated per call.
+	cands []chunk
 }
 
 // NewCollapser builds a collapser with a 2 us per-subpage copy cost
@@ -53,16 +55,16 @@ func (c *Collapser) Collapse(pids []int, maxCollapses int) int {
 	if maxCollapses <= 0 {
 		return 0
 	}
-	var candidates []chunk
+	c.cands = c.cands[:0]
 	for _, pid := range pids {
 		table, ok := c.machine.Tables()[pid]
 		if !ok {
 			continue
 		}
-		candidates = append(candidates, c.findCandidates(pid, table)...)
+		c.cands = c.findCandidates(c.cands, pid, table)
 	}
 	done := 0
-	for _, cand := range candidates {
+	for _, cand := range c.cands {
 		if done >= maxCollapses {
 			break
 		}
@@ -76,13 +78,13 @@ func (c *Collapser) Collapse(pids []int, maxCollapses int) int {
 	return done
 }
 
-// findCandidates locates 2 MiB-aligned, fully base-mapped,
-// tier-homogeneous chunks. WalkRange visits in ascending VPN order, so
-// a chunk is complete exactly when 512 consecutive pages arrive from
-// its aligned base in one tier.
-func (c *Collapser) findCandidates(pid int, table *pagetable.Table) []chunk {
+// findCandidates appends to out the 2 MiB-aligned, fully base-mapped,
+// tier-homogeneous chunks of one process. WalkRange visits in ascending
+// VPN order, so a chunk is complete exactly when 512 consecutive pages
+// arrive from its aligned base in one tier.
+func (c *Collapser) findCandidates(out []chunk, pid int, table *pagetable.Table) []chunk {
 	phys := c.machine.Phys
-	var out []chunk
+	found := len(out)
 	var cur chunk
 	count := 0
 	table.WalkRange(func(vpn mem.VPN, pte *pagetable.PTE, huge bool) bool {
@@ -106,7 +108,7 @@ func (c *Collapser) findCandidates(pid int, table *pagetable.Table) []chunk {
 		}
 		return true
 	})
-	c.Scanned += uint64(len(out))
+	c.Scanned += uint64(len(out) - found)
 	return out
 }
 

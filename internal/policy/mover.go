@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/cpu"
@@ -126,6 +125,17 @@ type Mover struct {
 	epoch   uint64
 	retries []retryEntry
 	charged int64 // portion of OverheadNS already charged to core 0
+
+	// Per-epoch scratch, truncated and refilled by every ApplySelection
+	// so a steady-state epoch allocates nothing: the per-tier candidate
+	// columns candidates returns, the frames it sorts, the demotion
+	// plan, and the retry replay's queued keys and due entries.
+	demoteCols  [][]demoteCand
+	promoteCols [][]core.PageKey
+	frames      []mem.PFN
+	plan        []int
+	queuedKeys  map[core.PageKey]struct{}
+	due         []retryEntry
 	// Per-direction admission spend this epoch; each direction owns
 	// half of AdmissionBudgetNS (see admit).
 	admSpentPromote int64
@@ -442,7 +452,8 @@ type demoteCand struct {
 // tier t for every tier below the top. Pinned frames and keys in queued
 // (owned by the retry queue this epoch) are in neither. On a two-tier
 // machine these are the fast-tier demote list and the slow-tier promote
-// list.
+// list. The columns are the mover's scratch, truncated and refilled per
+// call: they stay valid until the next call.
 //
 // The cost tracks the selection and the upper tiers, not the footprint.
 // Demotion candidates come from walking tiers 0..last-1; the bottom tier
@@ -455,14 +466,17 @@ type demoteCand struct {
 func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (demote [][]demoteCand, promote [][]core.PageKey) {
 	phys := mv.machine.Phys
 	nt := phys.Tiers()
-	demote = make([][]demoteCand, nt)
-	promote = make([][]core.PageKey, nt)
+	if len(mv.demoteCols) != nt {
+		mv.demoteCols = make([][]demoteCand, nt)
+		mv.promoteCols = make([][]core.PageKey, nt)
+	}
+	demote, promote = mv.demoteCols, mv.promoteCols
 	isQueued := func(k core.PageKey) bool {
 		_, ok := queued[k]
 		return ok
 	}
 	for t := 0; t < nt-1; t++ {
-		cands := make([]demoteCand, 0, phys.UsedFrames(mem.TierID(t)))
+		cands := demote[t][:0]
 		phys.ForEachAllocatedIn(mem.TierID(t), func(_ mem.PFN, pd *mem.PageDescriptor) {
 			if pd.Flags&mem.FlagNonMigratable != 0 {
 				return
@@ -477,7 +491,7 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 	}
 
 	tables := mv.machine.Tables()
-	frames := make([]mem.PFN, 0, len(sel))
+	frames := mv.frames[:0]
 	// Map order cannot escape: the frames are sorted by PFN before any
 	// column is filled.
 	for key := range sel {
@@ -496,6 +510,10 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 		frames = append(frames, pfn)
 	}
 	slices.Sort(frames)
+	mv.frames = frames
+	for t := range promote {
+		promote[t] = promote[t][:0]
+	}
 	for _, pfn := range frames {
 		pd, t := phys.Page(pfn), phys.TierOf(pfn)
 		promote[t] = append(promote[t], core.PageKey{PID: int(pd.PID), VPN: pd.VPage})
@@ -577,7 +595,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	var queuedKeys map[core.PageKey]struct{}
 	if len(mv.retries) > 0 {
 		keep := mv.retries[:0]
-		var due []retryEntry
+		due := mv.due[:0]
 		for _, e := range mv.retries {
 			if _, selected := sel[e.key]; e.promote != selected {
 				mv.RetrySuperseded++
@@ -594,8 +612,14 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			}
 		}
 		mv.retries = keep
+		mv.due = due
 		if len(due)+len(keep) > 0 {
-			queuedKeys = make(map[core.PageKey]struct{}, len(due)+len(keep))
+			if mv.queuedKeys == nil {
+				mv.queuedKeys = make(map[core.PageKey]struct{}, len(due)+len(keep))
+			} else {
+				clear(mv.queuedKeys)
+			}
+			queuedKeys = mv.queuedKeys
 			for _, e := range keep {
 				queuedKeys[e.key] = struct{}{}
 			}
@@ -644,7 +668,10 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// actually has. The plan is optimistic — failed migrations leave
 	// less room than planned and the shortfall surfaces as capacity
 	// failures that retry next epoch, exactly the two-tier behavior.
-	plan := make([]int, nt)
+	if len(mv.plan) != nt {
+		mv.plan = make([]int, nt)
+	}
+	plan := mv.plan
 	for t := 0; t < nt-1; t++ {
 		incoming := len(promoteByTier[t+1])
 		if t > 0 {
@@ -692,7 +719,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			cand = head[next]
 		} else {
 			if !restSorted {
-				sort.Slice(rest, func(i, j int) bool { return coldest(rest[i], rest[j]) })
+				rest = core.TopKFunc(rest, len(rest), coldest)
 				restSorted = true
 			}
 			j := next - len(head)

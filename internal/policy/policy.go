@@ -37,43 +37,76 @@ type Policy interface {
 	Select(prev, next core.EpochStats, method core.Method, capacity int) Selection
 }
 
+// selScratch is the reusable state behind a Selection: the top-K heap
+// buffer and the set takeTop refills from it.
+type selScratch struct {
+	top []core.PageStat
+	sel Selection
+}
+
 // takeTop picks the top-capacity pages of a harvest under a method.
 // Selection is bounded: core.TopKSet heaps out the capacity hottest
 // pages (the order core.RankLess pins) instead of sorting the whole
 // harvest to throw most of it away, and leaves them unsorted because a
-// Selection is a set.
-func takeTop(stats core.EpochStats, method core.Method, capacity int) Selection {
-	top := core.TopKSet(stats, method, capacity)
-	sel := make(Selection, len(top))
-	for i := range top {
-		sel[top[i].Key] = struct{}{}
+// Selection is a set. With scratch the heap buffer and the set are
+// cleared and refilled, so the returned Selection is valid only until
+// the next call; nil scratch means fresh scratch, a new set per call.
+func takeTop(s *selScratch, stats core.EpochStats, method core.Method, capacity int) Selection {
+	if s == nil {
+		s = new(selScratch)
 	}
-	return sel
+	s.top = core.TopKSet(s.top, stats, method, capacity)
+	if s.sel == nil {
+		s.sel = make(Selection, len(s.top))
+	} else {
+		clear(s.sel)
+	}
+	for i := range s.top {
+		s.sel[s.top[i].Key] = struct{}{}
+	}
+	return s.sel
+}
+
+// Reusable returns p with selection scratch of its own when p is an
+// Oracle or a History: its Select then refills one set in place, and
+// each Selection it returns is valid only until its next Select. A
+// caller that drops every selection after applying it (the placement
+// loop, once per run) uses it; the zero values keep returning a fresh
+// set per call, which callers that keep the previous selection
+// (EvaluateHitrate) rely on. Other policies are returned unchanged.
+func Reusable(p Policy) Policy {
+	switch p.(type) {
+	case Oracle:
+		return Oracle{s: new(selScratch)}
+	case History:
+		return History{s: new(selScratch)}
+	}
+	return p
 }
 
 // Oracle brings the coming epoch's hottest pages (as the chosen
 // profiling method will observe them) into tier 1 at the start of the
 // epoch — the upper limit for policy design.
-type Oracle struct{}
+type Oracle struct{ s *selScratch }
 
 // Name implements Policy.
 func (Oracle) Name() string { return "oracle" }
 
 // Select implements Policy.
-func (Oracle) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
-	return takeTop(next, method, capacity)
+func (o Oracle) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
+	return takeTop(o.s, next, method, capacity)
 }
 
 // History brings the previous epoch's hottest pages into tier 1: the
 // simple yet practical reactive policy.
-type History struct{}
+type History struct{ s *selScratch }
 
 // Name implements Policy.
 func (History) Name() string { return "history" }
 
 // Select implements Policy.
-func (History) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
-	return takeTop(prev, method, capacity)
+func (h History) Select(prev, next core.EpochStats, method core.Method, capacity int) Selection {
+	return takeTop(h.s, prev, method, capacity)
 }
 
 // Decay is an extension policy (not in the paper's Table II, listed in

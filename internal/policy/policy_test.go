@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -151,6 +152,48 @@ func TestEvaluateHitrateCountsMigrations(t *testing.T) {
 	hr := EvaluateHitrate(Oracle{}, []core.EpochStats{e0, e1}, core.MethodCombined, 1)
 	if hr.Migrated != 1 {
 		t.Errorf("Migrated = %d, want 1 (selection flipped once)", hr.Migrated)
+	}
+}
+
+// TestReusableMatchesFresh checks that a policy with selection scratch
+// of its own (Reusable) selects the same set as its zero value, which
+// builds a fresh set per call, over a harvest sequence that grows,
+// shrinks, goes empty and changes capacity. Decay keeps its own state,
+// so Reusable hands it back unchanged.
+func TestReusableMatchesFresh(t *testing.T) {
+	mixed := agreementStats(64)
+	for i := range mixed.Pages {
+		if i%3 == 0 {
+			mixed.Pages[i].Tier = mem.FastTier // rank ties now break on residency
+		}
+	}
+	harvests := []core.EpochStats{
+		agreementStats(40),
+		agreementStats(300),
+		agreementStats(12),
+		{},
+		agreementStats(301),
+		mixed,
+	}
+	capacities := []int{8, 100, 200, 5, 0, 1, 64}
+	for _, fresh := range []Policy{History{}, Oracle{}} {
+		reused := Reusable(fresh)
+		prev := core.EpochStats{}
+		for i, next := range harvests {
+			for _, capacity := range capacities {
+				want := fresh.Select(prev, next, core.MethodCombined, capacity)
+				got := reused.Select(prev, next, core.MethodCombined, capacity)
+				if !maps.Equal(got, want) {
+					t.Fatalf("%s harvest %d capacity %d: reused scratch selects %v, fresh %v",
+						fresh.Name(), i, capacity, keys(got), keys(want))
+				}
+			}
+			prev = next
+		}
+	}
+	d := NewDecay(0.5)
+	if Reusable(d) != Policy(d) {
+		t.Errorf("Reusable changed a Decay policy")
 	}
 }
 

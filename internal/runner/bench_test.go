@@ -74,6 +74,30 @@ func harvestAllocsPerOp(t *testing.T) float64 {
 	})
 }
 
+// epochAllocsPerOp measures the steady-state allocation count of one
+// policy-arm placement epoch (harvest, Select, rank table,
+// ApplySelection, khugepaged) through sim.EpochProbe, on the
+// hpc-bigfoot-shaped machine BenchmarkPlacementEpoch at the repo root
+// times. The contract is 0, like the harvest's.
+func epochAllocsPerOp(t *testing.T) float64 {
+	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
+	cfg := sim.DefaultPlacementConfig(w, 4096, 600_000, 16, policy.History{}, core.MethodCombined)
+	probe, err := sim.NewEpochProbe(cfg, w)
+	if err != nil {
+		t.Fatalf("epoch allocs probe: %v", err)
+	}
+	// One run of all the epochs, divided here: AllocsPerRun divides by
+	// its run count in integers, which would hide a fraction.
+	const epochs = 20
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < epochs; i++ {
+			if _, _, err := probe.Epoch(); err != nil {
+				t.Fatalf("epoch allocs probe: %v", err)
+			}
+		}
+	}) / epochs
+}
+
 // Sharded-series parameters: one gups placement machine with 8
 // simulated cores (8 per-core cells), History on the combined rank.
 // Small enough for CI, big enough that the shard pool's speedup is
@@ -180,6 +204,7 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 		ParallelNS         int64    `json:"parallel_ns"`
 		Speedup            float64  `json:"speedup"`
 		HarvestAllocsPerOp float64  `json:"harvest_allocs_per_op"`
+		EpochAllocsPerOp   float64  `json:"epoch_allocs_per_op"`
 		Identical          bool     `json:"output_identical"`
 		// Intra-cell sharded pipeline series (one 8-cell machine).
 		Shards             int     `json:"shards"`
@@ -203,6 +228,7 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 		ParallelNS:         parNS,
 		Speedup:            float64(seqNS) / float64(parNS),
 		HarvestAllocsPerOp: harvestAllocsPerOp(t),
+		EpochAllocsPerOp:   epochAllocsPerOp(t),
 		Identical:          true,
 		Shards:             shardWorkers,
 		ShardCells:         shardCellCores,

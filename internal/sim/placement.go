@@ -249,8 +249,48 @@ func FaultAttribution(planes []*fault.Plane, res PlacementResult) []report.Fault
 // result. Speedup is computed by the caller as baseline duration over
 // policy duration.
 func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, error) {
+	r, err := newPlacementRun(cfg, w)
+	if err != nil {
+		return PlacementResult{}, err
+	}
+	r.res.MemAccesses, r.res.Tier1Hits, err = Drive(r.m, w, r.cfg.TotalRefs, r.cfg.BatchSize, r.afterBatch)
+	if err != nil {
+		return r.res, err
+	}
+	return r.finish()
+}
+
+// placementRun is one placement run: its machine, its arm's daemons and
+// the scratch its epochs reuse. The scratch is the run's own, so
+// sharded cells and experiment workers share nothing.
+type placementRun struct {
+	cfg      PlacementConfig
+	m        *cpu.Machine
+	pids     []int
+	capacity int
+	res      PlacementResult
+
+	prof      *core.Profiler
+	mover     *policy.Mover
+	inv       *invariant.Checker
+	collapser *policy.Collapser
+	em        *emul.Emulator
+
+	// Epoch scratch. pol is cfg.Policy with selection scratch of its
+	// own (policy.Reusable): the loop drops each selection after
+	// ApplySelection, and the rank table and the harvest are dropped
+	// at the same point, so steady-state epochs run allocation-free.
+	pol       policy.Policy
+	ranks     core.RankTable
+	ep        core.EpochStats
+	nextEpoch int64
+}
+
+// newPlacementRun builds a placement run's machine and arm from cfg,
+// filling cfg's defaults.
+func newPlacementRun(cfg PlacementConfig, w workload.Workload) (*placementRun, error) {
 	if cfg.TotalRefs <= 0 {
-		return PlacementResult{}, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
+		return nil, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = BatchSize
@@ -264,44 +304,48 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	if cfg.Tiers == nil {
 		chain, err := DefaultChain(w, cfg.Ratio, 2)
 		if err != nil {
-			return PlacementResult{}, err
+			return nil, err
 		}
 		cfg.Tiers = chain
 	}
-	// Capacity the policy may fill: leave the huge-fault slack out so
-	// promotions never fail on a full tier.
-	capacity := max(cfg.Tiers[0].Frames-mem.HugePages, 0)
 	m, err := cpu.NewMachine(cfg.CPU, cfg.Tiers)
 	if err != nil {
-		return PlacementResult{}, err
+		return nil, err
 	}
 	if cfg.Huge {
 		m.SetHugeHint(workload.HugeHintFor(w))
 	}
+	r := &placementRun{
+		cfg: cfg,
+		m:   m,
+		// Capacity the policy may fill: leave the huge-fault slack out
+		// so promotions never fail on a full tier.
+		capacity:  max(cfg.Tiers[0].Frames-mem.HugePages, 0),
+		res:       PlacementResult{Workload: w.Name(), Arm: "first-touch", NumCores: len(m.Cores())},
+		pids:      w.Processes(),
+		nextEpoch: cfg.EpochNS,
+	}
 
-	res := PlacementResult{Workload: w.Name(), Arm: "first-touch", NumCores: len(m.Cores())}
-
-	var prof *core.Profiler
-	var mover *policy.Mover
 	if cfg.Policy != nil {
-		res.Arm = fmt.Sprintf("%s/%s", cfg.Policy.Name(), cfg.Method)
-		prof, err = core.New(cfg.TMP, m, nil)
+		r.res.Arm = fmt.Sprintf("%s/%s", cfg.Policy.Name(), cfg.Method)
+		r.pol = policy.Reusable(cfg.Policy)
+		r.prof, err = core.New(cfg.TMP, m, nil)
 		if err != nil {
-			return PlacementResult{}, err
+			return nil, err
 		}
-		for _, pid := range w.Processes() {
-			prof.Register(pid)
+		for _, pid := range r.pids {
+			r.prof.Register(pid)
 		}
-		mover = policy.NewMover(m)
-		mover.Transactional = cfg.TxMigration
-		mover.AdmissionBudgetNS = policy.AdmissionBudgetNS(cfg.EpochNS, cfg.AdmissionFrac)
+		r.mover = policy.NewMover(m)
+		r.mover.Transactional = cfg.TxMigration
+		r.mover.AdmissionBudgetNS = policy.AdmissionBudgetNS(cfg.EpochNS, cfg.AdmissionFrac)
 		if cfg.Tracer.Enabled() {
-			prof.SetTracer(cfg.Tracer)
-			mover.SetTracer(cfg.Tracer)
+			r.prof.SetTracer(cfg.Tracer)
+			r.mover.SetTracer(cfg.Tracer)
 		}
 		if cfg.Prov.Enabled() {
 			cfg.Prov.SetTracer(cfg.Tracer)
-			mover.SetProvenance(cfg.Prov)
+			r.mover.SetProvenance(cfg.Prov)
 		}
 	}
 	if cfg.Tracer.Enabled() {
@@ -309,11 +353,11 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	}
 	if cfg.Faults != nil {
 		m.Phys.SetFaultPlane(cfg.Faults)
-		if prof != nil {
-			prof.SetFaultPlane(cfg.Faults)
+		if r.prof != nil {
+			r.prof.SetFaultPlane(cfg.Faults)
 		}
-		if mover != nil {
-			mover.SetFaultPlane(cfg.Faults)
+		if r.mover != nil {
+			r.mover.SetFaultPlane(cfg.Faults)
 		}
 		if cfg.Tracer.Enabled() {
 			cfg.Faults.SetTracer(cfg.Tracer)
@@ -323,125 +367,134 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	// leave the machine conserved: no frame lost or duplicated, every
 	// mapping backed, mover counters consistent. The checker only
 	// reads, so checked runs are byte-identical to unchecked ones.
-	var inv *invariant.Checker
 	if cfg.Invariants || cfg.Faults.Enabled() {
-		inv = invariant.New()
+		r.inv = invariant.New()
 	}
-	var collapser *policy.Collapser
 	if cfg.Khugepaged && cfg.Huge {
-		collapser = policy.NewCollapser(m)
+		r.collapser = policy.NewCollapser(m)
 	}
 
-	var em *emul.Emulator
 	if cfg.EmulCosts != nil {
 		costs := *cfg.EmulCosts
 		if costs.WindowNS <= 0 {
 			costs.WindowNS = cfg.EpochNS
 		}
-		em, err = emul.New(costs, m)
+		r.em, err = emul.New(costs, m)
 		if err != nil {
-			return PlacementResult{}, err
+			return nil, err
 		}
-		if mover != nil {
+		if r.mover != nil {
 			// Under emulation the paper's migration cost replaces
 			// the mover's own estimate.
-			mover.CostPerPageNS = costs.MigrationNS
+			r.mover.CostPerPageNS = costs.MigrationNS
 		}
 	}
+	return r, nil
+}
 
-	pids := w.Processes()
-
-	// Harvest scratch reused across epochs: the placement loop drops
-	// each harvest after selection, so steady-state epochs run
-	// allocation-free (HarvestEpochInto recycles ep's backing array).
-	var ep core.EpochStats
-	nextEpoch := cfg.EpochNS
-	res.MemAccesses, res.Tier1Hits, err = Drive(m, w, cfg.TotalRefs, cfg.BatchSize, func(int) error {
-		now := m.Now()
-		if prof != nil {
-			prof.Tick(now)
-		}
-		if em != nil {
-			em.TickIfDue(now)
-		}
-		if now < nextEpoch {
-			return nil
-		}
-		if prof != nil {
-			prof.HarvestEpochInto(&ep)
-			// Quarantine degrades the requested evidence method to
-			// whatever mechanisms survive; without faults nothing is
-			// ever quarantined and this is the identity.
-			method := prof.EffectiveMethod(cfg.Method)
-			sel := cfg.Policy.Select(ep, core.EpochStats{}, method, capacity)
-			if cfg.Prov.Enabled() {
-				// Record the harvest before the mover runs so the
-				// evidence snapshot predates any tier transition.
-				cfg.Prov.BeginEpoch(ep.Epoch, method, cfg.Method, mover.MinPromoteRank)
-				cfg.Prov.ObserveHarvest(ep, func(k core.PageKey) bool {
-					_, ok := sel[k]
-					return ok
-				})
-			}
-			promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
-			cfg.Prov.FinishEpoch()
-			if em != nil && promoted+demoted > 0 {
-				extra := em.ChargeMigration(promoted + demoted)
-				m.Core(0).AdvanceClock(extra)
-				// Newly demoted pages must be re-protected now, not
-				// at the next window.
-				em.Repoison()
-			}
-		} else {
-			m.Phys.ResetEpochAll()
-			// The baseline arm has no profiler to cut telemetry
-			// epochs; cut here so its counter deltas stay aligned to
-			// the same horizons as the policy arms.
-			cfg.Tracer.CutEpoch(now, 0)
-		}
-		if collapser != nil {
-			// khugepaged cadence: repair a couple of split chunks per
-			// epoch.
-			collapser.Collapse(pids, 2)
-		}
-		if inv != nil {
-			if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
-				return fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
-			}
-		}
-		// One placement pass per batch even if multiple epoch
-		// boundaries elapsed (migration work advances the clock;
-		// re-running placement on empty harvests would thrash).
-		for nextEpoch <= now {
-			nextEpoch += cfg.EpochNS
-		}
+// afterBatch is the run's Drive callback: it ticks the daemons and, at
+// an epoch horizon, runs one placement pass.
+func (r *placementRun) afterBatch(int) error {
+	now := r.m.Now()
+	if r.prof != nil {
+		r.prof.Tick(now)
+	}
+	if r.em != nil {
+		r.em.TickIfDue(now)
+	}
+	if now < r.nextEpoch {
 		return nil
-	})
-	if err != nil {
-		return res, err
 	}
-	if inv != nil {
-		if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
+	r.harvest(now)
+	if err := r.place(now); err != nil {
+		return err
+	}
+	// One placement pass per batch even if multiple epoch boundaries
+	// elapsed (migration work advances the clock; re-running placement
+	// on empty harvests would thrash).
+	for r.nextEpoch <= now {
+		r.nextEpoch += r.cfg.EpochNS
+	}
+	return nil
+}
+
+// harvest ends the epoch's evidence: the policy arm harvests it into
+// the run's scratch, the baseline arm resets it.
+func (r *placementRun) harvest(now int64) {
+	if r.prof != nil {
+		r.prof.HarvestEpochInto(&r.ep)
+		return
+	}
+	r.m.Phys.ResetEpochAll()
+	// The baseline arm has no profiler to cut telemetry epochs; cut
+	// here so its counter deltas stay aligned to the same horizons as
+	// the policy arms.
+	r.cfg.Tracer.CutEpoch(now, 0)
+}
+
+// place runs the placement pass on the harvest in r.ep: selection,
+// migration, the khugepaged pass and the invariant check.
+func (r *placementRun) place(now int64) error {
+	if r.prof != nil {
+		cfg := r.cfg
+		// Quarantine degrades the requested evidence method to
+		// whatever mechanisms survive; without faults nothing is ever
+		// quarantined and this is the identity.
+		method := r.prof.EffectiveMethod(cfg.Method)
+		sel := r.pol.Select(r.ep, core.EpochStats{}, method, r.capacity)
+		if cfg.Prov.Enabled() {
+			// Record the harvest before the mover runs so the evidence
+			// snapshot predates any tier transition.
+			cfg.Prov.BeginEpoch(r.ep.Epoch, method, cfg.Method, r.mover.MinPromoteRank)
+			cfg.Prov.ObserveHarvest(r.ep, func(k core.PageKey) bool {
+				_, ok := sel[k]
+				return ok
+			})
+		}
+		promoted, demoted := r.mover.ApplySelection(sel, r.ranks.Of(r.ep, method))
+		cfg.Prov.FinishEpoch()
+		if r.em != nil && promoted+demoted > 0 {
+			extra := r.em.ChargeMigration(promoted + demoted)
+			r.m.Core(0).AdvanceClock(extra)
+			// Newly demoted pages must be re-protected now, not at the
+			// next window.
+			r.em.Repoison()
+		}
+	}
+	if r.collapser != nil {
+		// khugepaged cadence: repair a couple of split chunks per
+		// epoch.
+		r.collapser.Collapse(r.pids, 2)
+	}
+	if r.inv != nil {
+		if err := r.inv.Check(r.m.Phys, r.m.Tables(), r.mover); err != nil {
+			return fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
+		}
+	}
+	return nil
+}
+
+// finish checks the final state and assembles the run's result.
+func (r *placementRun) finish() (PlacementResult, error) {
+	res := r.res
+	if r.inv != nil {
+		if err := r.inv.Check(r.m.Phys, r.m.Tables(), r.mover); err != nil {
 			return res, fmt.Errorf("sim: final state: %w", err)
 		}
 	}
-	res.Refs = cfg.TotalRefs
-	res.DurationNS = m.Now()
-	if mover != nil {
-		// Copy through a temporary: taking res's address would move
-		// it to the heap.
-		counts := res
-		for _, c := range moverCounters(&counts, mover) {
+	res.Refs = r.cfg.TotalRefs
+	res.DurationNS = r.m.Now()
+	if r.mover != nil {
+		for _, c := range moverCounters(&res, r.mover) {
 			*c.res = *c.mv
 		}
-		res = counts
 	}
-	if prof != nil {
-		res.Quarantined = prof.QuarantinedMechanisms()
+	if r.prof != nil {
+		res.Quarantined = r.prof.QuarantinedMechanisms()
 	}
-	res.FaultsInjected = cfg.Faults.TotalInjected()
-	if em != nil {
-		s := em.Stats()
+	res.FaultsInjected = r.cfg.Faults.TotalInjected()
+	if r.em != nil {
+		s := r.em.Stats()
 		res.EmulInjected = s.InjectedNS
 		res.EmulFaults = s.Faults
 	}
