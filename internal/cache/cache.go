@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // LineShift is log2 of the 64-byte cache line size.
@@ -55,10 +56,17 @@ type Config struct {
 // Lines returns the level's line capacity.
 func (c Config) Lines() int { return c.SizeBytes / LineSize }
 
+// maxWays bounds a level's associativity: a set's recency order packs
+// one 4-bit way number per way into a uint64.
+const maxWays = 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache: size (%d) and ways (%d) must be positive", c.SizeBytes, c.Ways)
+	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache: %d ways exceed the maximum of %d", c.Ways, maxWays)
 	}
 	lines := c.Lines()
 	if lines%c.Ways != 0 {
@@ -84,114 +92,151 @@ type Stats struct {
 // cpu.NewMachine ensures by capping physical memory.
 const MaxLine = math.MaxUint32 - 1
 
-// level is one set-associative array stored flat: way w of set s is
-// slot s*ways+w of every column. tags holds line+1, so 0 marks an empty
-// way. lru holds the stamp of the slot's last fill or hit: 0 while the
-// way is empty, at least 1 once filled. Both columns are 32-bit, so a
-// 16-way set's tags fill one 64-byte host line and its stamps one more.
+// Replicated constants for the SWAR (SIMD within a register) tests: a
+// set bit at the bottom or the top of every byte or nibble.
+const (
+	lowBytes   = 0x0101010101010101
+	topBytes   = 0x8080808080808080
+	lowNibbles = 0x1111111111111111
+	topNibbles = 0x8888888888888888
+)
+
+// set is one set's metadata, 32 bytes.
+//   - fp: way w's fingerprint is byte w%8 of fp[w/8]: its line's
+//     fingerprint once filled, 0 while empty.
+//   - order: the ways from most to least recently used, 4 bits each
+//     from the low end. Nibbles past the last way hold stale ways that
+//     no result depends on.
+//   - pf: bit w is set while way w holds a line the prefetcher filled
+//     and no demand access has hit.
+type set struct {
+	fp    [2]uint64
+	order uint64
+	pf    uint64
+}
+
+// level is one set-associative array: a record per set, plus the tags
+// stored flat, way w of set s at tags[s*ways+w]. A tag holds line+1, so
+// 0 marks an empty way. Tags are read only to confirm a fingerprint
+// match, so they stay out of the record.
+//
+// Ways are filled and never invalidated, so the filled ways of a set are
+// always a prefix of it. Every set's order starts as ways n-1 ... 0, so
+// its tail is the first empty way while the set has one, and the least
+// recently used way after that: the victim is always the tail.
 type level struct {
-	tags       []uint32
-	lru        []uint32
-	prefetched []bool // line was filled by the prefetcher and not yet demanded
-	ways       int
-	mask       uint64
-	stamp      uint32
-	stats      Stats
+	sets  []set
+	tags  []uint32
+	ways  int
+	mask  uint64 // set index mask
+	shift uint   // log2 of the set count: the fingerprint's line bits start here
+	tail  uint   // the bit offset of the least recent way in order
+	stats Stats
 }
 
 func newLevel(c Config) *level {
 	n := c.Lines()
-	return &level{
-		tags:       make([]uint32, n),
-		lru:        make([]uint32, n),
-		prefetched: make([]bool, n),
-		ways:       c.Ways,
-		mask:       uint64(n/c.Ways - 1),
+	sets := n / c.Ways
+	l := &level{
+		sets:  make([]set, sets),
+		tags:  make([]uint32, n),
+		ways:  c.Ways,
+		mask:  uint64(sets - 1),
+		shift: uint(bits.TrailingZeros(uint(sets))),
+		tail:  4 * uint(c.Ways-1),
 	}
+	var order uint64
+	for w := 0; w < c.Ways; w++ {
+		order = order<<4 | uint64(w)
+	}
+	for i := range l.sets {
+		l.sets[i].order = order
+	}
+	return l
 }
 
-// tick advances the level's stamp and returns it. A 32-bit stamp wraps
-// after 2^32 hits and fills, which a long run's L1 reaches, so just
-// before that every set's stamps are renumbered by rank.
-func (l *level) tick() uint32 {
-	if l.stamp == math.MaxUint32 {
-		l.renumber()
-	}
-	l.stamp++
-	return l.stamp
-}
+// fingerprint is line's tag byte: the 7 line bits just above the set
+// index, with the top bit set so that it never equals an empty way's 0.
+func (l *level) fingerprint(line uint64) uint64 { return 0x80 | line>>l.shift&0x7f }
 
-// renumber replaces each filled way's stamp by its rank within its
-// set, 1 for the least recently used; empty ways keep 0. Stamps are
-// compared only within a set, so every set keeps its order and hence
-// its first-least victim. The level's stamp restarts at the way count,
-// at or above every rank.
-func (l *level) renumber() {
-	ranks := make([]uint32, l.ways)
-	for base := 0; base < len(l.lru); base += l.ways {
-		set := l.lru[base : base+l.ways]
-		for i, a := range set {
-			ranks[i] = 0
-			for _, b := range set {
-				if a != 0 && b != 0 && b <= a {
-					ranks[i]++
-				}
+// probe finds line in its set without touching recency or stats. It
+// returns the set and the line's way, or -1 on a miss.
+//
+// The has-zero-byte test flags each way whose fingerprint equals line's.
+// A borrow can also flag the byte just above a true match, and distinct
+// lines share fingerprints, so every candidate is confirmed against its
+// tag. A line sits in at most one way, because fills happen only on a
+// miss, so the first confirmed candidate is the hit. An empty way, and a
+// byte past the last way, holds 0: XORed with the pattern it keeps its
+// top bit, so it is never flagged and never borrows, and the test needs
+// no per-level mask.
+func (l *level) probe(line uint64) (s *set, way int) {
+	si := int(line & l.mask)
+	s = &l.sets[si]
+	base := si * l.ways
+	tag := uint32(line) + 1
+	pat := l.fingerprint(line) * lowBytes
+	for i, fp := range s.fp {
+		x := fp ^ pat
+		for c := (x - lowBytes) &^ x & topBytes; c != 0; c &= c - 1 {
+			w := i<<3 | bits.TrailingZeros64(c)>>3
+			if l.tags[base+w] == tag {
+				return s, w
 			}
 		}
-		copy(set, ranks)
 	}
-	l.stamp = uint32(l.ways)
+	return s, -1
 }
 
-// probe scans line's set without touching LRU or stats. On a hit it
-// returns the line's slot. On a miss it returns the victim slot: the
-// first way with the smallest stamp, which is the first empty way if
-// there is one and the least recently used way otherwise.
-func (l *level) probe(line uint64) (slot int, hit bool) {
-	base := int(line&l.mask) * l.ways
-	tag := uint32(line) + 1
-	for i, t := range l.tags[base : base+l.ways] {
-		if t == tag {
-			return base + i, true
-		}
-	}
-	// Holding the least stamp in a register lets the compiler pick the
-	// victim with conditional moves instead of a branch per way.
-	lru := l.lru[base : base+l.ways]
-	v, least := 0, lru[0]
-	for i, s := range lru {
-		if s < least {
-			v, least = i, s
-		}
-	}
-	return base + v, false
-}
-
-// lookup is a demand probe. On a hit it refreshes LRU and clears the
-// prefetched flag (returning whether it had been set); on a miss it
-// returns the victim slot for fill.
-func (l *level) lookup(line uint64) (slot int, hit, wasPrefetch bool) {
-	slot, hit = l.probe(line)
-	if !hit {
+// lookup is a demand probe. On a hit it moves the line's way to the
+// front of its set's order and clears its prefetched bit, returning
+// whether that had been set.
+func (l *level) lookup(line uint64) (hit, wasPrefetch bool) {
+	s, w := l.probe(line)
+	if w < 0 {
 		l.stats.Misses++
-		return slot, false, false
+		return false, false
 	}
-	l.lru[slot] = l.tick()
-	wasPrefetch = l.prefetched[slot]
-	l.prefetched[slot] = false
+	s.order = touch(s.order, w)
+	bit := uint64(1) << w
+	wasPrefetch = s.pf&bit != 0
+	s.pf &^= bit
 	l.stats.Hits++
 	if wasPrefetch {
 		l.stats.PrefetchHits++
 	}
-	return slot, true, wasPrefetch
+	return true, wasPrefetch
 }
 
-// fill installs line into slot, a victim returned by probe or lookup
-// with no access to the level in between.
-func (l *level) fill(slot int, line uint64, prefetched bool) {
-	l.tags[slot] = uint32(line) + 1
-	l.lru[slot] = l.tick()
-	l.prefetched[slot] = prefetched
+// touch moves way w to the front of order. The has-zero-nibble test
+// finds w's nibble: a borrow can flag only a nibble above a true match,
+// and w appears once, so the lowest flag is w's.
+func touch(order uint64, w int) uint64 {
+	x := order ^ uint64(w)*lowNibbles
+	at := uint(bits.TrailingZeros64((x-lowNibbles)&^x&topNibbles)) &^ 3
+	below := uint64(1)<<at - 1
+	return order&(^uint64(0)<<at<<4) | (order&below)<<4 | uint64(w)
+}
+
+// victim returns the way a fill of s replaces: its order's tail.
+func (l *level) victim(s *set) int { return int(s.order >> l.tail & 0xf) }
+
+// fill installs line, which its set does not hold, in the set's victim,
+// and moves that way from the tail of the order to the front.
+func (l *level) fill(line uint64, prefetched bool) {
+	si := int(line & l.mask)
+	s := &l.sets[si]
+	w := l.victim(s)
+	l.tags[si*l.ways+w] = uint32(line) + 1
+	at := uint(w&7) << 3
+	s.fp[w>>3] = s.fp[w>>3]&^(0xff<<at) | l.fingerprint(line)<<at
+	s.order = s.order<<4 | uint64(w)
+	bit := uint64(1) << w
+	if prefetched {
+		s.pf |= bit
+	} else {
+		s.pf &^= bit
+	}
 }
 
 // Hierarchy is one core's L1/L2 plus a shared LLC. Multiple cores
@@ -268,48 +313,38 @@ func (h *Hierarchy) Access(paddr uint64, ip uint64, isStore bool) Result {
 	return res
 }
 
-// access probes each level once. A miss leaves that level's victim
-// slot, which the fill writes directly: nothing touches the set in
-// between.
+// access probes each level once. A miss fills every level above the
+// one that held the line, and all three on a memory access.
 func (h *Hierarchy) access(line uint64) Result {
-	s1, hit, pf := h.l1.lookup(line)
-	if hit {
+	if hit, pf := h.l1.lookup(line); hit {
 		return Result{Level: HitL1, PrefetchHit: pf}
 	}
-	s2, hit, pf := h.l2.lookup(line)
-	if hit {
-		h.l1.fill(s1, line, false)
+	if hit, pf := h.l2.lookup(line); hit {
+		h.l1.fill(line, false)
 		return Result{Level: HitL2, PrefetchHit: pf}
 	}
-	s3, hit, pf := h.llc.lvl.lookup(line)
-	if hit {
-		h.l2.fill(s2, line, false)
-		h.l1.fill(s1, line, false)
+	if hit, pf := h.llc.lvl.lookup(line); hit {
+		h.l2.fill(line, false)
+		h.l1.fill(line, false)
 		return Result{Level: HitLLC, PrefetchHit: pf}
 	}
 	// Memory access; fill inclusively.
-	h.llc.lvl.fill(s3, line, false)
-	h.l2.fill(s2, line, false)
-	h.l1.fill(s1, line, false)
+	h.llc.lvl.fill(line, false)
+	h.l2.fill(line, false)
+	h.l1.fill(line, false)
 	return Result{Level: MissAll}
 }
 
 // prefetchFill stages a line into the LLC and L2 without touching L1,
 // marking it prefetched. Lines already cached anywhere are skipped.
 func (h *Hierarchy) prefetchFill(line uint64) {
-	if _, hit := h.l1.probe(line); hit {
-		return
+	for _, l := range [...]*level{h.l1, h.l2, h.llc.lvl} {
+		if _, w := l.probe(line); w >= 0 {
+			return
+		}
 	}
-	s2, hit := h.l2.probe(line)
-	if hit {
-		return
-	}
-	s3, hit := h.llc.lvl.probe(line)
-	if hit {
-		return
-	}
-	h.llc.lvl.fill(s3, line, true)
-	h.l2.fill(s2, line, true)
+	h.llc.lvl.fill(line, true)
+	h.l2.fill(line, true)
 	h.pf.Issued++
 }
 

@@ -30,8 +30,9 @@ func TestConfigValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{SizeBytes: 0, Ways: 8},
 		{SizeBytes: 32 << 10, Ways: 0},
-		{SizeBytes: 3 << 10, Ways: 8},  // 48 lines % 8 != 0... actually 48%8==0 but 6 sets not pow2
-		{SizeBytes: 100 * 64, Ways: 7}, // lines not divisible
+		{SizeBytes: 3 << 10, Ways: 8},       // 6 sets, not a power of two
+		{SizeBytes: 100 * 64, Ways: 7},      // lines not divisible
+		{SizeBytes: 17 * 64 * 64, Ways: 17}, // more ways than the recency order holds
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid config %+v accepted", bad)

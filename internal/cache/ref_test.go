@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // refWay, refLevel and refHierarchy are the array-of-sets model the
 // flat level replaced, kept as the plain reference the differential
@@ -134,6 +131,13 @@ var (
 		Config{SizeBytes: 16 << 10, Ways: 4},
 	}
 	geomDefault = geometry{DefaultL1, DefaultL2, DefaultLLC}
+	// geomEnds puts both ends of the recency order in one hierarchy: a
+	// direct-mapped L1 under a 16-way L2 and LLC.
+	geomEnds = geometry{
+		Config{SizeBytes: 1 << 10, Ways: 1},
+		Config{SizeBytes: 8 << 10, Ways: 16},
+		Config{SizeBytes: 32 << 10, Ways: 16},
+	}
 )
 
 // refPair builds the flat hierarchy and the reference on one geometry,
@@ -225,51 +229,12 @@ func driveLong(t *testing.T, g geometry, h *Hierarchy, ref *refHierarchy, steps 
 }
 
 // TestHierarchyMatchesReferenceLong runs long pseudo-random sequences
-// on both geometries with the prefetcher on and off.
+// on every geometry with the prefetcher on and off.
 func TestHierarchyMatchesReferenceLong(t *testing.T) {
-	for _, g := range []geometry{geomTiny, geomDefault} {
+	for _, g := range []geometry{geomTiny, geomDefault, geomEnds} {
 		for _, degree := range []int{0, 2} {
 			h, ref := refPair(t, g, degree)
 			driveLong(t, g, h, ref, 200_000)
 		}
-	}
-}
-
-// TestHierarchyMatchesReferenceAcrossRenumber starts every level's
-// 32-bit stamp one level-size of ticks below the wrap, so each level
-// fills up and then renumbers its stamps mid-run, and compares the
-// hierarchy with the 64-bit reference across that point.
-func TestHierarchyMatchesReferenceAcrossRenumber(t *testing.T) {
-	for _, g := range []geometry{geomTiny, geomDefault} {
-		for _, degree := range []int{0, 2} {
-			h, ref := refPair(t, g, degree)
-			levels := []*level{h.l1, h.l2, h.llc.lvl}
-			for _, l := range levels {
-				l.stamp = math.MaxUint32 - uint32(len(l.lru))
-			}
-			driveLong(t, g, h, ref, 200_000)
-			for i, l := range levels {
-				if l.stamp > math.MaxUint32/2 {
-					t.Errorf("%+v degree %d: level %d never renumbered (stamp %d)", g.llc, degree, i, l.stamp)
-				}
-			}
-		}
-	}
-}
-
-// TestRenumberKeepsSetOrder checks the renumbering rule on one set:
-// filled ways take their rank, empty ways stay 0.
-func TestRenumberKeepsSetOrder(t *testing.T) {
-	l := newLevel(Config{SizeBytes: 2 * 4 * LineSize, Ways: 4})
-	copy(l.lru, []uint32{900, 0, 7, 4000, 0, 0, 0, 0})
-	l.renumber()
-	want := []uint32{2, 0, 1, 3, 0, 0, 0, 0}
-	for i := range want {
-		if l.lru[i] != want[i] {
-			t.Fatalf("renumbered stamps %v, want %v", l.lru, want)
-		}
-	}
-	if l.tick() != 5 {
-		t.Errorf("first stamp after renumbering is %d, want 5 (above every rank)", l.stamp)
 	}
 }

@@ -51,6 +51,9 @@ func (c Config) Validate() error {
 	if c.Entries%c.Ways != 0 {
 		return fmt.Errorf("tlb: entries (%d) not divisible by ways (%d)", c.Entries, c.Ways)
 	}
+	if sets := c.Entries / c.Ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("tlb: set count %d must be a power of two", sets)
+	}
 	return nil
 }
 
@@ -73,11 +76,9 @@ type level struct {
 	stats   Stats
 }
 
+// newLevel builds a level from a validated config.
 func newLevel(c Config) *level {
 	nsets := c.Entries / c.Ways
-	if nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("tlb: set count %d must be a power of two", nsets))
-	}
 	return &level{entries: make([]Entry, c.Entries), ways: c.Ways, mask: uint64(nsets - 1), gen: 1}
 }
 

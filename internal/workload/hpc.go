@@ -152,18 +152,23 @@ func NewGraph500(cfg Config) Workload {
 		vOffsets[vertexCount] = acc
 
 		pp := p
+		// The frontier is read from pos instead of resliced from the
+		// front, so both buffers keep their capacity across levels and
+		// a steady-state call allocates nothing.
 		state := struct {
 			frontier []int
+			pos      int
 			next     []int
 		}{frontier: []int{0}}
 		g.procs = append(g.procs, p)
 		g.gens = append(g.gens, func() {
-			if len(state.frontier) == 0 {
+			if state.pos == len(state.frontier) {
 				// BFS exhausted: restart from a new random root.
-				state.frontier = append(state.frontier, int(pp.rng.Int63())%vertexCount)
+				state.frontier = append(state.frontier[:0], int(pp.rng.Int63())%vertexCount)
+				state.pos = 0
 			}
-			v := state.frontier[0]
-			state.frontier = state.frontier[1:]
+			v := state.frontier[state.pos]
+			state.pos++
 			// Read the vertex's offset entry (mostly sequential).
 			pp.push(ip(20), offsets.at(uint64(v)*8), trace.Load)
 			start, end := vOffsets[v], vOffsets[v+1]
@@ -185,8 +190,9 @@ func NewGraph500(cfg Config) Workload {
 					}
 				}
 			}
-			if len(state.frontier) == 0 {
+			if state.pos == len(state.frontier) {
 				state.frontier, state.next = state.next, state.frontier[:0]
+				state.pos = 0
 			}
 		})
 	}
