@@ -5,6 +5,7 @@ import (
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/policy"
+	"tieredmem/internal/testalloc"
 	"tieredmem/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func TestPlacementEpochZeroAlloc(t *testing.T) {
 			}
 			// One run of timedEpochs epochs: AllocsPerRun divides by its
 			// run count in integers, so this reads the exact total.
-			if allocs := testing.AllocsPerRun(1, func() {
+			if allocs := testalloc.Count(func() {
 				for i := 0; i < timedEpochs; i++ {
 					epoch()
 				}
