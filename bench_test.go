@@ -660,6 +660,36 @@ func BenchmarkObserveHarvest(b *testing.B) {
 	}
 }
 
+// BenchmarkRecorderSnapshot measures the flight recorder's Snapshot
+// of 4,096 pages whose rings have all wrapped. Snapshot consumes the
+// recorder (its log aliases the rings), so each iteration fills a
+// fresh one with the timer stopped. The contract is at most 2
+// allocs/op, however many pages: the page list, and no copy per page.
+// The bench-compare CI job fails the build if this regresses.
+func BenchmarkRecorderSnapshot(b *testing.B) {
+	const pages = 4096
+	ep := core.EpochStats{Pages: make([]core.PageStat, pages)}
+	for i := range ep.Pages {
+		ep.Pages[i] = core.PageStat{Key: core.PageKey{PID: 100 + i%4, VPN: mem.VPN(pages - i)},
+			Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: 1}, Tier: 1}
+	}
+	selected := func(k core.PageKey) bool { return k.VPN%4 == 0 }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rec := provenance.New()
+		for e := 0; e < provenance.DefaultLastK+3; e++ {
+			rec.BeginEpoch(e, core.MethodCombined, core.MethodCombined, 0)
+			rec.ObserveHarvest(ep, selected)
+			rec.FinishEpoch()
+		}
+		b.StartTimer()
+		if lg := rec.Snapshot("bench"); len(lg.Pages) != pages {
+			b.Fatalf("snapshot holds %d pages, want %d", len(lg.Pages), pages)
+		}
+	}
+}
+
 // BenchmarkAblationDeliveryMode compares IBS-style per-sample
 // interrupts against LWP/PEBS-style buffered delivery (§II-B) at the
 // same sampling rate.

@@ -25,7 +25,9 @@ type Log struct {
 }
 
 // PageLog is one page's provenance: its ping-pong flip count, how
-// many older records the ring dropped, and the surviving records.
+// many older records the ring dropped, and the surviving records. In a
+// log from Recorder.Snapshot, Records is the page's ring itself, not a
+// copy.
 type PageLog struct {
 	Key     core.PageKey
 	Flips   uint32

@@ -25,6 +25,7 @@ package provenance
 import (
 	"slices"
 
+	"tieredmem/internal/blockcol"
 	"tieredmem/internal/core"
 	"tieredmem/internal/core/pageidx"
 	"tieredmem/internal/mem"
@@ -208,7 +209,9 @@ func verdictFromReason(s string) (Verdict, FailReason, bool) {
 
 // Record is one page's decision record for one epoch: the evidence
 // the profiler saw, where the fused rank placed the page, and what
-// the selector and mover did about it.
+// the selector and mover did about it. It is 40 bytes (TestRecordSize):
+// every page keeps lastK of them, so they are most of the recorder's
+// memory.
 type Record struct {
 	Epoch int32
 	// Pos is the page's position in the epoch's fused ranking
@@ -259,23 +262,22 @@ type Recorder struct {
 	pingK int // promote→demote within this many epochs counts as a ping-pong
 
 	tab *pageidx.Table[core.PageKey]
-	// Dense per-page columns, indexed by interned id.
-	recs        []Record // stride-lastK ring of decision records
-	n           []uint32 // records ever written (ring occupancy = min(n, lastK))
-	stamp       []int32  // epoch of the page's newest record (-1 = none)
-	curTier     []int8   // tier the recorder last saw the page in (-1 unknown)
-	entered     []int32  // epoch the page entered curTier
-	lastPromote []int32  // epoch of the last promotion (-1 = none), for ping-pong
-	lastSel     []int32  // epoch the page was last selected (-2 = never)
-	flips       []uint32 // ping-pong count
+	// Dense per-page columns, indexed by interned id. Both grow by
+	// blocks that never move, so a pointer into them stays valid and
+	// Snapshot can hand the rings out without copying them.
+	rings blockcol.Column[Record]    // one row of lastK decision records per page
+	pages blockcol.Column[pageState] // the rest of each page's state
+	// consumed is set by Snapshot, whose log aliases the rings.
+	consumed bool
 
-	// Per-epoch scratch (reset at FinishEpoch).
-	touched []uint32
-	selCur  []uint32
-	selPrev []uint32
-	// Per-harvest scratch: each harvest page's interned id, and the
+	// Per-epoch scratch (reset at FinishEpoch): the records opened this
+	// epoch, and the pages selected this epoch and the last.
+	touched []*Record
+	selCur  []*pageState
+	selPrev []*pageState
+	// Per-harvest scratch: each harvest page's record, and the
 	// canonical rank order its positions come from.
-	ids   []uint32
+	cur   []*Record
 	order core.RankOrder
 
 	curEpoch  int32
@@ -289,6 +291,17 @@ type Recorder struct {
 	hChurn     *telemetry.Histogram
 	hPingGap   *telemetry.Histogram
 	ctrPing    *telemetry.Counter
+}
+
+// pageState is one page's recorder state beside its ring.
+type pageState struct {
+	n           uint32 // records ever written (ring occupancy = min(n, lastK))
+	stamp       int32  // epoch of the page's newest record (-1 = none)
+	entered     int32  // epoch the page entered curTier
+	lastPromote int32  // epoch of the last promotion (-1 = none), for ping-pong
+	lastSel     int32  // epoch the page was last selected (-2 = never)
+	flips       uint32 // ping-pong count
+	curTier     int8   // tier the recorder last saw the page in (-1 unknown)
 }
 
 // DefaultLastK is the per-page ring depth: enough epochs to read a
@@ -316,6 +329,7 @@ func NewK(lastK, pingK int) *Recorder {
 		lastK: lastK,
 		pingK: pingK,
 		tab:   pageidx.New(1024, core.PageKeyHash),
+		rings: blockcol.Rows[Record](lastK),
 	}
 }
 
@@ -338,39 +352,24 @@ func (r *Recorder) SetTracer(t *telemetry.Tracer) {
 	r.ctrPing = t.Counter("mover/pingpong")
 }
 
-// growTo ensures every column covers id.
-func (r *Recorder) growTo(id int) {
-	for len(r.n) <= id {
-		r.recs = append(r.recs, make([]Record, r.lastK)...)
-		r.n = append(r.n, 0)
-		r.stamp = append(r.stamp, -1)
-		r.curTier = append(r.curTier, -1)
-		r.entered = append(r.entered, 0)
-		r.lastPromote = append(r.lastPromote, -1)
-		r.lastSel = append(r.lastSel, -2)
-		r.flips = append(r.flips, 0)
+// note returns the page's state and its record for the current epoch,
+// creating the record (claiming the next ring slot) on first touch.
+func (r *Recorder) note(key core.PageKey) (*pageState, *Record) {
+	if r.consumed {
+		panic("provenance: recording after Snapshot")
 	}
-}
-
-// newest returns the page's current-epoch record; note() must have
-// created it first.
-func (r *Recorder) newest(id uint32) *Record {
-	slot := (int(r.n[id]) - 1) % r.lastK
-	return &r.recs[int(id)*r.lastK+slot]
-}
-
-// note returns the page's record for the current epoch, creating it
-// (claiming the next ring slot) on first touch.
-func (r *Recorder) note(key core.PageKey) (uint32, *Record) {
-	id := r.tab.Intern(key)
-	r.growTo(int(id))
-	if r.stamp[id] == r.curEpoch && r.n[id] > 0 {
-		return id, r.newest(id)
+	id := int(r.tab.Intern(key))
+	for r.pages.Len() <= id {
+		r.pages.Append(pageState{stamp: -1, curTier: -1, lastPromote: -1, lastSel: -2})
+		r.rings.Add()
 	}
-	r.stamp[id] = r.curEpoch
-	slot := int(r.n[id]) % r.lastK
-	r.n[id]++
-	rec := &r.recs[int(id)*r.lastK+slot]
+	st, ring := r.pages.At(id), r.rings.Row(id)
+	if st.stamp == r.curEpoch && st.n > 0 {
+		return st, &ring[int(st.n-1)%r.lastK]
+	}
+	st.stamp = r.curEpoch
+	rec := &ring[int(st.n)%r.lastK]
+	st.n++
 	*rec = Record{
 		Epoch:    r.curEpoch,
 		Pos:      -1,
@@ -380,8 +379,8 @@ func (r *Recorder) note(key core.PageKey) (uint32, *Record) {
 		Method:   r.method,
 		Degraded: r.degraded,
 	}
-	r.touched = append(r.touched, id)
-	return id, rec
+	r.touched = append(r.touched, rec)
+	return st, rec
 }
 
 // BeginEpoch opens an epoch's collection: the epoch index the harvest
@@ -406,29 +405,29 @@ func (r *Recorder) ObserveHarvest(ep core.EpochStats, selected func(core.PageKey
 	if r == nil {
 		return
 	}
-	r.ids = r.ids[:0]
+	r.cur = r.cur[:0]
 	for i := range ep.Pages {
 		ps := &ep.Pages[i]
-		id, rec := r.note(ps.Key)
-		r.ids = append(r.ids, id)
+		st, rec := r.note(ps.Key)
+		r.cur = append(r.cur, rec)
 		rec.Abit, rec.Trace, rec.Write, rec.Dev = ps.Abit, ps.Trace, ps.Write, ps.Dev
 		rec.Tier = int8(ps.Tier)
 		rec.Rank = ps.Rank(r.method)
 		if selected != nil && selected(ps.Key) {
 			rec.Selected = true
-			r.selCur = append(r.selCur, id)
+			r.selCur = append(r.selCur, st)
 		}
-		if r.curTier[id] != int8(ps.Tier) {
+		if st.curTier != int8(ps.Tier) {
 			// First sighting (or an allocation-path tier change the
 			// mover never saw): restart the residency clock.
-			r.curTier[id] = int8(ps.Tier)
-			r.entered[id] = r.curEpoch
+			st.curTier = int8(ps.Tier)
+			st.entered = r.curEpoch
 		}
 	}
 	// The fused rank position is the page's index in the canonical
 	// ranking — the same order every selector consumes.
 	for pos, i := range r.order.Of(ep, r.method) {
-		r.newest(r.ids[i]).Pos = int32(pos)
+		r.cur[i].Pos = int32(pos)
 	}
 }
 
@@ -439,8 +438,8 @@ func (r *Recorder) NoteMove(key core.PageKey, promote bool, to mem.TierID) {
 	if r == nil {
 		return
 	}
-	id, rec := r.note(key)
-	from := r.curTier[id]
+	st, rec := r.note(key)
+	from := st.curTier
 	rec.From, rec.To = from, int8(to)
 	if rec.Tier < 0 {
 		rec.Tier = from
@@ -455,17 +454,17 @@ func (r *Recorder) NoteMove(key core.PageKey, promote bool, to mem.TierID) {
 		if t >= len(residencyHist) {
 			t = len(residencyHist) - 1
 		}
-		r.hResidency[t].Observe(uint64(r.curEpoch - r.entered[id]))
+		r.hResidency[t].Observe(uint64(r.curEpoch - st.entered))
 	}
-	r.curTier[id] = int8(to)
-	r.entered[id] = r.curEpoch
+	st.curTier = int8(to)
+	st.entered = r.curEpoch
 	if promote {
-		r.lastPromote[id] = r.curEpoch
-	} else if r.lastPromote[id] >= 0 && r.curEpoch-r.lastPromote[id] <= int32(r.pingK) {
-		r.flips[id]++
+		st.lastPromote = r.curEpoch
+	} else if st.lastPromote >= 0 && r.curEpoch-st.lastPromote <= int32(r.pingK) {
+		st.flips++
 		r.ctrPing.Add(1)
-		r.hPingGap.Observe(uint64(r.curEpoch - r.lastPromote[id]))
-		r.lastPromote[id] = -1 // one flip per promotion
+		r.hPingGap.Observe(uint64(r.curEpoch - st.lastPromote))
+		st.lastPromote = -1 // one flip per promotion
 	}
 }
 
@@ -547,8 +546,7 @@ func (r *Recorder) FinishEpoch() {
 		return
 	}
 	fast := int8(mem.FastTier)
-	for _, id := range r.touched {
-		rec := r.newest(id)
+	for _, rec := range r.touched {
 		if rec.Verdict != VerdictNone {
 			continue
 		}
@@ -568,16 +566,16 @@ func (r *Recorder) FinishEpoch() {
 	// Rank churn: pages entering the selection plus pages leaving it,
 	// relative to the previous epoch.
 	churn := 0
-	for _, id := range r.selCur {
-		if r.lastSel[id] != r.curEpoch-1 {
+	for _, st := range r.selCur {
+		if st.lastSel != r.curEpoch-1 {
 			churn++
 		}
 	}
-	for _, id := range r.selCur {
-		r.lastSel[id] = r.curEpoch
+	for _, st := range r.selCur {
+		st.lastSel = r.curEpoch
 	}
-	for _, id := range r.selPrev {
-		if r.lastSel[id] != r.curEpoch {
+	for _, st := range r.selPrev {
+		if st.lastSel != r.curEpoch {
 			churn++
 		}
 	}
@@ -597,30 +595,41 @@ func (r *Recorder) Pages() int {
 // Snapshot extracts the recorder's state as a serializable log:
 // pages in canonical (PID, VPN) order, each with its surviving ring
 // of records oldest-first.
+//
+// Snapshot is the recorder's last call. It rotates each page's ring in
+// place so the oldest record comes first, and every PageLog's Records
+// alias that storage: the log costs one allocation, for Pages, and no
+// record is copied. Recording or snapshotting again panics.
 func (r *Recorder) Snapshot(label string) Log {
 	lg := Log{Schema: telemetry.SchemaVersion, Label: label}
 	if r == nil {
 		return lg
 	}
+	if r.consumed {
+		panic("provenance: Snapshot called twice")
+	}
+	r.consumed = true
 	lg.LastK = r.lastK
 	lg.PingPongK = r.pingK
-	for id := 0; id < r.tab.Len(); id++ {
-		cnt := int(r.n[id])
-		if cnt == 0 {
-			continue
-		}
-		pl := PageLog{Key: r.tab.Key(uint32(id)), Flips: r.flips[id]}
-		kept := cnt
-		start := 0
+	lg.Pages = make([]PageLog, 0, r.pages.Len())
+	// Every interned page holds at least the record note made for it.
+	for id := 0; id < r.pages.Len(); id++ {
+		st := r.pages.At(id)
+		cnt := int(st.n)
+		pl := PageLog{Key: r.tab.Key(uint32(id)), Flips: st.flips}
+		ring := r.rings.Row(id)
 		if cnt > r.lastK {
-			kept = r.lastK
-			start = cnt % r.lastK
+			// The oldest survivor sits at cnt % lastK; rotate it to the
+			// front.
+			start := cnt % r.lastK
+			slices.Reverse(ring[:start])
+			slices.Reverse(ring[start:])
+			slices.Reverse(ring)
 			pl.Dropped = uint64(cnt - r.lastK)
+		} else {
+			ring = ring[:cnt:cnt]
 		}
-		pl.Records = make([]Record, 0, kept)
-		for j := 0; j < kept; j++ {
-			pl.Records = append(pl.Records, r.recs[id*r.lastK+(start+j)%r.lastK])
-		}
+		pl.Records = ring
 		lg.Pages = append(lg.Pages, pl)
 	}
 	slices.SortFunc(lg.Pages, func(a, b PageLog) int { return core.PageKeyCmp(a.Key, b.Key) })

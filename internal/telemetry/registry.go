@@ -1,6 +1,9 @@
 package telemetry
 
-import "tieredmem/internal/order"
+import (
+	"slices"
+	"strings"
+)
 
 // Counter is one monotonically increasing telemetry counter. The nil
 // Counter is a valid no-op (handed out by a nil Registry), so emit
@@ -63,7 +66,10 @@ func (c *Counter) Value() uint64 {
 // a nil *Registry hands out nil Counters so disabled telemetry costs
 // nothing.
 type Registry struct {
-	counters map[string]*Counter
+	// counters holds every counter in ascending name order: Counter
+	// inserts each at its place, so an epoch cut and the totals walk
+	// it without sorting.
+	counters []*Counter
 	// hists holds the log2-bucket distribution metrics (histogram.go);
 	// same naming convention, same sorted-iteration rule.
 	hists map[string]*Histogram
@@ -74,14 +80,14 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
+	i, ok := slices.BinarySearchFunc(r.counters, name, func(c *Counter, name string) int {
+		return strings.Compare(c.name, name)
+	})
+	if ok {
+		return r.counters[i]
 	}
 	c := &Counter{name: name}
-	r.counters[name] = c
+	r.counters = slices.Insert(r.counters, i, c)
 	return c
 }
 
@@ -90,7 +96,11 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
-	return order.SortedKeys(r.counters)
+	names := make([]string, len(r.counters))
+	for i, c := range r.counters {
+		names[i] = c.name
+	}
+	return names
 }
 
 // CounterValue is one (name, value) pair in a snapshot.
@@ -108,13 +118,24 @@ type EpochCounters struct {
 	Deltas []CounterValue
 }
 
-// cutEpoch snapshots every counter's delta since the previous cut.
+// cutEpoch snapshots every counter's delta since the previous cut. It
+// allocates Deltas once, at its exact size, and nothing when no
+// counter moved.
 func (r *Registry) cutEpoch(epoch int, now int64) EpochCounters {
 	ec := EpochCounters{Epoch: epoch, Now: now}
-	for _, name := range order.SortedKeys(r.counters) {
-		c := r.counters[name]
+	moved := 0
+	for _, c := range r.counters {
+		if c.v != c.lastCut {
+			moved++
+		}
+	}
+	if moved == 0 {
+		return ec
+	}
+	ec.Deltas = make([]CounterValue, 0, moved)
+	for _, c := range r.counters {
 		if d := c.v - c.lastCut; d != 0 {
-			ec.Deltas = append(ec.Deltas, CounterValue{Name: name, Value: d})
+			ec.Deltas = append(ec.Deltas, CounterValue{Name: c.name, Value: d})
 			c.lastCut = c.v
 		}
 	}
@@ -128,9 +149,9 @@ func (r *Registry) Totals() []CounterValue {
 		return nil
 	}
 	out := make([]CounterValue, 0, len(r.counters))
-	for _, name := range order.SortedKeys(r.counters) {
-		if v := r.counters[name].v; v != 0 {
-			out = append(out, CounterValue{Name: name, Value: v})
+	for _, c := range r.counters {
+		if c.v != 0 {
+			out = append(out, CounterValue{Name: c.name, Value: c.v})
 		}
 	}
 	return out

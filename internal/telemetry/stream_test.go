@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"unsafe"
 
+	"tieredmem/internal/blockcol"
 	"tieredmem/internal/testalloc"
 )
 
@@ -14,6 +16,72 @@ import (
 func TestMigrationRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(migration{}); got > 24 {
 		t.Errorf("migration record is %d bytes, want at most 24", got)
+	}
+}
+
+// TestEmitMigrationAllocsOnlyAtBlocks pins the migration column's
+// growth: steady-state EmitMigration allocates only when it opens a
+// block, exactly as often as a bare block column of the same records,
+// and never copies what it already holds.
+func TestEmitMigrationAllocsOnlyAtBlocks(t *testing.T) {
+	const n = 100_000
+	tr := New()
+	var col blockcol.Column[migration]
+	// One run of n calls each, read as a total (TestAllocsPinsTakeOneRun).
+	want := testalloc.Once(func() {
+		for range n {
+			col.Append(migration{})
+		}
+	})
+	got := testalloc.Once(func() {
+		for i := range n {
+			tr.EmitMigration(int64(i), 100+i%4, uint64(i), i%3 == 0)
+		}
+	})
+	if got != want {
+		t.Errorf("%d migrations allocate %v times, want %v: one per block the column opens", n, got, want)
+	}
+	if limit := float64(n/1024 + 16); want > limit {
+		t.Errorf("a block column of %d records allocates %v times, want at most %v", n, want, limit)
+	}
+}
+
+// TestCutEpochAllocsOnce pins the epoch cut at one allocation, the
+// exact-size Deltas, once the counters are registered: no sorted key
+// copy, no sort, no append growth. Ten cuts, each moving 35 of 47
+// counters.
+func TestCutEpochAllocsOnce(t *testing.T) {
+	var reg Registry
+	ctrs := make([]*Counter, 47)
+	for i := range ctrs {
+		// Registered out of name order, so insertion keeps the sort.
+		ctrs[i] = reg.Counter(fmt.Sprintf("sim/c%02d", (i*13)%47))
+	}
+	var cuts [10]EpochCounters
+	// One run of ten cuts, read as a total (TestAllocsPinsTakeOneRun).
+	allocs := testalloc.Count(func() {
+		for e := range cuts {
+			for i := 0; i < 35; i++ {
+				ctrs[(i+e)%47].Add(uint64(e + 1))
+			}
+			cuts[e] = reg.cutEpoch(e, int64(e))
+		}
+	})
+	if allocs != float64(len(cuts)) {
+		t.Errorf("%d epoch cuts allocate %v times, want one each", len(cuts), allocs)
+	}
+	for e, c := range cuts {
+		if len(c.Deltas) != 35 || cap(c.Deltas) != 35 {
+			t.Fatalf("cut %d: %d deltas (cap %d), want 35 and 35", e, len(c.Deltas), cap(c.Deltas))
+		}
+		for i := 1; i < len(c.Deltas); i++ {
+			if c.Deltas[i-1].Name >= c.Deltas[i].Name {
+				t.Fatalf("cut %d: deltas out of name order at %d: %q, %q", e, i, c.Deltas[i-1].Name, c.Deltas[i].Name)
+			}
+		}
+	}
+	if quiet := reg.cutEpoch(10, 10); quiet.Deltas != nil {
+		t.Errorf("a cut with no counter moved has deltas %v, want none", quiet.Deltas)
 	}
 }
 

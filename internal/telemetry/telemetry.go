@@ -28,6 +28,8 @@
 // the virtual-time stream; see runner.RecordStats.
 package telemetry
 
+import "tieredmem/internal/blockcol"
+
 // Subsystem identifies which part of the simulator emitted an event
 // and owns the virtual time attributed to it.
 type Subsystem uint8
@@ -189,11 +191,13 @@ type Event struct {
 // tracer, and exports merge them deterministically (see Merge).
 type Tracer struct {
 	// events holds every event but migrations, in emission order.
-	events []stored
+	events blockcol.Column[stored]
 	// migs holds the migrations in their own compact column; each
 	// stored event counts the migrations emitted before it, which is
-	// all the merged walk needs to restore emission order.
-	migs  []migration
+	// all the merged walk needs to restore emission order. Both
+	// columns grow by blocks, so a record is written once and never
+	// copied.
+	migs  blockcol.Column[migration]
 	reg   Registry
 	epoch int32
 	// epochCuts snapshots counter deltas at each epoch cut.
@@ -254,8 +258,8 @@ func (w *EventWalk) Next() bool {
 	if t == nil {
 		return false
 	}
-	if w.mig < len(t.migs) && (w.next == len(t.events) || w.mig < t.events[w.next].migs) {
-		m := &t.migs[w.mig]
+	if w.mig < t.migs.Len() && (w.next == t.events.Len() || w.mig < t.events.At(w.next).migs) {
+		m := t.migs.At(w.mig)
 		w.mig++
 		dir := "demote"
 		if m.promote {
@@ -265,10 +269,10 @@ func (w *EventWalk) Next() bool {
 			PID: m.pid, VPN: m.vpn, Name: dir}
 		return true
 	}
-	if w.next == len(t.events) {
+	if w.next == t.events.Len() {
 		return false
 	}
-	w.e = t.events[w.next].Event
+	w.e = t.events.At(w.next).Event
 	w.next++
 	if w.e.Kind == KindEpochCut {
 		w.epoch = w.e.Epoch + 1
@@ -308,7 +312,7 @@ func (t *Tracer) EpochCuts() []EpochCounters {
 
 func (t *Tracer) emit(e Event) {
 	e.Epoch = t.epoch
-	t.events = append(t.events, stored{Event: e, migs: len(t.migs)})
+	t.events.Append(stored{Event: e, migs: t.migs.Len()})
 }
 
 // CutEpoch records an epoch harvest: it emits a KindEpochCut event,
@@ -368,7 +372,7 @@ func (t *Tracer) EmitMigration(now int64, pid int, vpn uint64, promote bool) {
 	if t == nil {
 		return
 	}
-	t.migs = append(t.migs, migration{now: now, vpn: vpn, pid: int32(pid), promote: promote})
+	t.migs.Append(migration{now: now, vpn: vpn, pid: int32(pid), promote: promote})
 }
 
 // EmitShootdown records the batched TLB shootdown covering pages

@@ -23,3 +23,18 @@ func Count(f func()) float64 {
 	debug.FreeOSMemory()
 	return testing.AllocsPerRun(1, f)
 }
+
+// Once is Count for an f that must run exactly once, such as a call
+// that consumes what it measures or must open one block and no more:
+// AllocsPerRun calls f once as a warm-up before the measured run, and
+// Once makes that warm-up call a no-op.
+func Once(f func()) float64 {
+	warm := true
+	return Count(func() {
+		if warm {
+			warm = false
+			return
+		}
+		f()
+	})
+}

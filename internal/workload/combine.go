@@ -22,6 +22,9 @@ type combined struct {
 	procs   []int
 	bytes   uint64
 	hugeAgg []VRange
+	// one is the single-reference buffer Fill hands each part; kept
+	// here because a local would escape through the interface call.
+	one [1]trace.Ref
 }
 
 // Combine interleaves workloads with equal shares.
@@ -80,14 +83,13 @@ func (c *combined) HugeRegions() []VRange { return c.hugeAgg }
 // Fill implements Workload: weighted round-robin over the parts, one
 // reference at a time so interleaving stays fine-grained.
 func (c *combined) Fill(buf []trace.Ref) {
-	one := make([]trace.Ref, 1)
 	for i := range buf {
 		for c.credit == 0 {
 			c.cursor = (c.cursor + 1) % len(c.parts)
 			c.credit = c.shares[c.cursor]
 		}
-		c.parts[c.cursor].Fill(one)
-		buf[i] = one[0]
+		c.parts[c.cursor].Fill(c.one[:])
+		buf[i] = c.one[0]
 		c.credit--
 	}
 }

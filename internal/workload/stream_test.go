@@ -60,22 +60,35 @@ func TestStreamPins(t *testing.T) {
 
 // TestFillZeroAlloc checks that a generator's steady-state Fill, warmed
 // past its start-up stream (phase-shift's 524,288-ref init is the
-// longest), allocates nothing.
+// longest), allocates nothing. The colocation experiment's weighted
+// busy+idle mix is pinned too: a combined workload hands its parts one
+// reference at a time.
 func TestFillZeroAlloc(t *testing.T) {
 	for _, name := range pinnedGens {
-		w := MustNew(name, Config{Seed: 42, FirstPID: 100})
-		buf := make([]trace.Ref, 1024)
-		for i := 0; i < 1<<19/len(buf)+16; i++ {
+		fillZeroAlloc(t, MustNew(name, Config{Seed: 42, FirstPID: 100}))
+	}
+	busy := MustNew("data-caching", Config{Seed: 42, FirstPID: 100})
+	idle := NewIdlers(Config{Seed: 42, FirstPID: 500}, 16, 4<<20)
+	mix, err := CombineWeighted([]Workload{busy, idle}, []int{64, 1})
+	if err != nil {
+		t.Fatalf("CombineWeighted: %v", err)
+	}
+	fillZeroAlloc(t, mix)
+}
+
+func fillZeroAlloc(t *testing.T, w Workload) {
+	t.Helper()
+	buf := make([]trace.Ref, 1024)
+	for i := 0; i < 1<<19/len(buf)+16; i++ {
+		w.Fill(buf)
+	}
+	// One run of 64 calls, read as a total (TestAllocsPinsTakeOneRun).
+	n := testalloc.Count(func() {
+		for range 64 {
 			w.Fill(buf)
 		}
-		// One run of 64 calls, read as a total (TestAllocsPinsTakeOneRun).
-		n := testalloc.Count(func() {
-			for range 64 {
-				w.Fill(buf)
-			}
-		})
-		if n != 0 {
-			t.Errorf("%s: 64 steady-state Fill calls allocate %v times", name, n)
-		}
+	})
+	if n != 0 {
+		t.Errorf("%s: 64 steady-state Fill calls allocate %v times", w.Name(), n)
 	}
 }

@@ -11,15 +11,16 @@
 // base predates them); benchmarks present only in old.txt are
 // reported as "gone". The one hard gate is the allocation guard: any
 // benchmark whose name matches -allocs-guard (default
-// HarvestSteadyState|ObserveHarvest|MachineExecute|ApplySelection|PlacementEpoch|WorkloadFill)
+// HarvestSteadyState|ObserveHarvest|MachineExecute|ApplySelection|PlacementEpoch|WorkloadFill|RecorderSnapshot)
 // and whose allocs/op increased over the base, or which is gone from
 // new.txt, exits 1 — the steady-state harvest, the attached flight
 // recorder's epoch, the per-reference Machine.Execute path, every
 // generator's steady-state Workload.Fill, the mover's steady-state
 // ApplySelection and the policy arm's whole placement epoch are
-// contractually allocation-free; a regression there (a fresh selection
-// or rank table per epoch again, say) silently re-inflates every epoch
-// (or every reference) of every experiment cell. A guarded benchmark that is deleted or renamed
+// contractually allocation-free, and the recorder's Snapshot copies no
+// page's records; a regression there (a fresh selection or rank table
+// per epoch again, say) silently re-inflates every epoch (or every
+// reference) of every experiment cell. A guarded benchmark that is deleted or renamed
 // would otherwise take its gate with it; retiring one means dropping
 // it from the guard (and the CI -bench list) in the same change.
 package main
@@ -88,7 +89,7 @@ func parseFile(path string) (map[string]result, error) {
 }
 
 func main() {
-	guard := flag.String("allocs-guard", "HarvestSteadyState|ObserveHarvest|MachineExecute|ApplySelection|PlacementEpoch|WorkloadFill",
+	guard := flag.String("allocs-guard", "HarvestSteadyState|ObserveHarvest|MachineExecute|ApplySelection|PlacementEpoch|WorkloadFill|RecorderSnapshot",
 		"fail when a benchmark matching this regexp regresses in allocs/op or is gone")
 	flag.Parse()
 	if flag.NArg() != 2 {
