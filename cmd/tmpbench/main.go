@@ -81,7 +81,15 @@ func main() {
 	}
 	// A bad -faults spec is a usage error, not a runtime failure: the
 	// parse error lists every valid site name, and exit code 2 plus the
-	// flag usage matches what a mistyped flag produces.
+	// flag usage matches what a mistyped flag produces. So is a -refs
+	// or -period that is not positive: the library would clamp such a
+	// period to 1 and sample every op without a word.
+	if *refs <= 0 {
+		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
+	}
+	if *period <= 0 {
+		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
+	}
 	faultSpec, err := fault.ParseSpec(*faults)
 	if err != nil {
 		usageFatal(err)

@@ -80,3 +80,26 @@ func TestWorkloadsUnknownIsUsageError(t *testing.T) {
 		t.Errorf("-out directory exists after an unknown -workloads entry (stat: %v)", err)
 	}
 }
+
+// TestPeriodZeroIsUsageError pins that a -period that is not positive
+// is rejected before the -out directory is created: the library used
+// to clamp it to 1, sample every op and exit 0.
+func TestPeriodZeroIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	text := usageErrorOutput(t, dir, "-exp", "fig2", "-workloads", "gups", "-refs", "20000", "-period", "0", "-out", "results")
+	wantAll(t, text, "-period 0", "must be positive", "Usage of", "-period")
+	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-out directory exists after -period 0 (stat: %v)", err)
+	}
+}
+
+// TestRefsZeroIsUsageError pins the same for -refs 0, which used to
+// exit 1 only after an experiment had started.
+func TestRefsZeroIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	text := usageErrorOutput(t, dir, "-exp", "fig2", "-workloads", "gups", "-refs", "0", "-out", "results")
+	wantAll(t, text, "-refs 0", "must be positive", "Usage of", "-refs")
+	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-out directory exists after -refs 0 (stat: %v)", err)
+	}
+}

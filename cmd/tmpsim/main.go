@@ -84,16 +84,19 @@ func main() {
 		}
 	}
 
-	// A bad -method, -faults, -policy or -workload value is a usage
-	// error, not a runtime failure: the error lists every valid value,
-	// and exit code 2 plus the flag usage matches what a mistyped flag
-	// produces. So is a -refs or -period that is not positive, and a
-	// -admission that is not a finite fraction.
+	// A bad -method, -faults, -policy, -workload or -tiers value is a
+	// usage error, not a runtime failure: exit code 2 plus the flag
+	// usage matches what a mistyped flag produces. So is a -refs,
+	// -period or -ratio that is not positive, a -admission that is not
+	// a finite fraction, and -method devprof with no device tier.
 	if *refs <= 0 {
 		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
 	}
 	if *period <= 0 {
 		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
+	}
+	if *ratio <= 0 {
+		usageFatal(fmt.Errorf("-ratio %d: must be positive", *ratio))
 	}
 	if math.IsNaN(*admfrac) || math.IsInf(*admfrac, 0) {
 		usageFatal(fmt.Errorf("-admission %v: must be a finite fraction", *admfrac))
@@ -143,11 +146,11 @@ func main() {
 			chain, cerr = mem.ParseTierChain(*tiers)
 		}
 		if cerr != nil {
-			fatal(cerr)
+			usageFatal(fmt.Errorf("-tiers %q: %w", *tiers, cerr))
 		}
 	}
 	if m == core.MethodDev && !chain.HasDevice() {
-		fatal(fmt.Errorf("method devprof needs a device tier (pass -tiers 3, -tiers 4, or a spec with a ':dev' tier)"))
+		usageFatal(fmt.Errorf("method devprof needs a device tier (pass -tiers 3, -tiers 4, or a spec with a ':dev' tier)"))
 	}
 
 	var costs *emul.Costs

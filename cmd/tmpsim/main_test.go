@@ -100,3 +100,25 @@ func TestPeriodZeroIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-period", "-5")
 	wantAll(t, text, "-period -5", "must be positive", "Usage of")
 }
+
+// TestRatioZeroIsUsageError pins that a -ratio that is not positive is
+// rejected before any run; the library used to run it at ratio 16
+// without a word.
+func TestRatioZeroIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-ratio", "0", "-refs", "20000", "-policy", "none")
+	wantAll(t, text, "-ratio 0", "must be positive", "Usage of")
+}
+
+// TestTiersBadDepthIsUsageError pins the same contract for a -tiers
+// depth no default chain has, which used to exit 1.
+func TestTiersBadDepthIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-tiers", "7", "-refs", "20000", "-policy", "none")
+	wantAll(t, text, `-tiers "7"`, "want 2..4", "Usage of", "-tiers")
+}
+
+// TestDevprofWithoutDeviceTierIsUsageError pins it for -method devprof
+// on a chain with no device tier, which used to exit 1.
+func TestDevprofWithoutDeviceTierIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-method", "devprof", "-refs", "20000")
+	wantAll(t, text, "devprof needs a device tier", "Usage of", "-method")
+}

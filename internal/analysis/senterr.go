@@ -9,10 +9,10 @@ import (
 
 // SentErr enforces the typed-sentinel error contract in the fault,
 // memory, and policy domains: failures are classified with errors.Is
-// against the package-level sentinels (mem.ErrTierFull, mem.ErrPinned,
-// …), never by matching err.Error() text — wrapping or rewording a
-// message must not change control flow — and never by direct ==
-// comparison, which wrapping breaks. Inside the fault and mem domains,
+// against the package-level sentinels (mem.ErrTierFull,
+// mem.ErrOutOfMemory, …), never by matching err.Error() text —
+// wrapping or rewording a message must not change control flow — and
+// never by direct == comparison, which wrapping breaks. Inside the fault and mem domains,
 // errors.New belongs only at package level: an errors.New inside a
 // function body mints an error no caller can classify.
 var SentErr = &Analyzer{

@@ -32,7 +32,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,8 +58,8 @@ const (
 	// SiteENOMEM fails one AllocIn call with mem.ErrTierFull even
 	// though frames are free (transient allocation pressure).
 	SiteENOMEM
-	// SitePinned fails one migration with mem.ErrPinned (the page is
-	// transiently pinned, the EBUSY case).
+	// SitePinned fails one migration as pinned (the page is
+	// transiently pinned, the EBUSY case; provenance.FailPinned).
 	SitePinned
 	// SiteSplitFail fails one THP split during migration.
 	SiteSplitFail
@@ -74,7 +73,7 @@ const (
 	SiteDevStale
 	// SiteCopyAbort dirties a page mid-copy during a transactional
 	// migration: the verify-clean phase sees the write and the
-	// transaction aborts with mem.ErrCopyAborted (consulted by
+	// transaction aborts as provenance.FailCopyAbort (consulted by
 	// policy.Mover per transactional copy).
 	SiteCopyAbort
 	// SiteShadowStale invalidates a slow-tier shadow copy at the moment
@@ -86,64 +85,28 @@ const (
 	numSites
 )
 
-// String names the site as used in counters and the spec grammar.
-func (s Site) String() string {
-	switch s {
-	case SiteIBSDrop:
-		return "ibs.drop"
-	case SiteIBSOverflow:
-		return "ibs.overflow"
-	case SiteAbitAbort:
-		return "abit.abort"
-	case SiteHWPCWrap:
-		return "hwpc.wrap"
-	case SiteENOMEM:
-		return "mem.enomem"
-	case SitePinned:
-		return "mem.pinned"
-	case SiteSplitFail:
-		return "mem.splitfail"
-	case SiteDevOverflow:
-		return "devprof.overflow"
-	case SiteDevStale:
-		return "devprof.stale"
-	case SiteCopyAbort:
-		return "mem.copyabort"
-	case SiteShadowStale:
-		return "mem.shadowstale"
-	default:
-		return "site?"
-	}
+// siteNames spells each site as the spec grammar does.
+var siteNames = [numSites]string{
+	SiteIBSDrop:     "ibs.drop",
+	SiteIBSOverflow: "ibs.overflow",
+	SiteAbitAbort:   "abit.abort",
+	SiteHWPCWrap:    "hwpc.wrap",
+	SiteENOMEM:      "mem.enomem",
+	SitePinned:      "mem.pinned",
+	SiteSplitFail:   "mem.splitfail",
+	SiteDevOverflow: "devprof.overflow",
+	SiteDevStale:    "devprof.stale",
+	SiteCopyAbort:   "mem.copyabort",
+	SiteShadowStale: "mem.shadowstale",
 }
 
-// counterName maps a site to its telemetry counter.
-func (s Site) counterName() string {
-	switch s {
-	case SiteIBSDrop:
-		return "fault/ibs_drop"
-	case SiteIBSOverflow:
-		return "fault/ibs_overflow"
-	case SiteAbitAbort:
-		return "fault/abit_abort"
-	case SiteHWPCWrap:
-		return "fault/hwpc_wrap"
-	case SiteENOMEM:
-		return "fault/mem_enomem"
-	case SitePinned:
-		return "fault/mem_pinned"
-	case SiteSplitFail:
-		return "fault/mem_splitfail"
-	case SiteDevOverflow:
-		return "fault/devprof_overflow"
-	case SiteDevStale:
-		return "fault/devprof_stale"
-	case SiteCopyAbort:
-		return "fault/mem_copyabort"
-	case SiteShadowStale:
-		return "fault/mem_shadowstale"
-	default:
-		return "fault/unknown"
+// String names the site as used in the spec grammar; its fault/*
+// telemetry counter is telemetry.Name("fault", s.String()).
+func (s Site) String() string {
+	if s < numSites {
+		return siteNames[s]
 	}
+	return "site?"
 }
 
 // Spec is one fault configuration: a probability in [0,1] per site.
@@ -186,11 +149,11 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// specSites maps grammar keys to sites, built once from Site.String.
+// specSites maps grammar keys to sites, built once from siteNames.
 var specSites = func() map[string]Site {
 	m := make(map[string]Site, numSites)
-	for s := Site(0); s < numSites; s++ {
-		m[s.String()] = s
+	for s, name := range siteNames {
+		m[name] = Site(s)
 	}
 	return m
 }()
@@ -231,12 +194,7 @@ func ParseSpec(text string) (Spec, error) {
 		}
 		site, ok := specSites[key]
 		if !ok {
-			known := make([]string, 0, numSites)
-			for name := range specSites {
-				known = append(known, name)
-			}
-			sort.Strings(known)
-			return Spec{}, fmt.Errorf("fault: unknown site %q (known: %s, all)", key, strings.Join(known, ", "))
+			return Spec{}, fmt.Errorf("fault: unknown site %q (known: %s, all)", key, strings.Join(siteNames[:], ", "))
 		}
 		spec.Rates[site] = rate
 	}
@@ -281,7 +239,7 @@ func (p *Plane) SetTracer(t *telemetry.Tracer) {
 		return
 	}
 	for s := Site(0); s < numSites; s++ {
-		p.ctr[s] = t.Counter(s.counterName())
+		p.ctr[s] = t.Counter(telemetry.Name("fault", s.String()))
 	}
 }
 

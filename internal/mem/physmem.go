@@ -29,31 +29,15 @@ var ErrTooManyFrames = errors.New("mem: frame count exceeds 32-bit PFN range")
 // does.
 var ErrPIDRange = errors.New("mem: pid outside 32-bit range")
 
-// Typed sentinel errors for the migration paths: callers branch with
-// errors.Is to decide whether a failure is transient (worth a deferred
-// retry) or permanent (drop the migration). Every error carries
-// context via %w wrapping; never match on message text.
-var (
-	// ErrTierFull is the no-spill allocation failure (AllocIn): the
-	// target tier has no free frame, or the fault plane injected
-	// transient allocation pressure. Transient — the mover retries.
-	ErrTierFull = errors.New("mem: tier full")
-	// ErrPinned marks a page that cannot be migrated right now
-	// (pinned for DMA, the EBUSY case). Transient.
-	ErrPinned = errors.New("mem: page pinned")
-	// ErrUnmapped marks a page whose mapping vanished out from under
-	// a migration (unmapped, remapped, or never mapped). Permanent —
-	// there is nothing left to move.
-	ErrUnmapped = errors.New("mem: page no longer mapped")
-	// ErrCopyAborted marks a transactional migration whose verify-clean
-	// phase found the page written mid-copy (the Nomad abort edge).
-	// Transient — the mover re-queues the transaction.
-	ErrCopyAborted = errors.New("mem: page dirtied mid-copy")
-	// ErrShadowStale marks a shadow copy that went stale at the moment
-	// a re-demotion tried to adopt it. The demotion itself proceeds on
-	// the full copy path; the sentinel classifies the fast-path miss.
-	ErrShadowStale = errors.New("mem: shadow copy stale")
-)
+// ErrTierFull is the no-spill allocation failure (AllocIn): the target
+// tier has no free frame, or the fault plane injected transient
+// allocation pressure. Transient: the mover retries.
+var ErrTierFull = errors.New("mem: tier full")
+
+// errTierExhausted is AllocIn's error for a tier that really is out of
+// frames: it wraps ErrOutOfMemory as well as ErrTierFull, since the
+// machine has run out of that memory, not merely been told so.
+var errTierExhausted = fmt.Errorf("%w (%w)", ErrTierFull, ErrOutOfMemory)
 
 // HugePages is the number of base frames in one 2 MiB huge page.
 const HugePages = 512
@@ -300,7 +284,7 @@ func (pm *PhysMem) allocIn(ti int, pid int32, vpn VPN) (PFN, bool) {
 // rejecting one that does not fit with ErrPIDRange.
 func pid32(pid int) (int32, error) {
 	if pid < math.MinInt32 || pid > math.MaxInt32 {
-		return 0, fmt.Errorf("mem: allocate for pid %d: %w", pid, ErrPIDRange)
+		return 0, ErrPIDRange
 	}
 	return int32(pid), nil
 }
@@ -325,22 +309,22 @@ func (pm *PhysMem) Alloc(t TierID, pid int, vpn VPN) (PFN, error) {
 }
 
 // AllocIn is like Alloc but fails rather than spilling when the tier is
-// full; the page mover uses it during migrations. Failures wrap
-// ErrTierFull (which also wraps ErrOutOfMemory for legacy callers):
-// both the genuine out-of-frames case and fault-injected transient
-// pressure, so the mover's retry logic treats them uniformly.
+// full; the page mover uses it during migrations. Both of its refusals
+// satisfy errors.Is(err, ErrTierFull), so the mover treats them alike:
+// injected pressure returns ErrTierFull itself, and a tier really out
+// of frames one shared error that also wraps ErrOutOfMemory.
 func (pm *PhysMem) AllocIn(t TierID, pid int, vpn VPN) (PFN, error) {
 	p, err := pid32(pid)
 	if err != nil {
 		return 0, err
 	}
 	if pm.faults.FailAllocIn() {
-		return 0, fmt.Errorf("mem: tier %v allocation pressure (injected): %w", t, ErrTierFull)
+		return 0, ErrTierFull
 	}
 	if pfn, ok := pm.allocIn(int(t), p, vpn); ok {
 		return pfn, nil
 	}
-	return 0, fmt.Errorf("mem: tier %v full: %w (%w)", t, ErrTierFull, ErrOutOfMemory)
+	return 0, errTierExhausted
 }
 
 // AllocHuge finds a 512-frame aligned contiguous run in the given tier

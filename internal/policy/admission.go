@@ -23,6 +23,7 @@ import (
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/mem"
+	"tieredmem/internal/provenance"
 )
 
 // pageLines is how many cache-line transfers one page copy issues.
@@ -119,7 +120,7 @@ func (mv *Mover) deferAdmission(key core.PageKey, promote bool, attempts int, fi
 		} else {
 			mv.RejectedDemotions++
 		}
-		mv.prov.NoteRejectedAdmission(key)
+		mv.prov.Note(key, provenance.VerdictRejectedAdmission, provenance.FailNone)
 		return
 	}
 	mv.DeferredAdmission++
@@ -130,5 +131,5 @@ func (mv *Mover) deferAdmission(key core.PageKey, promote bool, attempts int, fi
 		due:       mv.epoch + 1,
 		firstFail: firstFail,
 	})
-	mv.prov.NoteDeferredAdmission(key)
+	mv.prov.Note(key, provenance.VerdictDeferredAdmission, provenance.FailNone)
 }

@@ -6,6 +6,7 @@ import (
 	"tieredmem/internal/core"
 	"tieredmem/internal/cpu"
 	"tieredmem/internal/mem"
+	"tieredmem/internal/provenance"
 	"tieredmem/internal/trace"
 )
 
@@ -42,8 +43,8 @@ func TestMigrateCarriesEvidence(t *testing.T) {
 	m := moverMachine(t, 4, 16)
 	touchPages(t, m, 1, 4)
 	markProfile(t, m, 2, carried, 60)
-	if err := NewMover(m).migrate(core.PageKey{PID: 1, VPN: 2}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := NewMover(m).migrate(core.PageKey{PID: 1, VPN: 2}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	if tierOf(t, m, 1, 2) != mem.SlowTier {
 		t.Fatal("vpn 2 not demoted")
@@ -57,13 +58,13 @@ func TestMigrateTxCarriesEvidence(t *testing.T) {
 	mv := NewMover(m)
 	mv.Transactional = true
 	markProfile(t, m, 3, carried, 60)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	checkProfile(t, m, "tx demotion", 3, carried, 60)
 	markProfile(t, m, 4, carried, 60)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	if mv.TxCommitted != 2 {
 		t.Fatalf("TxCommitted = %d, want 2", mv.TxCommitted)
@@ -76,21 +77,21 @@ func TestShadowAdoptionCarriesEvidence(t *testing.T) {
 	touchPages(t, m, 1, 5) // 0..3 fast, 4 slow
 	mv := NewMover(m)
 	mv.Transactional = true
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	markProfile(t, m, 4, carried, 60)
 	shadow, _ := m.Table(1).Frame(4)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	// Evidence gathered after the promotion makes the shadow frame's
 	// old copy stale, so only a carry at adoption delivers it.
 	want := carried
 	want.Abit += 10
 	markProfile(t, m, 4, want, 70)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	if pfn, _ := m.Table(1).Frame(4); mv.ShadowHits != 1 || pfn != shadow {
 		t.Fatalf("ShadowHits = %d, vpn 4 on PFN %d; want 1 adoption of shadow PFN %d", mv.ShadowHits, pfn, shadow)
@@ -111,8 +112,8 @@ func TestCollapseCarriesEvidence(t *testing.T) {
 	}
 	mv := NewMover(m)
 	for _, target := range []mem.TierID{2, 1} {
-		if err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, target); err != nil {
-			t.Fatal(err)
+		if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, target); f != provenance.FailNone {
+			t.Fatal(f)
 		}
 	}
 	markProfile(t, m, 3, carried, 60)

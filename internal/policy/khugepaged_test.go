@@ -5,6 +5,7 @@ import (
 
 	"tieredmem/internal/core"
 	"tieredmem/internal/mem"
+	"tieredmem/internal/provenance"
 	"tieredmem/internal/trace"
 )
 
@@ -16,11 +17,11 @@ func TestCollapserRebuildsSplitHugePage(t *testing.T) {
 	}
 	// Split via the mover by migrating one subpage out and back.
 	mv := NewMover(m)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.FastTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.FastTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	if m.Table(1).HugeLeaves() != 0 {
 		t.Fatalf("precondition: mapping not split")
@@ -68,8 +69,8 @@ func TestCollapserSkipsTierStraddlingChunks(t *testing.T) {
 	m.Execute(trace.Ref{PID: 1, VAddr: 0, Kind: trace.Load})
 	mv := NewMover(m)
 	// Leave subpage 7 in the slow tier: the chunk straddles tiers.
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	kc := NewCollapser(m)
 	if n := kc.Collapse([]int{1}, 10); n != 0 {

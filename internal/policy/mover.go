@@ -2,7 +2,6 @@ package policy
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 
 	"tieredmem/internal/core"
@@ -14,11 +13,6 @@ import (
 	"tieredmem/internal/telemetry"
 )
 
-// ErrSplitFailed marks a migration that could not split the huge
-// mapping covering its page (a THP split racing a refcount holder).
-// Transient: the mover re-queues the page for a later epoch.
-var ErrSplitFailed = errors.New("policy: THP split failed")
-
 // Mover implements the paper's §IV step 3: it physically relocates
 // pages across tiers at epoch horizons while processes run. Virtual
 // addresses never change — the mover allocates a frame in the target
@@ -28,14 +22,14 @@ var ErrSplitFailed = errors.New("policy: THP split failed")
 //
 // Migrations fail — organically (tier full, mapping unmapped while the
 // selection was in flight) and under fault injection (transient pins,
-// allocation pressure, failed THP splits). The mover classifies every
-// failure by its sentinel (mem.ErrTierFull, mem.ErrPinned,
-// mem.ErrUnmapped, ErrSplitFailed): transient failures go to a
-// bounded deferred-retry queue and are re-attempted in later epochs
-// with exponential epoch backoff; permanent ones are dropped with a
-// reason-coded counter. The queue cannot distinguish injected failures
-// from organic ones — by design, so chaos runs exercise exactly the
-// production response path.
+// allocation pressure, failed THP splits, dirtied copies). A failed
+// migration is one provenance.FailReason from where it happens to where
+// it is counted and recorded: every reason but FailVanished is
+// transient and goes to a bounded deferred-retry queue, re-attempted in
+// later epochs with exponential epoch backoff; a vanished mapping is
+// dropped. The queue cannot distinguish injected failures from organic
+// ones — by design, so chaos runs exercise exactly the production
+// response path.
 type Mover struct {
 	machine *cpu.Machine
 	// CostPerPageNS is the per-page migration expense (copy + fixups)
@@ -83,10 +77,10 @@ type Mover struct {
 	// counters below partition it (Failed = Capacity + Pinned +
 	// Vanished + Split + AbortedDirty).
 	Failed         uint64
-	FailedCapacity uint64 // target tier had no frame (mem.ErrTierFull)
-	FailedPinned   uint64 // page transiently pinned (mem.ErrPinned)
-	FailedVanished uint64 // mapping gone mid-flight (mem.ErrUnmapped)
-	FailedSplit    uint64 // THP split failed (ErrSplitFailed)
+	FailedCapacity uint64 // target tier had no frame (FailCapacity)
+	FailedPinned   uint64 // page transiently pinned (FailPinned)
+	FailedVanished uint64 // mapping gone mid-flight (FailVanished)
+	FailedSplit    uint64 // THP split failed (FailSplit)
 	// Retry-queue accounting. Retried counts re-attempts drained from
 	// the queue; RetrySucceeded the ones that completed;
 	// RetrySuperseded entries dropped because the selection reversed
@@ -101,7 +95,7 @@ type Mover struct {
 	// TxStarted = TxCommitted + AbortedDirty + TxRemapFailed.
 	TxStarted    uint64
 	TxCommitted  uint64
-	AbortedDirty uint64 // verify-clean found the page written mid-copy
+	AbortedDirty uint64 // verify-clean found the page written mid-copy (FailCopyAbort)
 	// TxRemapFailed: the mapping vanished between claim and remap;
 	// counted under FailedVanished in the failure partition.
 	TxRemapFailed uint64
@@ -239,24 +233,24 @@ func (mv *Mover) RetryQueueLen() int { return len(mv.retries) }
 // migrate moves one mapped page to the target tier, splitting a huge
 // mapping first (Linux migrates THP by splitting unless the whole
 // 2 MiB moves; hot subpages rarely cover a whole huge page, so the
-// mover splits). The caller batches the shootdown. Failures wrap the
-// typed sentinels so callers can branch with errors.Is.
-func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
+// mover splits). The caller batches the shootdown. It returns why the
+// migration failed, or FailNone when the page landed.
+func (mv *Mover) migrate(key core.PageKey, target mem.TierID) provenance.FailReason {
 	phys := mv.machine.Phys
 	table, ok := mv.machine.Tables()[key.PID]
 	if !ok {
-		return fmt.Errorf("policy: pid %d has no page table: %w", key.PID, mem.ErrUnmapped)
+		return provenance.FailVanished
 	}
 	pte, huge := table.Resolve(key.VPN)
 	if pte == nil {
-		return fmt.Errorf("policy: page pid=%d vpn=%#x no longer mapped: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
+		return provenance.FailVanished
 	}
 	if huge {
 		if mv.faults.FailSplit() {
 			// The split raced something holding a reference to the
 			// compound page; the whole migration bails before any
 			// page-table mutation.
-			return fmt.Errorf("policy: split of huge mapping at pid=%d vpn=%#x raced a refcount: %w", key.PID, uint64(key.VPN), ErrSplitFailed)
+			return provenance.FailSplit
 		}
 		table.SplitHuge(key.VPN)
 		mv.Splits++
@@ -265,35 +259,43 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	}
 	oldPFN, ok := table.Frame(key.VPN)
 	if !ok {
-		return fmt.Errorf("policy: page pid=%d vpn=%#x vanished during split: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
+		return provenance.FailVanished
 	}
 	if phys.TierOf(oldPFN) == target {
-		return nil
+		return provenance.FailNone
 	}
 	oldPD := phys.Page(oldPFN)
-	if oldPD.Flags&mem.FlagNonMigratable != 0 {
-		return fmt.Errorf("policy: page pid=%d vpn=%#x is pinned: %w", key.PID, uint64(key.VPN), mem.ErrPinned)
-	}
-	if mv.faults.PinPage() {
-		// Transient elevated refcount (DMA, gup) — the EBUSY case.
-		return fmt.Errorf("policy: page pid=%d vpn=%#x transiently busy: %w", key.PID, uint64(key.VPN), mem.ErrPinned)
+	// A non-migratable frame, or a transient elevated refcount (DMA,
+	// gup): the EBUSY case.
+	if oldPD.Flags&mem.FlagNonMigratable != 0 || mv.faults.PinPage() {
+		return provenance.FailPinned
 	}
 	if mv.Transactional {
 		return mv.migrateTx(table, key, target, oldPFN)
 	}
 	newPFN, err := phys.AllocIn(target, key.PID, key.VPN)
 	if err != nil {
-		return err
+		return allocFail(err)
 	}
 	phys.Page(newPFN).CarryProfile(oldPD)
 
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
-		return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
+		return provenance.FailVanished
 	}
 	phys.Free(oldPFN)
 	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
-	return nil
+	return provenance.FailNone
+}
+
+// allocFail is the migration failure an AllocIn error stands for: a
+// tier that refused a frame (mem.ErrTierFull) is capacity; any other
+// allocator error is a page the mover cannot reason about.
+func allocFail(err error) provenance.FailReason {
+	if errors.Is(err, mem.ErrTierFull) {
+		return provenance.FailCapacity
+	}
+	return provenance.FailVanished
 }
 
 // migrateTx is the transactional migration engine (the Nomad model):
@@ -305,7 +307,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 //	copy       — copy content while the page stays mapped; this is
 //	             the work the admission budget prices
 //	verify     — deterministic dirty-check against the fault plane:
-//	             a page written mid-copy aborts with ErrCopyAborted
+//	             a page written mid-copy aborts with FailCopyAbort
 //	             and the caller re-queues the transaction
 //	remap      — publish the new frame (the batch shootdown makes it
 //	             globally visible at epoch end)
@@ -318,7 +320,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 // shadow-stale site first: an invalidated shadow degrades to the full
 // transaction). The caller has already resolved the mapping, split any
 // huge page, and cleared the pinned checks.
-func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.TierID, oldPFN mem.PFN) error {
+func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.TierID, oldPFN mem.PFN) provenance.FailReason {
 	phys := mv.machine.Phys
 	promote := target < phys.TierOf(oldPFN)
 	if !promote {
@@ -330,20 +332,20 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 				mv.ShadowStale++
 			} else {
 				if !table.Remap(key.VPN, spfn) {
-					return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
+					return provenance.FailVanished
 				}
 				phys.AdoptShadow(oldPFN)
 				phys.Free(oldPFN)
 				mv.ShadowHits++
 				// Zero copy work: no CostPerPageNS charge. The epoch's
 				// batch shootdown covers the remap.
-				return nil
+				return provenance.FailNone
 			}
 		}
 	}
 	newPFN, err := phys.AllocIn(target, key.PID, key.VPN)
 	if err != nil {
-		return err
+		return allocFail(err)
 	}
 	mv.TxStarted++
 	// The copy happens (and is paid for) before the dirty-check: an
@@ -352,13 +354,13 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
 	if mv.faults.DirtyCopy() {
 		phys.Free(newPFN)
-		return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
+		return provenance.FailCopyAbort
 	}
 	phys.Page(newPFN).CarryProfile(phys.Page(oldPFN))
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
 		mv.TxRemapFailed++
-		return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
+		return provenance.FailVanished
 	}
 	mv.TxCommitted++
 	if promote {
@@ -366,32 +368,7 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 	} else {
 		phys.Free(oldPFN)
 	}
-	return nil
-}
-
-// noteFailure classifies a migration error into the per-reason
-// counters and reports whether it is transient (worth a deferred
-// retry) plus the provenance reason. Unrecognized errors count as
-// vanished: a page we cannot reason about is not worth re-attempting.
-func (mv *Mover) noteFailure(err error) (bool, provenance.FailReason) {
-	mv.Failed++
-	switch {
-	case errors.Is(err, mem.ErrTierFull):
-		mv.FailedCapacity++
-		return true, provenance.FailCapacity
-	case errors.Is(err, mem.ErrPinned):
-		mv.FailedPinned++
-		return true, provenance.FailPinned
-	case errors.Is(err, ErrSplitFailed):
-		mv.FailedSplit++
-		return true, provenance.FailSplit
-	case errors.Is(err, mem.ErrCopyAborted):
-		mv.AbortedDirty++
-		return true, provenance.FailCopyAbort
-	default:
-		mv.FailedVanished++
-		return false, provenance.FailVanished
-	}
+	return provenance.FailNone
 }
 
 // deferRetry queues a transiently failed migration for a later epoch
@@ -428,14 +405,28 @@ func (mv *Mover) noteSuccess(key core.PageKey, promote bool, to mem.TierID) {
 	mv.prov.NoteMove(key, promote, to)
 }
 
-// failAndMaybeRetry routes one failed migration through counter
-// classification, the deferred-retry queue, and the flight recorder.
-func (mv *Mover) failAndMaybeRetry(key core.PageKey, promote bool, err error, attempts int, firstFail uint64) {
-	transient, reason := mv.noteFailure(err)
-	mv.prov.NoteFail(key, reason)
-	if transient && mv.deferRetry(key, promote, attempts, firstFail) {
-		mv.prov.NoteDeferred(key)
+// failAndMaybeRetry counts one failed migration under its reason,
+// queues it for a deferred retry unless its mapping vanished (nothing
+// is left to move), and records the outcome in the flight recorder.
+func (mv *Mover) failAndMaybeRetry(key core.PageKey, promote bool, reason provenance.FailReason, attempts int, firstFail uint64) {
+	mv.Failed++
+	switch reason {
+	case provenance.FailCapacity:
+		mv.FailedCapacity++
+	case provenance.FailPinned:
+		mv.FailedPinned++
+	case provenance.FailSplit:
+		mv.FailedSplit++
+	case provenance.FailCopyAbort:
+		mv.AbortedDirty++
+	default:
+		mv.FailedVanished++
 	}
+	v := provenance.VerdictFailed
+	if reason != provenance.FailVanished && mv.deferRetry(key, promote, attempts, firstFail) {
+		v = provenance.VerdictDeferred
+	}
+	mv.prov.Note(key, v, reason)
 }
 
 // demoteCand is one demotion candidate with its rank precomputed
@@ -599,7 +590,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		for _, e := range mv.retries {
 			if _, selected := sel[e.key]; e.promote != selected {
 				mv.RetrySuperseded++
-				mv.prov.NoteSuperseded(e.key)
+				mv.prov.Note(e.key, provenance.VerdictSuperseded, provenance.FailNone)
 				continue
 			}
 			if e.due <= mv.epoch {
@@ -608,7 +599,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 				keep = append(keep, e)
 				// Still waiting out its backoff: that is this epoch's
 				// verdict for the page.
-				mv.prov.NoteDeferred(e.key)
+				mv.prov.Note(e.key, provenance.VerdictDeferred, provenance.FailNone)
 			}
 		}
 		mv.retries = keep
@@ -634,8 +625,8 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 				continue
 			}
 			mv.Retried++
-			if err := mv.migrate(e.key, target); err != nil {
-				mv.failAndMaybeRetry(e.key, e.promote, err, e.attempts+1, e.firstFail)
+			if f := mv.migrate(e.key, target); f != provenance.FailNone {
+				mv.failAndMaybeRetry(e.key, e.promote, f, e.attempts+1, e.firstFail)
 				continue
 			}
 			mv.RetrySucceeded++
@@ -777,11 +768,11 @@ func (mv *Mover) migrateFresh(key core.PageKey, promote bool, target mem.TierID,
 		return false
 	}
 	if promote && mv.machine.Phys.FreeFrames(target) == 0 {
-		mv.failAndMaybeRetry(key, true, mem.ErrTierFull, 1, mv.epoch)
+		mv.failAndMaybeRetry(key, true, provenance.FailCapacity, 1, mv.epoch)
 		return false
 	}
-	if err := mv.migrate(key, target); err != nil {
-		mv.failAndMaybeRetry(key, promote, err, 1, mv.epoch)
+	if f := mv.migrate(key, target); f != provenance.FailNone {
+		mv.failAndMaybeRetry(key, promote, f, 1, mv.epoch)
 		return false
 	}
 	mv.noteSuccess(key, promote, target)

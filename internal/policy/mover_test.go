@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"testing"
 
 	"tieredmem/internal/cache"
@@ -9,6 +8,7 @@ import (
 	"tieredmem/internal/cpu"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/mem"
+	"tieredmem/internal/provenance"
 	"tieredmem/internal/tlb"
 	"tieredmem/internal/trace"
 )
@@ -177,8 +177,8 @@ func TestMoverSplitsHugeMapping(t *testing.T) {
 	}
 	// Demote vpn 7 directly (ApplySelection only demotes under
 	// promotion pressure; the split path is what is under test).
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); err != nil {
-		t.Fatalf("migrate: %v", err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatalf("migrate: %v", f)
 	}
 	if m.Table(1).HugeLeaves() != 0 {
 		t.Errorf("huge leaf survived a partial migration; THP split missing")
@@ -229,19 +229,19 @@ func TestMigrateTypedErrors(t *testing.T) {
 	touchPages(t, m, 1, 5) // 0..3 fast, 4 slow
 	mv := NewMover(m)
 
-	if err := mv.migrate(core.PageKey{PID: 99, VPN: 1}, mem.FastTier); !errors.Is(err, mem.ErrUnmapped) {
-		t.Errorf("missing process: got %v, want ErrUnmapped", err)
+	if f := mv.migrate(core.PageKey{PID: 99, VPN: 1}, mem.FastTier); f != provenance.FailVanished {
+		t.Errorf("missing process: got %v, want FailVanished", f)
 	}
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 77}, mem.FastTier); !errors.Is(err, mem.ErrUnmapped) {
-		t.Errorf("unmapped vpn: got %v, want ErrUnmapped", err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 77}, mem.FastTier); f != provenance.FailVanished {
+		t.Errorf("unmapped vpn: got %v, want FailVanished", f)
 	}
 	pinPage(t, m, 1, 0)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 0}, mem.SlowTier); !errors.Is(err, mem.ErrPinned) {
-		t.Errorf("pinned page: got %v, want ErrPinned", err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 0}, mem.SlowTier); f != provenance.FailPinned {
+		t.Errorf("pinned page: got %v, want FailPinned", f)
 	}
 	// Fast tier is full: promotion hits allocation pressure.
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); !errors.Is(err, mem.ErrTierFull) {
-		t.Errorf("full tier: got %v, want ErrTierFull", err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 4}, mem.FastTier); f != provenance.FailCapacity {
+		t.Errorf("full tier: got %v, want FailCapacity", f)
 	}
 }
 
@@ -268,8 +268,8 @@ func TestRetryQueueCarriesCapacityFailure(t *testing.T) {
 	}
 	// Make room, then let the deferred retry land next epoch.
 	unpinPage(t, m, 1, 0)
-	if err := mv.migrate(core.PageKey{PID: 1, VPN: 0}, mem.SlowTier); err != nil {
-		t.Fatal(err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 0}, mem.SlowTier); f != provenance.FailNone {
+		t.Fatal(f)
 	}
 	promoted, _ = mv.ApplySelection(sel, core.Ranks{})
 	if promoted != 1 || mv.RetrySucceeded != 1 || mv.Retried != 1 {
@@ -357,9 +357,8 @@ func TestFaultSplitFailure(t *testing.T) {
 	mv := NewMover(m)
 	spec, _ := fault.ParseSpec("mem.splitfail=1")
 	mv.SetFaultPlane(fault.New(spec, 1))
-	err := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier)
-	if !errors.Is(err, ErrSplitFailed) {
-		t.Fatalf("got %v, want ErrSplitFailed", err)
+	if f := mv.migrate(core.PageKey{PID: 1, VPN: 7}, mem.SlowTier); f != provenance.FailSplit {
+		t.Fatalf("got %v, want FailSplit", f)
 	}
 	// The failed split must leave the huge mapping intact: the bail
 	// happens before any page-table mutation.

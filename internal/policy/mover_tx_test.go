@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"testing"
 
 	"tieredmem/internal/core"
@@ -225,8 +224,8 @@ func TestTxAdmissionQueueOverflowRejects(t *testing.T) {
 // TestTxMaxRetriesExhaustionCopyAbort pins the abort-to-failure chain:
 // with every copy dirtied mid-flight and one retry allowed, the
 // transaction aborts, the retry budget exhausts, and the page's final
-// provenance verdict is failed:mem.copyabort (NoteDeferred never
-// overwrites it because deferRetry refused the entry).
+// provenance verdict is failed:mem.copyabort (the verdict stays failed
+// because deferRetry refused the entry).
 func TestTxMaxRetriesExhaustionCopyAbort(t *testing.T) {
 	m := moverMachine(t, 4, 16)
 	touchPages(t, m, 1, 6)
@@ -238,13 +237,13 @@ func TestTxMaxRetriesExhaustionCopyAbort(t *testing.T) {
 	rec := provenance.New()
 	mv.SetProvenance(rec)
 
-	// The typed sentinel surfaces through errors.Is (probe on a
-	// throwaway mover so the main mover's tx accounting stays exact).
+	// migrate returns the abort as its reason (probe on a throwaway
+	// mover so the main mover's tx accounting stays exact).
 	probe := NewMover(m)
 	probe.Transactional = true
 	probe.SetFaultPlane(fault.New(spec, 1))
-	if err := probe.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); !errors.Is(err, mem.ErrCopyAborted) {
-		t.Fatalf("rate-1 dirty copy: got %v, want ErrCopyAborted", err)
+	if f := probe.migrate(core.PageKey{PID: 1, VPN: 3}, mem.SlowTier); f != provenance.FailCopyAbort {
+		t.Fatalf("rate-1 dirty copy: got %v, want FailCopyAbort", f)
 	}
 
 	rec.BeginEpoch(0, core.MethodCombined, core.MethodCombined, 0)

@@ -78,133 +78,104 @@ const (
 	VerdictRejectedAdmission
 )
 
-// FailReason classifies a failed migration, mirroring the mover's
-// reason-partitioned counters.
+// FailReason classifies a failed migration. The mover returns it from
+// the attempt itself, counts the failure under it, and records it here:
+// one value from where a migration fails to where it is reported.
 type FailReason uint8
 
 const (
 	FailNone FailReason = iota
-	// FailCapacity: target tier had no free frame (mem.ErrTierFull).
+	// FailCapacity: the target tier had no free frame. Transient.
 	FailCapacity
-	// FailPinned: the page was transiently pinned (mem.ErrPinned).
+	// FailPinned: the page was non-migratable or transiently busy (the
+	// EBUSY case). Transient.
 	FailPinned
-	// FailSplit: the THP split raced a refcount (policy.ErrSplitFailed).
+	// FailSplit: the THP split raced a refcount. Transient.
 	FailSplit
-	// FailVanished: the mapping disappeared mid-flight (mem.ErrUnmapped
-	// or an unrecognized error).
+	// FailVanished: the mapping disappeared mid-flight, or the
+	// allocator failed otherwise. Permanent: never retried.
 	FailVanished
 	// FailCopyAbort: a transactional copy found the page dirtied
-	// mid-flight (mem.ErrCopyAborted).
+	// mid-flight. Transient.
 	FailCopyAbort
 )
 
-// String names the fail reason by the fault site that produces it.
-func (f FailReason) String() string {
-	switch f {
-	case FailCapacity:
-		return "mem.enomem"
-	case FailPinned:
-		return "mem.pinned"
-	case FailSplit:
-		return "mem.splitfail"
-	case FailVanished:
-		return "vanished"
-	case FailCopyAbort:
-		return "mem.copyabort"
-	default:
-		return "none"
-	}
+// failNames names each FailReason by the fault site that produces it.
+var failNames = [...]string{
+	FailNone:      "none",
+	FailCapacity:  "mem.enomem",
+	FailPinned:    "mem.pinned",
+	FailSplit:     "mem.splitfail",
+	FailVanished:  "vanished",
+	FailCopyAbort: "mem.copyabort",
+}
+
+// verdictNames names each Verdict as the timeline prints it and the
+// log serializes it; VerdictFailed's name is a prefix that Reason
+// completes with the FailReason.
+var verdictNames = [...]string{
+	VerdictNone:              "none",
+	VerdictPromoted:          "promoted",
+	VerdictDemoted:           "demoted",
+	VerdictHeldResident:      "held:resident",
+	VerdictHeldBelowTopK:     "held:below-topk",
+	VerdictHeldBelowMinRank:  "held:below-minrank",
+	VerdictHeldQuarantine:    "held:quarantine-degraded",
+	VerdictDeferred:          "deferred:retry-backoff",
+	VerdictSuperseded:        "superseded",
+	VerdictFailed:            "failed",
+	VerdictHeld:              "held",
+	VerdictDeferredAdmission: "deferred:admission",
+	VerdictRejectedAdmission: "rejected:admission",
 }
 
 // failedReasons holds VerdictFailed's reason for each FailReason, so
 // Reason hands the log writer a constant instead of concatenating a
 // string per record.
-var failedReasons = func() (r [FailCopyAbort + 1]string) {
-	for f := range r {
-		r[f] = "failed:" + FailReason(f).String()
+var failedReasons = func() (r [len(failNames)]string) {
+	for f, name := range failNames {
+		r[f] = verdictNames[VerdictFailed] + ":" + name
 	}
 	return r
 }()
 
+// String names the fail reason by the fault site that produces it.
+func (f FailReason) String() string {
+	if int(f) < len(failNames) {
+		return failNames[f]
+	}
+	return failNames[FailNone]
+}
+
 // Reason renders the verdict as its typed reason string, the taxonomy
 // the timeline prints and the log serializes.
 func (v Verdict) Reason(f FailReason) string {
-	switch v {
-	case VerdictPromoted:
-		return "promoted"
-	case VerdictDemoted:
-		return "demoted"
-	case VerdictHeldResident:
-		return "held:resident"
-	case VerdictHeldBelowTopK:
-		return "held:below-topk"
-	case VerdictHeldBelowMinRank:
-		return "held:below-minrank"
-	case VerdictHeldQuarantine:
-		return "held:quarantine-degraded"
-	case VerdictDeferred:
-		return "deferred:retry-backoff"
-	case VerdictSuperseded:
-		return "superseded"
-	case VerdictFailed:
-		if int(f) < len(failedReasons) {
-			return failedReasons[f]
+	if v == VerdictFailed {
+		if int(f) >= len(failedReasons) {
+			f = FailNone
 		}
-		return "failed:none"
-	case VerdictHeld:
-		return "held"
-	case VerdictDeferredAdmission:
-		return "deferred:admission"
-	case VerdictRejectedAdmission:
-		return "rejected:admission"
-	default:
-		return "none"
+		return failedReasons[f]
 	}
+	if int(v) >= len(verdictNames) {
+		v = VerdictNone
+	}
+	return verdictNames[v]
 }
 
-// verdictFromReason inverts Reason for the log reader; ok is false for
-// a string Reason cannot produce.
+// verdictFromReason inverts Reason from the same tables for the log
+// reader; ok is false for a string Reason cannot produce.
 func verdictFromReason(s string) (Verdict, FailReason, bool) {
-	switch s {
-	case "promoted":
-		return VerdictPromoted, FailNone, true
-	case "demoted":
-		return VerdictDemoted, FailNone, true
-	case "held:resident":
-		return VerdictHeldResident, FailNone, true
-	case "held:below-topk":
-		return VerdictHeldBelowTopK, FailNone, true
-	case "held:below-minrank":
-		return VerdictHeldBelowMinRank, FailNone, true
-	case "held:quarantine-degraded":
-		return VerdictHeldQuarantine, FailNone, true
-	case "deferred:retry-backoff":
-		return VerdictDeferred, FailNone, true
-	case "superseded":
-		return VerdictSuperseded, FailNone, true
-	case "held":
-		return VerdictHeld, FailNone, true
-	case "failed:mem.enomem":
-		return VerdictFailed, FailCapacity, true
-	case "failed:mem.pinned":
-		return VerdictFailed, FailPinned, true
-	case "failed:mem.splitfail":
-		return VerdictFailed, FailSplit, true
-	case "failed:vanished":
-		return VerdictFailed, FailVanished, true
-	case "failed:mem.copyabort":
-		return VerdictFailed, FailCopyAbort, true
-	case "failed:none":
-		return VerdictFailed, FailNone, true
-	case "deferred:admission":
-		return VerdictDeferredAdmission, FailNone, true
-	case "rejected:admission":
-		return VerdictRejectedAdmission, FailNone, true
-	case "none":
-		return VerdictNone, FailNone, true
-	default:
-		return VerdictNone, FailNone, false
+	for f, name := range failedReasons {
+		if s == name {
+			return VerdictFailed, FailReason(f), true
+		}
 	}
+	for v, name := range verdictNames {
+		if s == name && Verdict(v) != VerdictFailed {
+			return Verdict(v), FailNone, true
+		}
+	}
+	return VerdictNone, FailNone, false
 }
 
 // Record is one page's decision record for one epoch: the evidence
@@ -468,10 +439,13 @@ func (r *Recorder) NoteMove(key core.PageKey, promote bool, to mem.TierID) {
 	}
 }
 
-// NoteFail records a failed migration attempt. A later NoteDeferred
-// or NoteMove in the same epoch refines the verdict; a success is
-// never downgraded.
-func (r *Recorder) NoteFail(key core.PageKey, reason FailReason) {
+// Note records the page's outcome this epoch when the mover did not
+// move it: a failure, a deferral into the retry queue (freshly queued
+// or still waiting out its backoff), a superseded retry, or an
+// admission deferral or rejection. A move recorded this epoch is never
+// downgraded. Only a failure reason (f other than FailNone) changes
+// Record.Fail, so a deferral keeps the reason that queued the page.
+func (r *Recorder) Note(key core.PageKey, v Verdict, f FailReason) {
 	if r == nil {
 		return
 	}
@@ -479,63 +453,10 @@ func (r *Recorder) NoteFail(key core.PageKey, reason FailReason) {
 	if rec.Verdict == VerdictPromoted || rec.Verdict == VerdictDemoted {
 		return
 	}
-	rec.Verdict = VerdictFailed
-	rec.Fail = reason
-}
-
-// NoteDeferred records that the page sits in the mover's
-// deferred-retry queue this epoch — freshly queued after a transient
-// failure, or still waiting out its backoff. The failure reason from
-// a preceding NoteFail is preserved.
-func (r *Recorder) NoteDeferred(key core.PageKey) {
-	if r == nil {
-		return
+	rec.Verdict = v
+	if f != FailNone {
+		rec.Fail = f
 	}
-	_, rec := r.note(key)
-	if rec.Verdict == VerdictPromoted || rec.Verdict == VerdictDemoted {
-		return
-	}
-	rec.Verdict = VerdictDeferred
-}
-
-// NoteDeferredAdmission records a migration the admission controller
-// pushed into the retry queue: the epoch's bandwidth budget ran out
-// before the page's turn.
-func (r *Recorder) NoteDeferredAdmission(key core.PageKey) {
-	if r == nil {
-		return
-	}
-	_, rec := r.note(key)
-	if rec.Verdict == VerdictPromoted || rec.Verdict == VerdictDemoted {
-		return
-	}
-	rec.Verdict = VerdictDeferredAdmission
-}
-
-// NoteRejectedAdmission records a migration dropped outright: the
-// admission budget was exhausted and the retry queue was full.
-func (r *Recorder) NoteRejectedAdmission(key core.PageKey) {
-	if r == nil {
-		return
-	}
-	_, rec := r.note(key)
-	if rec.Verdict == VerdictPromoted || rec.Verdict == VerdictDemoted {
-		return
-	}
-	rec.Verdict = VerdictRejectedAdmission
-}
-
-// NoteSuperseded records a queued retry dropped because the selection
-// reversed direction before it came due.
-func (r *Recorder) NoteSuperseded(key core.PageKey) {
-	if r == nil {
-		return
-	}
-	_, rec := r.note(key)
-	if rec.Verdict == VerdictPromoted || rec.Verdict == VerdictDemoted {
-		return
-	}
-	rec.Verdict = VerdictSuperseded
 }
 
 // FinishEpoch closes the epoch: pages touched this epoch with no

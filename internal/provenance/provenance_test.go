@@ -37,9 +37,9 @@ func TestNilRecorderNoOps(t *testing.T) {
 		r.BeginEpoch(0, core.MethodCombined, core.MethodCombined, 0)
 		r.ObserveHarvest(ep, nil)
 		r.NoteMove(key(1, 2), true, 0)
-		r.NoteFail(key(1, 2), FailCapacity)
-		r.NoteDeferred(key(1, 2))
-		r.NoteSuperseded(key(1, 2))
+		r.Note(key(1, 2), VerdictFailed, FailCapacity)
+		r.Note(key(1, 2), VerdictDeferred, FailNone)
+		r.Note(key(1, 2), VerdictSuperseded, FailNone)
 		r.FinishEpoch()
 		_ = r.Pages()
 	}
@@ -105,13 +105,13 @@ func TestVerdictPrecedence(t *testing.T) {
 	k := key(7, 0x40)
 
 	harvest(r, 0, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 5}, Tier: 1}, true)
-	r.NoteFail(k, FailCapacity)
-	r.NoteDeferred(k)
+	r.Note(k, VerdictFailed, FailCapacity)
+	r.Note(k, VerdictDeferred, FailNone)
 	r.FinishEpoch()
 
 	harvest(r, 1, core.PageStat{Key: k, Evidence: mem.Evidence{Abit: 5}, Tier: 1}, true)
 	r.NoteMove(k, true, 0)
-	r.NoteFail(k, FailPinned) // late failure note must not downgrade
+	r.Note(k, VerdictFailed, FailPinned) // late failure note must not downgrade
 	r.FinishEpoch()
 
 	recs := r.Snapshot("t").Pages[0].Records
@@ -286,8 +286,8 @@ func TestLogRoundTrip(t *testing.T) {
 	r := New()
 	k1, k2 := key(2, 0x100), key(1, 0x200)
 	harvest(r, 0, core.PageStat{Key: k1, Evidence: mem.Evidence{Abit: 3, Trace: 1}, Tier: 1}, true)
-	r.NoteFail(k1, FailCapacity)
-	r.NoteDeferred(k1)
+	r.Note(k1, VerdictFailed, FailCapacity)
+	r.Note(k1, VerdictDeferred, FailNone)
 	r.FinishEpoch()
 	r.BeginEpoch(1, core.MethodAbit, core.MethodCombined, 0)
 	r.ObserveHarvest(core.EpochStats{Epoch: 1, Pages: []core.PageStat{

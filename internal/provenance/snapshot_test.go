@@ -118,13 +118,14 @@ func TestSnapshotConsumes(t *testing.T) {
 		r.ObserveHarvest(core.EpochStats{Pages: []core.PageStat{{Key: key(1, 1)}}}, nil)
 	})
 	mustPanic("NoteMove", func() { r.NoteMove(key(100, 8), true, mem.FastTier) })
-	mustPanic("NoteFail", func() { r.NoteFail(key(100, 8), FailPinned) })
+	mustPanic("Note", func() { r.Note(key(100, 8), VerdictFailed, FailPinned) })
 }
 
 // FuzzSnapshotMatchesCopy drives one random sequence of epochs,
 // harvests and mover notes over six pages through a recorder with a
 // random ring depth, then checks that the zero-copy Snapshot yields
-// exactly what the copying reference yields, field for field. The
+// exactly what the copying reference yields, field for field (Fail
+// included: a deferral keeps the reason that queued it). The
 // first byte picks lastK (1–12); each later byte is one call, its low
 // three bits the call and the high five its payload, so a long input
 // wraps the rings many times over.
@@ -175,21 +176,16 @@ func FuzzSnapshotMatchesCopy(f *testing.F) {
 			case 3:
 				r.NoteMove(pg, v%2 == 0, mem.TierID(v%3))
 			case 4:
-				r.NoteFail(pg, FailReason(v%6))
+				r.Note(pg, VerdictFailed, FailReason(v%6))
 			case 5:
-				r.NoteDeferred(pg)
+				r.Note(pg, VerdictDeferred, FailNone)
 			case 6:
-				switch v % 3 {
-				case 0:
-					r.NoteDeferredAdmission(pg)
-				case 1:
-					r.NoteRejectedAdmission(pg)
-				default:
-					r.NoteSuperseded(pg)
-				}
+				queued := [...]Verdict{VerdictDeferredAdmission, VerdictRejectedAdmission, VerdictSuperseded}
+				r.Note(pg, queued[v%3], FailNone)
 			default:
-				r.NoteFail(pg, FailCopyAbort)
-				r.NoteDeferred(pg)
+				// A failure queued for retry: the deferral carries the
+				// reason that queued it.
+				r.Note(pg, VerdictDeferred, FailCopyAbort)
 			}
 		}
 		r.FinishEpoch()

@@ -19,10 +19,13 @@
 // table per workload and seed: the pairs' values, the two medians, the
 // base's interquartile range, how many pairs the head won, and a
 // two-sided sign-test p-value (ties dropped). The table is also printed
-// on stdout. The worktrees are removed at the end.
+// on stdout. The worktrees are removed at the end, also when SIGINT or
+// SIGTERM stops the run, which then exits 1 and kills the process
+// group of every child, so no bench rep outlives it.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -31,13 +34,21 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
 // metricSpec is one end-to-end metric of BENCHMARK.json.
 type metricSpec struct {
@@ -123,7 +134,8 @@ type report struct {
 // BENCHMARK.json metrics in every table.
 var failedFrac = metricSpec{Name: "failed_frac", Unit: "ratio", Better: "lower"}
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run measures as args ask; cancelling ctx stops it as a signal does.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("abpairs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	base := fs.String("base", "", "base revision (the parent)")
@@ -148,21 +160,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		seedList = append(seedList, v)
 	}
-	if err := measure(*base, *head, strings.Split(*workloads, ","), seedList, *pairs, *dir, args, stdout, stderr); err != nil {
+	err := measure(ctx, *base, *head, strings.Split(*workloads, ","), seedList, *pairs, *dir, args, stdout, stderr)
+	if ctx.Err() != nil {
+		err = fmt.Errorf("interrupted: %w", ctx.Err())
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "abpairs:", err)
 		return 1
 	}
 	return 0
 }
 
-func measure(baseRev, headRev string, workloads []string, seeds []int64, pairs int, dir string,
+func measure(ctx context.Context, baseRev, headRev string, workloads []string, seeds []int64, pairs int, dir string,
 	args []string, stdout, stderr io.Writer) (err error) {
 	rep := report{Schema: 1, Command: append([]string{"abpairs"}, args...),
 		Base: revision{Rev: baseRev}, Head: revision{Rev: headRev}}
-	if rep.Base.Commit, err = git("", "rev-parse", "--verify", baseRev+"^{commit}"); err != nil {
+	if rep.Base.Commit, err = git(ctx, "", "rev-parse", "--verify", baseRev+"^{commit}"); err != nil {
 		return err
 	}
-	if rep.Head.Commit, err = git("", "rev-parse", "--verify", headRev+"^{commit}"); err != nil {
+	if rep.Head.Commit, err = git(ctx, "", "rev-parse", "--verify", headRev+"^{commit}"); err != nil {
 		return err
 	}
 	if dir == "" {
@@ -178,16 +194,18 @@ func measure(baseRev, headRev string, workloads []string, seeds []int64, pairs i
 	}
 	trees := map[string]string{"base": filepath.Join(dir, "base"), "head": filepath.Join(dir, "head")}
 	for _, s := range []struct{ name, commit string }{{"base", rep.Base.Commit}, {"head", rep.Head.Commit}} {
-		if _, err := git("", "worktree", "add", "--detach", trees[s.name], s.commit); err != nil {
+		if _, err := git(ctx, "", "worktree", "add", "--detach", trees[s.name], s.commit); err != nil {
 			return err
 		}
 		defer func(tree string) {
-			if _, rmErr := git("", "worktree", "remove", "--force", tree); rmErr != nil && err == nil {
+			// The removal must run after a cancel too, so it does not
+			// inherit ctx's cancellation.
+			if _, rmErr := git(context.WithoutCancel(ctx), "", "worktree", "remove", "--force", tree); rmErr != nil && err == nil {
 				err = rmErr
 			}
 		}(trees[s.name])
 		fmt.Fprintf(stderr, "abpairs: building the %s bench (%s)\n", s.name, short(s.commit))
-		if err := build(trees[s.name]); err != nil {
+		if err := build(ctx, trees[s.name]); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
@@ -207,7 +225,7 @@ func measure(baseRev, headRev string, workloads []string, seeds []int64, pairs i
 				for _, name := range order {
 					file := filepath.Join(dir, "runs", fmt.Sprintf("%s-seed%d-pair%02d-%s.json", w, seed, i, name))
 					fmt.Fprintf(stderr, "abpairs: %s seed %d pair %d/%d: %s\n", w, seed, i, pairs, name)
-					s, host, err := benchRun(trees[name], w, seed, file, stderr)
+					s, host, err := benchRun(ctx, trees[name], w, seed, file, stderr)
 					if err != nil {
 						return fmt.Errorf("%s run of %s seed %d pair %d: %w", name, w, seed, i, err)
 					}
@@ -241,9 +259,23 @@ func measure(baseRev, headRev string, workloads []string, seeds []int64, pairs i
 	return err
 }
 
-func git(dir string, args ...string) (string, error) {
-	cmd := exec.Command("git", args...)
+// command prepares name to run in dir in a process group of its own,
+// so that cancelling ctx kills the whole group: bench/run.sh execs the
+// bench binary, which starts child reps of its own, and killing the
+// direct child alone would leave them running.
+func command(ctx context.Context, dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
 	cmd.Dir = dir
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
+	// Bounds the wait for output pipes still held by a descendant that
+	// left the group.
+	cmd.WaitDelay = 10 * time.Second
+	return cmd
+}
+
+func git(ctx context.Context, dir string, args ...string) (string, error) {
+	cmd := command(ctx, dir, "git", args...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(string(out)))
@@ -254,10 +286,8 @@ func git(dir string, args ...string) (string, error) {
 // build warms a worktree's bench binary: bench/run.sh builds it before
 // the binary parses its flags, so -h builds it and exits. The pairs'
 // own run.sh calls then find the build cached.
-func build(tree string) error {
-	cmd := exec.Command("bash", "bench/run.sh", "-h")
-	cmd.Dir = tree
-	out, _ := cmd.CombinedOutput() // -h exits 2 once the binary runs
+func build(ctx context.Context, tree string) error {
+	out, _ := command(ctx, tree, "bash", "bench/run.sh", "-h").CombinedOutput() // -h exits 2 once the binary runs
 	if _, err := os.Stat(filepath.Join(tree, ".bench_build", "bench")); err != nil {
 		return fmt.Errorf("bench build failed: %s", strings.TrimSpace(string(out)))
 	}
@@ -266,9 +296,8 @@ func build(tree string) error {
 
 // benchRun runs bench/run.sh once in tree and reads the result file
 // back. A run whose reps failed still counts: its failed_frac says so.
-func benchRun(tree, workload string, seed int64, file string, stderr io.Writer) (side, json.RawMessage, error) {
-	cmd := exec.Command("bash", "bench/run.sh", "-workload", workload, "-seed", strconv.FormatInt(seed, 10), "-out", file)
-	cmd.Dir = tree
+func benchRun(ctx context.Context, tree, workload string, seed int64, file string, stderr io.Writer) (side, json.RawMessage, error) {
+	cmd := command(ctx, tree, "bash", "bench/run.sh", "-workload", workload, "-seed", strconv.FormatInt(seed, 10), "-out", file)
 	cmd.Stdout, cmd.Stderr = stderr, stderr
 	runErr := cmd.Run()
 	s, host, err := readResult(file, workload)

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"context"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestQuartilesExclusive pins the quartile method to the benchmark's
@@ -138,8 +142,121 @@ func TestUsageErrors(t *testing.T) {
 		{"-base", "HEAD~1", "-head", "HEAD", "-workload", "w", "-pairs", "0"},
 	} {
 		var out, errs strings.Builder
-		if code := run(args, &out, &errs); code != 2 {
+		if code := run(context.Background(), args, &out, &errs); code != 2 {
 			t.Errorf("abpairs %v exits %d, want 2", args, code)
 		}
 	}
+}
+
+// TestInterruptLeavesNothingBehind cancels a run while its bench
+// blocks, in a throwaway repository whose bench/run.sh execs a shell
+// that starts a child of its own, as the real bench starts its reps.
+// The cancelled run must exit non-zero with no worktree registered but
+// the main one, neither worktree directory left, and no process of the
+// bench's tree still running.
+func TestInterruptLeavesNothingBehind(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	repo, dir := t.TempDir(), filepath.Join(t.TempDir(), "pairs")
+	pids := filepath.Join(t.TempDir(), "pids")
+	files := map[string]string{
+		"BENCHMARK.json": `{"end_to_end":[{"name":"refs_per_s","unit":"1/s","better":"higher"}]}`,
+		// -h is abpairs' build step; a run blocks until it is killed.
+		"bench/run.sh": `if [ "$1" = -h ]; then mkdir -p .bench_build && touch .bench_build/bench; exit 2; fi
+exec bash -c 'sleep 300 & echo "$$ $!" >> "` + pids + `"; wait'
+`,
+	}
+	for name, body := range files {
+		path := filepath.Join(repo, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gitIn := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com",
+			"-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = repo
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	gitIn("init", "-q")
+	gitIn("add", ".")
+	gitIn("commit", "-q", "-m", "throwaway")
+
+	// abpairs runs git in its working directory.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(repo); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr strings.Builder
+	code := make(chan int, 1)
+	go func() {
+		code <- run(ctx, []string{"-base", "HEAD", "-head", "HEAD", "-workload", "w", "-pairs", "1", "-dir", dir}, &stdout, &stderr)
+	}()
+	var procs []int
+	for deadline := time.Now().Add(time.Minute); len(procs) == 0; time.Sleep(10 * time.Millisecond) {
+		if data, err := os.ReadFile(pids); err == nil && strings.HasSuffix(string(data), "\n") {
+			for _, f := range strings.Fields(string(data)) {
+				pid, err := strconv.Atoi(f)
+				if err != nil {
+					t.Fatalf("pids file: %v", err)
+				}
+				procs = append(procs, pid)
+			}
+		}
+		if time.Now().After(deadline) {
+			cancel()
+			<-code
+			t.Fatalf("the bench never started:\n%s", stderr.String())
+		}
+	}
+	cancel()
+	if c := <-code; c == 0 {
+		t.Errorf("an interrupted run exits 0:\n%s", stderr.String())
+	}
+
+	if trees := strings.Count(gitIn("worktree", "list", "--porcelain"), "worktree "); trees != 1 {
+		t.Errorf("%d worktrees registered after the interrupt, want only the main one", trees)
+	}
+	for _, name := range []string{"base", "head"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s worktree directory left behind (stat: %v)", name, err)
+		}
+	}
+	for _, pid := range procs {
+		// SIGKILL lands asynchronously; give a dying process a moment.
+		for deadline := time.Now().Add(5 * time.Second); running(pid); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("process %d of the bench still runs after the interrupt", pid)
+				break
+			}
+		}
+	}
+}
+
+// running reports whether pid is a live process: one that exists and
+// is not a zombie waiting for its new parent to reap it.
+func running(pid int) bool {
+	stat, err := os.ReadFile("/proc/" + strconv.Itoa(pid) + "/stat")
+	if err != nil {
+		return false
+	}
+	// The state follows the parenthesized command name.
+	i := strings.LastIndexByte(string(stat), ')')
+	return i < 0 || i+2 >= len(stat) || stat[i+2] != 'Z'
 }
