@@ -42,13 +42,20 @@ func main() {
 	)
 	flag.Parse()
 
+	// A bad -rate, or a -refs or -period that is not positive, is a
+	// usage error reported before anything is profiled: exit code 2
+	// plus the flag usage, as for a mistyped flag. A typoed rate would
+	// profile at some other rate, and a period below 1 would sample
+	// every op; either would invalidate every number printed.
 	rate, err := experiments.ParseRate(*rateStr)
 	if err != nil {
-		// A typoed rate silently profiling at some other rate would
-		// invalidate every number printed, so refuse loudly.
-		fmt.Fprintln(os.Stderr, "tmpprof:", err)
-		flag.Usage()
-		os.Exit(2)
+		usageFatal(err)
+	}
+	if *refs <= 0 {
+		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
+	}
+	if *period <= 0 {
+		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
 	}
 	if *cpuProf != "" {
 		stop, err := teleout.StartCPUProfile(*cpuProf)
@@ -151,4 +158,12 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmpprof:", err)
 	os.Exit(1)
+}
+
+// usageFatal reports a flag-value error the way the flag package
+// reports an unknown flag: message, usage, exit 2.
+func usageFatal(err error) {
+	fmt.Fprintln(os.Stderr, "tmpprof:", err)
+	flag.Usage()
+	os.Exit(2)
 }

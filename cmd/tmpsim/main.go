@@ -45,7 +45,7 @@ func main() {
 		ratio    = flag.Int("ratio", 16, "footprint:fast-tier capacity ratio")
 		polName  = flag.String("policy", "history", "placement policy: history, decay, none (baseline only)")
 		method   = flag.String("method", "tmp", "profiling evidence: abit, ibs, tmp, devprof (devprof needs a device tier)")
-		tiers    = flag.String("tiers", "", "tier chain: a depth (2-4, workload-sized) or an explicit spec like 'dram:1024/cxl:2048:140:180:dev/nvm:8192'; device tiers get the device-side tracker; empty means depth 2 sized from -ratio for each machine (each cell under -shards)")
+		tiers    = flag.String("tiers", "", "tier chain: a depth (2-4, workload-sized) or an explicit spec like 'dram:1024/cxl:2048:140:180:dev/nvm:8192'; device tiers get the device-side tracker; empty means depth 2 sized from -ratio for each machine")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		scale    = flag.Int("scale", 0, "footprint scale shift")
 		period   = flag.Int("period", 4096, "IBS op period (4x-rate scaled default)")
@@ -54,7 +54,6 @@ func main() {
 		admfrac  = flag.Float64("admission", 0, "bandwidth admission control: fraction of each epoch's simulated time migrations may spend on line traffic (0 disables; denied migrations defer or reject deterministically)")
 		faults   = flag.String("faults", "", "fault-injection spec, e.g. 'ibs.drop=0.05,mem.enomem=0.2' or 'all=0.1' (see ROBUSTNESS.md); same seed + same spec reproduces the run byte-for-byte")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for the baseline/placement arms (1 = sequential; output is identical)")
-		shards   = flag.Int("shards", 0, "intra-cell shard-pool width: partition each arm's machine per simulated core and run the cells on this many workers (0 = legacy single-goroutine machine; sharded output is byte-identical at any width >= 1)")
 		tracOut  = flag.String("trace", "", "write a Chrome trace_viewer JSON (virtual-time flamegraph; open in chrome://tracing or Perfetto)")
 		evtsOut  = flag.String("events", "", "write the structured JSONL event log")
 		metrics  = flag.Bool("metrics", false, "print per-subsystem virtual-time attribution, distribution, and provenance-summary tables")
@@ -109,23 +108,17 @@ func main() {
 	if err != nil {
 		usageFatal(err)
 	}
-	// Policies may be stateful (Decay keeps per-page scores), so every
-	// run — and every cell of a sharded run — constructs its own
-	// instance from this builder.
-	var mkPol func() policy.Policy
+	// Policies may be stateful (Decay keeps per-page scores), but only
+	// the policy arm runs one.
+	var pol policy.Policy
 	switch *polName {
 	case "history":
-		mkPol = func() policy.Policy { return policy.History{} }
+		pol = policy.History{}
 	case "decay":
-		mkPol = func() policy.Policy { return policy.NewDecay(0.5) }
+		pol = policy.NewDecay(0.5)
 	case "none":
-		mkPol = nil
 	default:
 		usageFatal(fmt.Errorf("unknown policy %q (history, decay, none)", *polName))
-	}
-	var pol policy.Policy
-	if mkPol != nil {
-		pol = mkPol()
 	}
 
 	wcfg := workload.Config{Seed: *seed, ScaleShift: *scale, FirstPID: 100}
@@ -159,132 +152,73 @@ func main() {
 		costs = &c
 	}
 
-	armNames := []string{"baseline"}
-	if pol != nil {
-		armNames = append(armNames, *polName)
+	// Each arm is one self-contained single-goroutine simulation (its
+	// own workload built from the seed); the arms fan out on the runner
+	// pool and results come back in submission order. Each arm owns a
+	// private tracer, fault plane and recorder, never shared across
+	// goroutines, so runs[i], planes[i] and recorders[i] are arm i's,
+	// and the report and every exported file are byte-identical at any
+	// -parallel width.
+	var runs []telemetry.Labeled
+	var planes []*fault.Plane
+	var recorders []*provenance.Recorder
+	var jobs []runner.Job[sim.PlacementResult]
+	arm := func(label string, p policy.Policy) {
+		var tr *telemetry.Tracer
+		if traceOn {
+			tr = telemetry.New()
+			runs = append(runs, telemetry.Labeled{Label: label, Tracer: tr})
+		}
+		// Each arm derives its plane from the same seed + spec.
+		var fp *fault.Plane
+		if !faultSpec.Zero() {
+			fp = fault.New(faultSpec, *seed)
+		}
+		planes = append(planes, fp)
+		// The baseline arm has no policy to decide anything, so only
+		// policy arms record provenance.
+		var rec *provenance.Recorder
+		if provOn && p != nil {
+			rec = provenance.New()
+		}
+		recorders = append(recorders, rec)
+		jobs = append(jobs, runner.Job[sim.PlacementResult]{Name: label, Run: func() (sim.PlacementResult, error) {
+			cfg := sim.DefaultPlacementConfig(mk(), *period, *refs, *ratio, p, m)
+			cfg.Tiers = chain
+			cfg.TMP.EnableDevProf = chain.HasDevice()
+			cfg.EmulCosts = costs
+			cfg.TxMigration = *txmig
+			cfg.AdmissionFrac = *admfrac
+			cfg.Tracer = tr
+			cfg.Faults = fp
+			cfg.Prov = rec
+			return sim.RunPlacement(cfg, mk())
+		}})
 	}
-	baseCfg := func(p policy.Policy) sim.PlacementConfig {
-		cfg := sim.DefaultPlacementConfig(mk(), *period, *refs, *ratio, p, m)
-		cfg.Tiers = chain
-		cfg.TMP.EnableDevProf = chain.HasDevice()
-		cfg.EmulCosts = costs
-		cfg.TxMigration = *txmig
-		cfg.AdmissionFrac = *admfrac
-		return cfg
+	arm("baseline", nil)
+	if pol != nil {
+		arm(*polName, pol)
 	}
 	epoch := time.Now()
-	nowNS := func() int64 { return int64(time.Since(epoch)) }
-
-	var results []sim.PlacementResult
-	var runs []telemetry.Labeled
-	var runArm []int            // runs[i] belongs to arm runArm[i]
-	var planes [][]*fault.Plane // per-arm planes (one per cell when sharded)
+	results, stats, err := runner.Run(runner.Config{
+		Workers: *parallel,
+		NowNS:   func() int64 { return int64(time.Since(epoch)) },
+	}, jobs)
+	if err != nil {
+		fatal(err)
+	}
+	if pol != nil {
+		fmt.Fprintf(os.Stderr, "tmpsim: %d arms on %d workers: wall=%s busy=%s\n",
+			stats.Jobs, stats.Workers,
+			time.Duration(stats.WallNS).Round(time.Millisecond),
+			time.Duration(stats.BusyNS).Round(time.Millisecond))
+	}
+	// Provenance logs are labeled like telemetry runs, in submission
+	// order.
 	var provLogs []provenance.Log
-
-	if *shards > 0 {
-		// Sharded path: each arm's machine is partitioned per simulated
-		// core and its cells run on the -shards pool (the concurrency
-		// lives inside the arm, so arms run back to back). Telemetry
-		// exports per-cell tracers in cell order and provenance fuses to
-		// one canonical log per policy arm; all printed output is a pure
-		// function of (seed, config) at any -shards width >= 1.
-		for ai, label := range armNames {
-			scfg := sim.ShardedPlacementConfig{
-				Base:      baseCfg(nil),
-				Shards:    *shards,
-				NowNS:     nowNS,
-				Label:     label,
-				Trace:     traceOn,
-				Prov:      provOn,
-				FaultSpec: faultSpec,
-				FaultSeed: *seed,
-			}
-			if ai > 0 {
-				scfg.MkPolicy = mkPol
-			}
-			sres, err := sim.RunShardedPlacement(scfg, mk)
-			if err != nil {
-				fatal(err)
-			}
-			results = append(results, sres.PlacementResult)
-			for range sres.Telemetry {
-				runArm = append(runArm, ai)
-			}
-			runs = append(runs, sres.Telemetry...)
-			planes = append(planes, sres.Planes)
-			if sres.HasProv {
-				provLogs = append(provLogs, sres.Prov)
-			}
-			fmt.Fprintf(os.Stderr, "tmpsim: %s: %d cells on %d workers: wall=%s busy=%s\n",
-				label, sres.Stats.Jobs, sres.Stats.Workers,
-				time.Duration(sres.Stats.WallNS).Round(time.Millisecond),
-				time.Duration(sres.Stats.BusyNS).Round(time.Millisecond))
-		}
-	} else {
-		// Legacy path: each arm is one self-contained single-goroutine
-		// simulation (its own workload built from the seed); the two
-		// arms fan out on the runner pool, results come back in
-		// submission order, and the printed report is byte-identical at
-		// any -parallel width. Each arm owns a private tracer (never
-		// shared across goroutines), and the exported runs list follows
-		// submission order, so telemetry files are byte-identical at any
-		// width too.
-		var recorders []*provenance.Recorder
-		arm := func(ai int, label string, p policy.Policy) runner.Job[sim.PlacementResult] {
-			var tr *telemetry.Tracer
-			if traceOn {
-				tr = telemetry.New()
-				runs = append(runs, telemetry.Labeled{Label: label, Tracer: tr})
-				runArm = append(runArm, ai)
-			}
-			// Like the tracer, a fault plane belongs to exactly one run:
-			// each arm derives a private plane from the same seed + spec,
-			// which keeps arms independent of pool width.
-			var fp *fault.Plane
-			if !faultSpec.Zero() {
-				fp = fault.New(faultSpec, *seed)
-			}
-			planes = append(planes, []*fault.Plane{fp})
-			// The flight recorder is also one-per-run; the baseline arm has
-			// no policy to decide anything, so only policy arms record.
-			var rec *provenance.Recorder
-			if provOn && p != nil {
-				rec = provenance.New()
-			}
-			recorders = append(recorders, rec)
-			return runner.Job[sim.PlacementResult]{Name: label, Run: func() (sim.PlacementResult, error) {
-				cfg := baseCfg(p)
-				cfg.Tracer = tr
-				cfg.Faults = fp
-				cfg.Prov = rec
-				return sim.RunPlacement(cfg, mk())
-			}}
-		}
-		jobs := []runner.Job[sim.PlacementResult]{arm(0, "baseline", nil)}
-		if pol != nil {
-			jobs = append(jobs, arm(1, *polName, pol))
-		}
-		var stats runner.Stats
-		var err error
-		results, stats, err = runner.Run(runner.Config{
-			Workers: *parallel,
-			NowNS:   nowNS,
-		}, jobs)
-		if err != nil {
-			fatal(err)
-		}
-		if pol != nil {
-			fmt.Fprintf(os.Stderr, "tmpsim: %d arms on %d workers: wall=%s busy=%s\n",
-				stats.Jobs, stats.Workers,
-				time.Duration(stats.WallNS).Round(time.Millisecond),
-				time.Duration(stats.BusyNS).Round(time.Millisecond))
-		}
-		// Snapshot provenance in submission order: logs are labeled like
-		// telemetry runs and byte-identical at any -parallel width.
-		for i, rec := range recorders {
-			if rec.Enabled() {
-				provLogs = append(provLogs, rec.Snapshot(armNames[i]))
-			}
+	for i, rec := range recorders {
+		if rec.Enabled() {
+			provLogs = append(provLogs, rec.Snapshot(jobs[i].Name))
 		}
 	}
 
@@ -308,14 +242,13 @@ func main() {
 	}
 
 	if !faultSpec.Zero() {
-		// Fault-attribution section: what the plane(s) injected into
-		// each arm and how the mover/profiler absorbed it. Same seed +
-		// same spec reproduces these numbers exactly; sharded runs sum
-		// per-cell planes in cell order.
+		// Fault-attribution section: what the plane injected into each
+		// arm and how the mover/profiler absorbed it. Same seed + same
+		// spec reproduces these numbers exactly.
 		for i, r := range results {
 			tab := report.FaultTable(
-				fmt.Sprintf("\nFault attribution (%s, spec %q): %s", armNames[i], faultSpec, r.Arm),
-				sim.FaultAttribution(planes[i], r))
+				fmt.Sprintf("\nFault attribution (%s, spec %q): %s", jobs[i].Name, faultSpec, r.Arm),
+				sim.FaultAttribution([]*fault.Plane{planes[i]}, r))
 			fmt.Println(tab.Render())
 			if len(r.Quarantined) > 0 {
 				fmt.Printf("quarantined: %s\n", strings.Join(r.Quarantined, ", "))
@@ -325,15 +258,8 @@ func main() {
 
 	if *metrics {
 		for i, r := range runs {
-			// Each run's spans normalize against its arm's fused duration;
-			// a sharded cell is a single-core machine, so its tracer
-			// divides by one core, not the arm's cell count.
-			ar := results[runArm[i]]
-			cores := ar.NumCores
-			if *shards > 0 {
-				cores = 1
-			}
-			rows := r.Tracer.Attribution(ar.DurationNS, cores)
+			// Each run's spans normalize against its arm's duration.
+			rows := r.Tracer.Attribution(results[i].DurationNS, results[i].NumCores)
 			tab := report.AttributionTable(fmt.Sprintf("\nVirtual-time attribution: %s", r.Label), rows)
 			fmt.Println(tab.Render())
 			if dists := r.Tracer.Distributions(); len(dists) > 0 {

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,6 +34,35 @@ func usageErrorOutput(t *testing.T, args ...string) string {
 		t.Errorf("exit code %d, want 2 (usage error)\noutput:\n%s", code, out)
 	}
 	return string(out)
+}
+
+// mainOutput re-execs the test binary as tmpsim with args, in a fresh
+// temporary directory, and returns that directory and the process's
+// stdout. It fails the test unless the process exits 0. As with
+// usageErrorOutput, the child re-enters the calling test, so that test
+// must call mainOutput before anything else.
+func mainOutput(t *testing.T, args ...string) (dir, stdout string) {
+	t.Helper()
+	if os.Getenv("TMPSIM_RUN_MAIN") == "1" {
+		os.Args = append([]string{"tmpsim"}, args...)
+		main()
+		os.Exit(0)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	cmd := exec.Command(exe, "-test.run=^"+t.Name()+"$")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "TMPSIM_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("tmpsim %s: %v\nstderr:\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return dir, string(out)
 }
 
 // wantAll fails the test for every want missing from the output.
@@ -121,4 +153,48 @@ func TestTiersBadDepthIsUsageError(t *testing.T) {
 func TestDevprofWithoutDeviceTierIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-method", "devprof", "-refs", "20000")
 	wantAll(t, text, "devprof needs a device tier", "Usage of", "-method")
+}
+
+// TestShardsIsUndefinedFlag pins that tmpsim has one machine model:
+// -shards, which ran each arm as per-core cells, is an unknown flag.
+func TestShardsIsUndefinedFlag(t *testing.T) {
+	text := usageErrorOutput(t, "-shards", "2")
+	wantAll(t, text, "flag provided but not defined: -shards", "Usage of")
+}
+
+// TestOutputIdenticalAcrossWidths runs tmpsim's arm wiring end to end,
+// faulted, transactional and with every export on, at -parallel 1 and
+// 2: each arm's private tracer, fault plane and recorder, and exports
+// in submission order, must make stdout and the -prov and -events
+// files byte-identical at both widths.
+func TestOutputIdenticalAcrossWidths(t *testing.T) {
+	args := []string{"-workload", "gups", "-refs", "200000", "-tiers", "3", "-faults", "all=0.1",
+		"-txmig", "-admission", "0.25", "-metrics", "-prov", "prov.jsonl", "-events", "events.jsonl"}
+	names := []string{"stdout", "prov.jsonl", "events.jsonl"}
+	var outs [][]string // per width, one text per name
+	for _, width := range []string{"1", "2"} {
+		t.Run("parallel"+width, func(t *testing.T) {
+			dir, stdout := mainOutput(t, slices.Concat(args, []string{"-parallel", width})...)
+			out := []string{stdout}
+			for _, name := range names[1:] {
+				raw, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, string(raw))
+			}
+			outs = append(outs, out)
+		})
+	}
+	if len(outs) != 2 {
+		t.Fatal("a run failed")
+	}
+	if !strings.Contains(outs[0][0], "Fault attribution") || !strings.Contains(outs[0][0], "Provenance summary") {
+		t.Errorf("stdout lacks the fault and provenance tables:\n%s", outs[0][0])
+	}
+	for i, name := range names {
+		if outs[0][i] != outs[1][i] {
+			t.Errorf("%s differs between -parallel 1 and 2", name)
+		}
+	}
 }

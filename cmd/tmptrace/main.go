@@ -45,16 +45,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// A bad -rate, or a -capture with a -refs that is not positive, is a
+	// usage error reported before anything is profiled: message, usage,
+	// exit 2, as for a mistyped flag.
 	rate, err := experiments.ParseRate(*rateStr)
 	if err != nil {
-		// A bad rate is a usage error, reported before anything is
-		// profiled: message, usage, exit 2, as for a mistyped flag.
-		fmt.Fprintln(os.Stderr, "tmptrace:", err)
-		flag.Usage()
-		os.Exit(2)
+		usageFatal(err)
 	}
 	switch {
 	case *capture:
+		if *refs <= 0 {
+			usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
+		}
 		if err := doCapture(*name, *refs, rate, *seed, *out, *tracOut, *evtsOut, *metrics); err != nil {
 			fatal(err)
 		}
@@ -217,4 +219,12 @@ func doAnalyze(path string, heat bool, topN int) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmptrace:", err)
 	os.Exit(1)
+}
+
+// usageFatal reports a flag-value error the way the flag package
+// reports an unknown flag: message, usage, exit 2.
+func usageFatal(err error) {
+	fmt.Fprintln(os.Stderr, "tmptrace:", err)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -157,12 +157,12 @@ func TestDocsSyncAnalyzers(t *testing.T) {
 	}
 }
 
-// TestDocsSyncShardFlags keeps the sharded-pipeline flag surface
+// TestDocsSyncFlags keeps the command-line flags the docs teach
 // honest in both directions: each flag must still be defined by the
 // commands the docs attribute it to (a rename or removal fails here
-// before a stale doc ships), and each doc that explains the sharded
-// pipeline must actually name the flag.
-func TestDocsSyncShardFlags(t *testing.T) {
+// before a stale doc ships), and each doc that teaches the flag must
+// actually name it.
+func TestDocsSyncFlags(t *testing.T) {
 	files := map[string]string{}
 	read := func(path string) string {
 		if s, ok := files[path]; ok {
@@ -175,20 +175,23 @@ func TestDocsSyncShardFlags(t *testing.T) {
 		files[path] = string(raw)
 		return files[path]
 	}
+	all := []string{"cmd/tmpsim/main.go", "cmd/tmpprof/main.go", "cmd/tmptrace/main.go", "cmd/tmpbench/main.go"}
+	pprof := []string{"cmd/tmpsim/main.go", "cmd/tmpprof/main.go", "cmd/tmpbench/main.go"}
+	tmpsim := []string{"cmd/tmpsim/main.go"}
 	for _, tc := range []struct {
 		flag    string
 		defined []string // sources that must register the flag
 		docs    []string // docs that must mention -flag
 	}{
-		{"shards",
-			[]string{"cmd/tmpsim/main.go"},
-			[]string{"README.md", "EXPERIMENTS.md", "PERFORMANCE.md"}},
-		{"txmig",
-			[]string{"cmd/tmpsim/main.go"},
-			[]string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
-		{"admission",
-			[]string{"cmd/tmpsim/main.go"},
-			[]string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
+		{"trace", all, []string{"OBSERVABILITY.md"}},
+		{"events", all, []string{"OBSERVABILITY.md"}},
+		{"metrics", all, []string{"OBSERVABILITY.md"}},
+		{"cpuprofile", pprof, []string{"OBSERVABILITY.md"}},
+		{"memprofile", pprof, []string{"OBSERVABILITY.md"}},
+		{"prov", tmpsim, []string{"OBSERVABILITY.md"}},
+		{"why", tmpsim, []string{"OBSERVABILITY.md"}},
+		{"txmig", tmpsim, []string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
+		{"admission", tmpsim, []string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
 	} {
 		def := regexp.MustCompile(`flag\.\w+\("` + regexp.QuoteMeta(tc.flag) + `"`)
 		for _, src := range tc.defined {
@@ -198,7 +201,7 @@ func TestDocsSyncShardFlags(t *testing.T) {
 		}
 		for _, doc := range tc.docs {
 			if !strings.Contains(read(doc), "-"+tc.flag) {
-				t.Errorf("%s never mentions -%s; document the sharded-pipeline flag or drop it from this check", doc, tc.flag)
+				t.Errorf("%s never mentions -%s; document the flag or drop it from this check", doc, tc.flag)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"tieredmem/internal/core"
@@ -242,6 +243,19 @@ func TestParseRate(t *testing.T) {
 	}
 	if _, err := ParseRate("3x"); err == nil {
 		t.Error("ParseRate accepted 3x")
+	}
+}
+
+// TestProfileRejectsNonPositivePeriod pins that a BasePeriod that is
+// not positive fails the run; it used to be clamped to 1, sampling
+// every op.
+func TestProfileRejectsNonPositivePeriod(t *testing.T) {
+	opts := testOptions("gups")
+	opts.Refs = 20_000
+	opts.BasePeriod = 0
+	_, err := Profile(opts, "gups", ibs.Rate4x)
+	if err == nil || !strings.Contains(err.Error(), "period 0") {
+		t.Fatalf("Profile with BasePeriod 0: err %v, want a period error", err)
 	}
 }
 

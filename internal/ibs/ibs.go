@@ -34,16 +34,17 @@ const (
 )
 
 // PeriodForRate derives the op period for a rate multiplier: 4x the
-// sampling rate means one quarter the period.
+// sampling rate means one quarter the period. A positive base below
+// the rate clamps to 1; a base that is not positive is returned as is,
+// for New to reject.
 func PeriodForRate(basePeriod, rate int) int {
 	if rate <= 0 {
 		rate = 1
 	}
-	p := basePeriod / rate
-	if p < 1 {
-		p = 1
+	if basePeriod <= 0 {
+		return basePeriod
 	}
-	return p
+	return max(basePeriod/rate, 1)
 }
 
 // Config parameterizes the engine.

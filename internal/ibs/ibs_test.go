@@ -38,6 +38,13 @@ func TestPeriodForRate(t *testing.T) {
 	if PeriodForRate(100, 0) != 100 {
 		t.Errorf("rate 0 not treated as 1")
 	}
+	// A base that is not positive is no period to clamp: it passes
+	// through for New to reject, instead of sampling every op.
+	for _, base := range []int{0, -4} {
+		if got := PeriodForRate(base, Rate4x); got != base {
+			t.Errorf("PeriodForRate(%d, 4x) = %d, want %d", base, got, base)
+		}
+	}
 }
 
 func TestSamplingCadence(t *testing.T) {

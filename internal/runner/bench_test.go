@@ -13,7 +13,6 @@ package runner_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -137,40 +136,6 @@ func executeProbe(t *testing.T) (allocsPerRef, nsPerRef float64) {
 	return allocs / float64(len(refs)), float64(ns) / float64(len(refs))
 }
 
-// Sharded-series parameters: one gups placement machine with 8
-// simulated cores (8 per-core cells), History on the combined rank.
-// Small enough for CI, big enough that the shard pool's speedup is
-// measurable on a multi-core host.
-const (
-	shardCellRefs  = 4_000_000
-	shardCellCores = 8
-)
-
-// shardedCell runs the reference cell on the intra-cell sharded
-// pipeline at the given shard-pool width and returns the wall time
-// plus a dump of the fused counters (the identity check across
-// widths).
-func shardedCell(tb testing.TB, shards int) (int64, string) {
-	mk := func() workload.Workload {
-		return workload.MustNew("gups", workload.Config{Seed: 42, FirstPID: 100})
-	}
-	cfg := sim.DefaultPlacementConfig(mk(), 16384, shardCellRefs, 16, nil, core.MethodCombined)
-	cfg.CPU.Cores = shardCellCores
-	start := time.Now()
-	res, err := sim.RunShardedPlacement(sim.ShardedPlacementConfig{
-		Base:     cfg,
-		Shards:   shards,
-		MkPolicy: func() policy.Policy { return policy.History{} },
-	}, mk)
-	if err != nil {
-		tb.Fatalf("sharded cell (shards=%d): %v", shards, err)
-	}
-	if res.Cells != shardCellCores {
-		tb.Fatalf("sharded cell (shards=%d): %d cells, want %d", shards, res.Cells, shardCellCores)
-	}
-	return time.Since(start).Nanoseconds(), fmt.Sprintf("%+v", res.PlacementResult)
-}
-
 func BenchmarkRunner(b *testing.B) {
 	modes := []struct {
 		name    string
@@ -214,18 +179,6 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 		t.Fatalf("parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqOut, parOut)
 	}
 
-	// Intra-cell sharded series: the same 8-cell machine at shard-pool
-	// width 1 vs GOMAXPROCS, with the fused counters as the identity
-	// check. refs/sec here is per machine, not per pool — the number
-	// PERFORMANCE.md quotes.
-	shardWorkers := workers
-	shardSeqNS, shardSeqOut := shardedCell(t, 1)
-	shardParNS, shardParOut := shardedCell(t, shardWorkers)
-	if shardSeqOut != shardParOut {
-		t.Fatalf("sharded output differs across widths 1 and %d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-			shardWorkers, shardSeqOut, shardWorkers, shardParOut)
-	}
-
 	executeAllocs, executeNS := executeProbe(t)
 
 	// The artifact is self-describing: a speedup below 1 with
@@ -249,16 +202,6 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 		ExecuteAllocsPerOp float64  `json:"execute_allocs_per_op"`
 		ExecuteNSPerRef    float64  `json:"execute_ns_per_ref"`
 		Identical          bool     `json:"output_identical"`
-		// Intra-cell sharded pipeline series (one 8-cell machine).
-		Shards             int     `json:"shards"`
-		ShardCells         int     `json:"shard_cells"`
-		ShardRefs          int     `json:"shard_refs_per_machine"`
-		ShardSeqNS         int64   `json:"shard_sequential_ns"`
-		ShardParNS         int64   `json:"shard_parallel_ns"`
-		ShardSeqRefsPerSec float64 `json:"shard_sequential_refs_per_sec"`
-		ShardParRefsPerSec float64 `json:"shard_parallel_refs_per_sec"`
-		ShardSpeedup       float64 `json:"shard_speedup"`
-		ShardIdentical     bool    `json:"shard_output_identical"`
 	}{
 		Benchmark:          "BenchmarkRunner",
 		Experiment:         "methods",
@@ -275,15 +218,6 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 		ExecuteAllocsPerOp: executeAllocs,
 		ExecuteNSPerRef:    executeNS,
 		Identical:          true,
-		Shards:             shardWorkers,
-		ShardCells:         shardCellCores,
-		ShardRefs:          shardCellRefs,
-		ShardSeqNS:         shardSeqNS,
-		ShardParNS:         shardParNS,
-		ShardSeqRefsPerSec: float64(shardCellRefs) / (float64(shardSeqNS) / 1e9),
-		ShardParRefsPerSec: float64(shardCellRefs) / (float64(shardParNS) / 1e9),
-		ShardSpeedup:       float64(shardSeqNS) / float64(shardParNS),
-		ShardIdentical:     true,
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -296,7 +230,4 @@ func TestEmitRunnerBenchJSON(t *testing.T) {
 	t.Logf("sequential=%s parallel=%s speedup=%.2fx (workers=%d) -> %s",
 		time.Duration(seqNS), time.Duration(parNS), report.Speedup, workers, path)
 	t.Logf("Machine.Execute on warmed phase-shift: %.1f ns/ref, %v allocs/ref", executeNS, executeAllocs)
-	t.Logf("sharded cell: shards=1 %s (%.0f refs/s) shards=%d %s (%.0f refs/s) speedup=%.2fx",
-		time.Duration(shardSeqNS), report.ShardSeqRefsPerSec,
-		shardWorkers, time.Duration(shardParNS), report.ShardParRefsPerSec, report.ShardSpeedup)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -69,6 +70,23 @@ func TestDefaultChainTwoTierIdentity(t *testing.T) {
 	}
 	if _, err := DefaultChain(w, 16, 5); err == nil {
 		t.Error("DefaultChain(5) did not reject an unsupported depth")
+	}
+}
+
+// TestDefaultChainRejectsNonPositiveRatio pins that a ratio that is
+// not positive sizes no chain: DefaultChain, and a RunPlacement that
+// leaves Tiers nil, fail with mem.ErrBadChain instead of silently
+// building the ratio-16 machine.
+func TestDefaultChainRejectsNonPositiveRatio(t *testing.T) {
+	w := workload.MustNew("gups", workload.Config{Seed: 42, FirstPID: 100})
+	for _, c := range []struct{ ratio, depth int }{{0, 2}, {-3, 3}} {
+		if _, err := DefaultChain(w, c.ratio, c.depth); !errors.Is(err, mem.ErrBadChain) {
+			t.Errorf("DefaultChain(ratio %d, depth %d): err %v, want mem.ErrBadChain", c.ratio, c.depth, err)
+		}
+	}
+	cfg := DefaultPlacementConfig(w, 4096, 20_000, 0, nil, core.MethodCombined)
+	if _, err := RunPlacement(cfg, w); !errors.Is(err, mem.ErrBadChain) {
+		t.Errorf("RunPlacement with Ratio 0 and nil Tiers: err %v, want mem.ErrBadChain", err)
 	}
 }
 

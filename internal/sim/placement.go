@@ -24,7 +24,9 @@ type PlacementConfig struct {
 	CPU cpu.Config
 	TMP core.Config
 	// Ratio is the footprint:fast-tier ratio (the paper's 4 GB fast /
-	// 60 GB slow testbed is ~1/16).
+	// 60 GB slow testbed is ~1/16). It sizes the default chain, so with
+	// nil Tiers a Ratio that is not positive fails the run; with Tiers
+	// set it is unused.
 	Ratio int
 	// Tiers is the machine's full tier chain (use DefaultChain for a
 	// workload-sized one); nil means DefaultChain(w, Ratio, 2) for this
@@ -107,7 +109,7 @@ func DefaultPlacementConfig(w workload.Workload, ibsPeriod, totalRefs, ratio int
 // Tiers is nil.
 func DefaultChain(w workload.Workload, ratio, n int) (mem.TierChain, error) {
 	if ratio <= 0 {
-		ratio = 16
+		return nil, fmt.Errorf("sim: ratio %d must be positive: %w", ratio, mem.ErrBadChain)
 	}
 	foot := int(w.FootprintBytes() >> mem.PageShift)
 	top := foot/ratio + mem.HugePages
@@ -297,9 +299,6 @@ func newPlacementRun(cfg PlacementConfig, w workload.Workload) (*placementRun, e
 	}
 	if cfg.EpochNS <= 0 {
 		cfg.EpochNS = ScaledSecond
-	}
-	if cfg.Ratio <= 0 {
-		cfg.Ratio = 16
 	}
 	if cfg.Tiers == nil {
 		chain, err := DefaultChain(w, cfg.Ratio, 2)

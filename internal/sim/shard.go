@@ -12,30 +12,36 @@ import (
 	"tieredmem/internal/workload"
 )
 
-// The intra-cell sharded placement pipeline (tmpsim -shards). A
-// placement run is otherwise strictly serial: one goroutine drives
-// every reference of the simulated machine. Sharding partitions that
-// machine into per-core cells — process i runs on core i mod cores,
-// exactly the pinning rule cpu.Machine uses — and executes each cell
-// on the bounded worker pool (runner.ShardGroup) with fully private
-// state: its own workload slice, machine, profiler, policy, fault
-// plane, tracer, and flight recorder. Results are fused with
-// deterministic reduces that walk cells in cell-index order, never
-// completion order: counters add in cell order, telemetry exports
-// per-cell traces in cell order, and provenance logs concatenate
-// disjoint page sets into one canonical log. Because the partition is
-// fixed by the machine shape (cores and processes) and every reduce is
-// ordered, the output is a pure function of (seed, config): -shards N
-// changes wall-clock only, and the -shards 1 == -shards 8
-// byte-identity is regression-tested.
+// The intra-cell sharded placement pipeline. A placement run is
+// otherwise strictly serial: one goroutine drives every reference of
+// the simulated machine. Sharding partitions that machine into
+// per-core cells — process i runs on core i mod cores, exactly the
+// pinning rule cpu.Machine uses — and executes each cell on the
+// bounded worker pool (runner.ShardGroup) with fully private state:
+// its own workload slice, machine, profiler, policy, fault plane,
+// tracer, and flight recorder. Results are fused with deterministic
+// reduces that walk cells in cell-index order, never completion order:
+// counters add in cell order, telemetry exports per-cell traces in
+// cell order, and provenance logs concatenate disjoint page sets into
+// one canonical log. Because the partition is fixed by the machine
+// shape (cores and processes) and every reduce is ordered, the output
+// is a pure function of (seed, config): the pool width changes
+// wall-clock only, and width 1 == width 8 byte-identity is
+// regression-tested.
 //
 // The sharded machine model is a deliberate variant of the monolithic
 // one: each cell owns a private LLC (the way-partitioned / CAT
 // setting), a private slice of each tier's frames, and a per-cell TMP
-// daemon, so its absolute numbers differ from a -shards 0 run. What it
-// preserves exactly is the profiling semantics under test — per-page
+// daemon, so its absolute numbers differ from a RunPlacement run. What
+// it preserves exactly is the profiling semantics under test — per-page
 // evidence, ranks, placement verdicts — within each cell, at a
 // refs/sec that scales with cores.
+//
+// No command runs this model any more. The pipeline remains only
+// because the benchmark module's write-audit workload still runs
+// through it (bench/workloads.go, and bench/replay.go's copy of its
+// reduce); it goes, with its tests and goldens, once that workload
+// runs the single-goroutine machine (see ROADMAP.md).
 
 // shardTiers carves a whole-machine tier sizing into one cell's share:
 // every tier keeps 1/cells of its frames plus the huge-fault slack
@@ -144,8 +150,8 @@ type ShardedPlacementConfig struct {
 	// cell constructs its own from MkPolicy, and tracers, fault planes
 	// and recorders are derived per cell.
 	Base PlacementConfig
-	// Shards is the worker-pool width (the -shards flag); <= 0 means
-	// GOMAXPROCS. Never affects output bytes.
+	// Shards is the worker-pool width; <= 0 means GOMAXPROCS. Never
+	// affects output bytes.
 	Shards int
 	// NowNS is the optional wall clock for runner stats (mains inject
 	// time.Since; internal packages must not read the wall clock).
