@@ -379,34 +379,6 @@ func BenchmarkIBSEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWriteBias compares History against the
-// WriteBiased(PML) policy on the write-split workload, where NVM
-// writes cost twice reads.
-func BenchmarkAblationWriteBias(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		p    policy.Policy
-	}{
-		{"history", policy.History{}},
-		{"write-biased", policy.WriteBiased{Bias: 4}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := workload.MustNew("write-split", workload.Config{Seed: 11, FirstPID: 400})
-				cfg := sim.DefaultPlacementConfig(w, 4096, 2_000_000, 8, arm.p, core.MethodCombined)
-				cfg.TMP.EnablePML = true
-				res, err := sim.RunPlacement(cfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("duration=%.2fms hitrate=%.3f", float64(res.DurationNS)/1e6, res.Hitrate())
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkColocationFilter regenerates the process-filter study.
 func BenchmarkColocationFilter(b *testing.B) {
 	opts := benchOpts()
@@ -445,7 +417,7 @@ func hotPathEpochs(epochs, pagesPer int) []core.EpochStats {
 			out[e].Pages[i] = core.PageStat{
 				Key:      core.PageKey{PID: 100 + i%4, VPN: vpn},
 				Tier:     tier,
-				Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 3), True: uint32(i % 5)},
+				Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), True: uint32(i % 5)},
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 
+	"tieredmem/internal/core"
 	"tieredmem/internal/provenance"
 )
 
@@ -27,14 +28,29 @@ func main() {
 	var (
 		logPath = flag.String("log", "", "provenance JSONL log to audit (written by tmpsim -prov)")
 		page    = flag.String("page", "", "print one page's decision timeline, as pid:vpn (vpn in hex or decimal)")
-		top     = flag.Int("top", 10, "ping-pong pages to list in the summary")
+		top     = flag.Int("top", 10, "ping-pong pages to list in the summary (0 lists all)")
 		summary = flag.Bool("summary", false, "print the run-level summary tables (the default when -page is not given)")
 	)
 	flag.Parse()
 
+	// A missing -log, a malformed -page and a negative -top are usage
+	// errors, reported before the log is read: exit code 2 plus the
+	// flag usage, as for a mistyped flag.
 	if *logPath == "" {
-		fatal(fmt.Errorf("-log is required (write one with: tmpsim -workload gups -prov prov.jsonl)"))
+		usageFatal(fmt.Errorf("-log is required (write one with: tmpsim -workload gups -prov prov.jsonl)"))
 	}
+	if *top < 0 {
+		usageFatal(fmt.Errorf("-top %d: must not be negative", *top))
+	}
+	var key core.PageKey
+	if *page != "" {
+		k, err := provenance.ParsePageKey(*page)
+		if err != nil {
+			usageFatal(fmt.Errorf("-page: %w", err))
+		}
+		key = k
+	}
+
 	f, err := os.Open(*logPath)
 	if err != nil {
 		fatal(err)
@@ -49,10 +65,6 @@ func main() {
 	}
 
 	if *page != "" {
-		key, err := provenance.ParsePageKey(*page)
-		if err != nil {
-			fatal(err)
-		}
 		found := false
 		for i := range logs {
 			if pg := logs[i].Find(key); pg != nil {
@@ -81,4 +93,12 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmpwhy:", err)
 	os.Exit(1)
+}
+
+// usageFatal reports a flag-value error the way the flag package
+// reports an unknown flag: message, usage, exit 2.
+func usageFatal(err error) {
+	fmt.Fprintln(os.Stderr, "tmpwhy:", err)
+	flag.Usage()
+	os.Exit(2)
 }

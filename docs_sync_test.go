@@ -8,8 +8,11 @@ package tieredmem_test
 // longer exists — the doc cannot drift from the code.
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,52 +160,124 @@ func TestDocsSyncAnalyzers(t *testing.T) {
 	}
 }
 
-// TestDocsSyncFlags keeps the command-line flags the docs teach
-// honest in both directions: each flag must still be defined by the
-// commands the docs attribute it to (a rename or removal fails here
-// before a stale doc ships), and each doc that teaches the flag must
-// actually name it.
-func TestDocsSyncFlags(t *testing.T) {
-	files := map[string]string{}
-	read := func(path string) string {
-		if s, ok := files[path]; ok {
-			return s
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read %s: %v", path, err)
-		}
-		files[path] = string(raw)
-		return files[path]
+// readFile returns a repository file's contents.
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
 	}
-	all := []string{"cmd/tmpsim/main.go", "cmd/tmpprof/main.go", "cmd/tmptrace/main.go", "cmd/tmpbench/main.go"}
-	pprof := []string{"cmd/tmpsim/main.go", "cmd/tmpprof/main.go", "cmd/tmpbench/main.go"}
-	tmpsim := []string{"cmd/tmpsim/main.go"}
+	return string(raw)
+}
+
+// commands lists the commands, one per cmd/*/main.go, sorted.
+func commands() []string {
+	paths, _ := filepath.Glob("cmd/*/main.go")
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[i] = filepath.Base(filepath.Dir(p))
+	}
+	return names
+}
+
+// TestDocsSyncFlags keeps the docs' command attributions for flags
+// honest. Each row quotes a doc's attribution fragment verbatim (with
+// whitespace folded, so line wrapping does not matter): the doc must
+// still contain it and name every flag of the row, and the commands
+// the fragment names in backticks must be exactly the commands whose
+// main.go defines each flag. A doc that credits a command with a flag
+// it lacks, or misses a command that has it, fails.
+func TestDocsSyncFlags(t *testing.T) {
+	named := regexp.MustCompile("`(tmp[a-z]+)\\b")
+	telemetryFlags := []string{"trace", "events", "metrics", "cpuprofile", "memprofile"}
 	for _, tc := range []struct {
-		flag    string
-		defined []string // sources that must register the flag
-		docs    []string // docs that must mention -flag
+		doc, fragment string
+		flags         []string
 	}{
-		{"trace", all, []string{"OBSERVABILITY.md"}},
-		{"events", all, []string{"OBSERVABILITY.md"}},
-		{"metrics", all, []string{"OBSERVABILITY.md"}},
-		{"cpuprofile", pprof, []string{"OBSERVABILITY.md"}},
-		{"memprofile", pprof, []string{"OBSERVABILITY.md"}},
-		{"prov", tmpsim, []string{"OBSERVABILITY.md"}},
-		{"why", tmpsim, []string{"OBSERVABILITY.md"}},
-		{"txmig", tmpsim, []string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
-		{"admission", tmpsim, []string{"OBSERVABILITY.md", "ROBUSTNESS.md"}},
+		{"OBSERVABILITY.md", "`tmpsim`, `tmpprof` and `tmpbench` all take the same trio of telemetry flags and the pprof pair", telemetryFlags},
+		{"OBSERVABILITY.md", "`tmpsim` additionally takes the decision-provenance pair", []string{"prov", "why"}},
+		{"OBSERVABILITY.md", "`tmpsim` also takes the transactional-migration pair", []string{"txmig", "admission"}},
+		{"README.md", "`tmpsim`, `tmpprof` and `tmpbench` share the telemetry flags", telemetryFlags},
+		{"ROBUSTNESS.md", "`tmpsim -txmig` (or `PlacementConfig.TxMigration`) replaces", []string{"txmig"}},
+		{"ROBUSTNESS.md", "`tmpsim` rejects a non-finite `-admission` as a usage error", []string{"admission"}},
 	} {
-		def := regexp.MustCompile(`flag\.\w+\("` + regexp.QuoteMeta(tc.flag) + `"`)
-		for _, src := range tc.defined {
-			if !def.MatchString(read(src)) {
-				t.Errorf("%s does not define flag -%s, but the docs say it does", src, tc.flag)
+		doc := strings.Join(strings.Fields(readFile(t, tc.doc)), " ")
+		if !strings.Contains(doc, tc.fragment) {
+			t.Errorf("%s no longer says %q; update the doc or this row", tc.doc, tc.fragment)
+			continue
+		}
+		var want []string
+		for _, m := range named.FindAllStringSubmatch(tc.fragment, -1) {
+			want = append(want, m[1])
+		}
+		slices.Sort(want)
+		for _, f := range tc.flags {
+			if !strings.Contains(doc, "-"+f) {
+				t.Errorf("%s never mentions -%s; document the flag or drop it from this row", tc.doc, f)
+			}
+			def := regexp.MustCompile(`flag\.\w+\("` + regexp.QuoteMeta(f) + `"`)
+			var got []string
+			for _, c := range commands() {
+				if def.MatchString(readFile(t, filepath.Join("cmd", c, "main.go"))) {
+					got = append(got, c)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s says %q, naming %v for -%s, but the commands that define it are %v", tc.doc, tc.fragment, want, f, got)
 			}
 		}
-		for _, doc := range tc.docs {
-			if !strings.Contains(read(doc), "-"+tc.flag) {
-				t.Errorf("%s never mentions -%s; document the flag or drop it from this check", doc, tc.flag)
-			}
+	}
+}
+
+// TestDocsSyncCommands pins README's "Command-line tools" table and its
+// Layout `cmd/` line to the commands, both directions.
+func TestDocsSyncCommands(t *testing.T) {
+	readme := readFile(t, "README.md")
+	_, tools, _ := strings.Cut(readme, "\n## Command-line tools\n")
+	tools, _, _ = strings.Cut(tools, "\n## ")
+	var table, layout []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `cmd/([a-z]+)` \\|").FindAllStringSubmatch(tools, -1) {
+		table = append(table, m[1])
+	}
+	if m := regexp.MustCompile(`(?m)^cmd/ +(.+)$`).FindStringSubmatch(readme); m != nil {
+		layout = strings.Split(m[1], ", ")
+	}
+	for _, got := range []struct {
+		where string
+		names []string
+	}{{"Command-line tools table", table}, {"Layout cmd/ line", layout}} {
+		slices.Sort(got.names)
+		if want := commands(); !slices.Equal(got.names, want) {
+			t.Errorf("README's %s names %v, want the commands %v", got.where, got.names, want)
+		}
+	}
+}
+
+// TestDocsSyncProvenanceLines pins OBSERVABILITY.md's example run, page
+// and decision lines to the keys WriteLog emits for each line type, in
+// order, so a field added to or dropped from the log shows in the doc.
+func TestDocsSyncProvenanceLines(t *testing.T) {
+	var buf bytes.Buffer
+	err := provenance.WriteLog(&buf, []provenance.Log{{Schema: telemetry.SchemaVersion,
+		Pages: []provenance.PageLog{{Records: []provenance.Record{{}}}}}})
+	if err != nil {
+		t.Fatalf("WriteLog: %v", err)
+	}
+	doc := readFile(t, "OBSERVABILITY.md")
+	key := regexp.MustCompile(`"(\w+)":`)
+	keys := func(line string) (out []string) {
+		for _, m := range key.FindAllStringSubmatch(line, -1) {
+			out = append(out, m[1])
+		}
+		return out
+	}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		typ := regexp.MustCompile(`^\{"type":"(\w+)"`).FindStringSubmatch(line)[1]
+		docLines := regexp.MustCompile(`(?m)^\{"type":"`+typ+`".*$`).FindAllString(doc, -1)
+		if len(docLines) != 1 {
+			t.Errorf("OBSERVABILITY.md has %d example %s lines, want 1", len(docLines), typ)
+		} else if got, want := keys(docLines[0]), keys(line); !slices.Equal(got, want) {
+			t.Errorf("OBSERVABILITY.md's %s line has keys %v, WriteLog emits %v", typ, got, want)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // promoted fields), core.PageStat.Evidence, and mem.PageDescriptor's
 // Epoch and TrueTotal. Writes are legal only inside the sanctioned
 // accumulation paths — the profiler arms (abit scan, trace drain in
-// core, PML drain, devprof flush, the machine's ground-truth charge in
-// cpu) and the mem package's own allocation/reset/carry bookkeeping.
+// core, devprof flush, the machine's ground-truth charge in cpu) and
+// the mem package's own allocation/reset/carry bookkeeping.
 // Anywhere else, a counter write is rank corruption: evidence the
 // profiler never collected.
 var EpochAccount = &Analyzer{
@@ -47,7 +47,6 @@ var epochSanctionedPaths = []string{
 	"internal/cpu",     // ground-truth charge per executed reference
 	"internal/devprof", // device-side count flush
 	"internal/mem",     // descriptor allocation, epoch reset, carry
-	"internal/pml",     // write-log drain
 }
 
 func runEpochAccount(pass *Pass) {
@@ -91,7 +90,7 @@ func checkEpochWrite(pass *Pass, expr ast.Expr) {
 	if owner == nil || !epochProtected(owner.Obj().Name(), sel.Sel.Name) {
 		return
 	}
-	pass.Reportf(sel.Pos(), "write to %s.%s outside sanctioned accumulation paths: epoch counters may only be produced by the profiler arms (abit/core/cpu/devprof/mem/pml)", owner.Obj().Name(), sel.Sel.Name)
+	pass.Reportf(sel.Pos(), "write to %s.%s outside sanctioned accumulation paths: epoch counters may only be produced by the profiler arms (abit/core/cpu/devprof/mem)", owner.Obj().Name(), sel.Sel.Name)
 }
 
 // fieldOwner returns the named struct type that declares the selected

@@ -8,7 +8,6 @@ package fixture
 type Evidence struct {
 	Abit  uint32
 	Trace uint32
-	Write uint32
 	Dev   uint32
 	True  uint32
 }
@@ -30,7 +29,7 @@ type PageDescriptor struct {
 func directWrites(ps *PageStat) {
 	ps.Abit = 3              // want `write to Evidence.Abit outside sanctioned`
 	ps.Trace++               // want `write to Evidence.Trace outside sanctioned`
-	ps.Write += 1            // want `write to Evidence.Write outside sanctioned`
+	ps.Abit += 1             // want `write to Evidence.Abit outside sanctioned`
 	ps.Dev--                 // want `write to Evidence.Dev outside sanctioned`
 	ps.True = ps.True + 1    // want `write to Evidence.True outside sanctioned`
 	ps.Evidence.Abit = 1     // want `write to Evidence.Abit outside sanctioned`
@@ -52,7 +51,7 @@ func escapeHatch(pd *PageDescriptor) (*uint32, *Evidence) {
 
 func localEvidence() Evidence {
 	var e Evidence
-	e.Write = 4 // want `write to Evidence.Write outside sanctioned`
+	e.True = 4 // want `write to Evidence.True outside sanctioned`
 	return e
 }
 

@@ -20,7 +20,7 @@ func TestSumEpochsZeroEpochs(t *testing.T) {
 func TestSumEpochsDuplicateKeysAndTierChange(t *testing.T) {
 	epochs := []EpochStats{
 		{Pages: []PageStat{
-			{Key: PageKey{1, 1}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1, Trace: 2, Write: 1, True: 3}},
+			{Key: PageKey{1, 1}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1, Trace: 2, Dev: 1, True: 3}},
 			// Duplicate key inside one epoch (crafted harvest): must
 			// still accumulate, not clobber.
 			{Key: PageKey{1, 1}, Tier: mem.FastTier, Evidence: mem.Evidence{Abit: 1}},
@@ -40,7 +40,7 @@ func TestSumEpochsDuplicateKeysAndTierChange(t *testing.T) {
 		t.Fatalf("merged order not canonical: %v, %v", got.Pages[0].Key, got.Pages[1].Key)
 	}
 	p := got.Pages[0]
-	if p.Abit != 5 || p.Trace != 2 || p.Write != 1 || p.True != 4 {
+	if p.Abit != 5 || p.Trace != 2 || p.Dev != 1 || p.True != 4 {
 		t.Errorf("counters not summed: %+v", p)
 	}
 	if p.Tier != mem.SlowTier {
@@ -78,10 +78,10 @@ func TestAttachTruthAllMissed(t *testing.T) {
 
 func TestRankedPagesExcludesZeroRankPerMethod(t *testing.T) {
 	stats := EpochStats{Pages: []PageStat{
-		{Key: PageKey{1, 1}, Evidence: mem.Evidence{Abit: 2}},            // abit-only
-		{Key: PageKey{1, 2}, Evidence: mem.Evidence{Trace: 3}},           // trace-only
-		{Key: PageKey{1, 3}, Evidence: mem.Evidence{Abit: 1, Trace: 1}},  // both
-		{Key: PageKey{1, 4}, Evidence: mem.Evidence{Write: 9, True: 42}}, // neither: never ranked
+		{Key: PageKey{1, 1}, Evidence: mem.Evidence{Abit: 2}},           // abit-only
+		{Key: PageKey{1, 2}, Evidence: mem.Evidence{Trace: 3}},          // trace-only
+		{Key: PageKey{1, 3}, Evidence: mem.Evidence{Abit: 1, Trace: 1}}, // both
+		{Key: PageKey{1, 4}, Evidence: mem.Evidence{True: 42}},          // neither: never ranked
 	}}
 	cases := []struct {
 		m    Method

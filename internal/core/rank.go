@@ -22,9 +22,8 @@ import (
 // first (the hysteresis that "eliminates excessive migration", §II-A —
 // A-bit evidence is at most one observation per scan, so large tie
 // groups are common), then (PID, VPN) ascending. Scores are float64 so
-// the float-scored policies (Decay, WriteBiased) share the
-// same comparator as the integer ranks, which stay exact well below
-// 2^53. The order is total whenever keys are distinct, which is what
+// the float-scored policy (Decay) shares the same comparator as the
+// integer ranks, which stay exact well below 2^53. The order is total whenever keys are distinct, which is what
 // makes bounded selection (TopK) reproduce a full sort exactly.
 func RankCmp(ra, rb float64, fastA, fastB bool, ka, kb PageKey) int {
 	if ra != rb {

@@ -22,7 +22,7 @@ func tieHeavyStats(n int, seed int64) EpochStats {
 		stats.Pages = append(stats.Pages, PageStat{
 			Key:      PageKey{PID: 1 + i%4, VPN: mem.VPN(i / 4)},
 			Tier:     tier,
-			Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11), Write: uint32(i % 5)}, // many zero-rank pages and tie groups
+			Evidence: mem.Evidence{Abit: uint32(i % 7), Trace: uint32(i % 11)}, // many zero-rank pages and tie groups
 		})
 	}
 	rng.Shuffle(len(stats.Pages), func(i, j int) {

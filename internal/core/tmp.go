@@ -23,7 +23,6 @@ import (
 	"tieredmem/internal/hwpc"
 	"tieredmem/internal/ibs"
 	"tieredmem/internal/mem"
-	"tieredmem/internal/pml"
 	"tieredmem/internal/pmu"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/trace"
@@ -185,12 +184,6 @@ type Config struct {
 	FilterInterval int64
 	// DaemonCore is the core index that pays profiling costs.
 	DaemonCore int
-	// EnablePML attaches the Page-Modification Logging engine so
-	// harvests also carry per-page write heat (extension; see the
-	// pml package).
-	EnablePML bool
-	// PML configures the engine when EnablePML is set.
-	PML pml.Config
 	// EnableDevProf attaches the device-side (CXL) hot-page tracker
 	// so harvests also carry per-page device counts (the NeoMem arm;
 	// see the devprof package). Requires a machine with at least one
@@ -224,7 +217,6 @@ func DefaultConfig(ibsPeriod int) Config {
 		MemFilterMin:        0.10,
 		FilterInterval:      1_000_000_000,
 		DaemonCore:          0,
-		PML:                 pml.DefaultConfig(),
 		DevProf:             devprof.DefaultConfig(),
 		QuarantineThreshold: 0.5,
 		QuarantineMinEvents: 200,
@@ -240,8 +232,6 @@ type Profiler struct {
 	IBS     *ibs.Engine
 	Abit    *abit.Scanner
 	Monitor *hwpc.Monitor
-	// PML is non-nil when Config.EnablePML is set.
-	PML *pml.Engine
 	// DevProf is non-nil when Config.EnableDevProf is set.
 	DevProf *devprof.Tracker
 
@@ -322,14 +312,6 @@ func New(cfg Config, m *cpu.Machine, usage UsageFunc) (*Profiler, error) {
 		}
 	})
 	m.AddObserver(eng)
-	if cfg.EnablePML {
-		pe, err := pml.New(cfg.PML, m.Phys)
-		if err != nil {
-			return nil, err
-		}
-		p.PML = pe
-		m.AddObserver(pe)
-	}
 	if cfg.EnableDevProf {
 		tk, err := devprof.New(cfg.DevProf, m.Phys)
 		if err != nil {
@@ -463,9 +445,6 @@ func (p *Profiler) HarvestEpoch() EpochStats {
 // fresh array.
 func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 	p.IBS.FlushAt(p.machine.Now())
-	if p.PML != nil {
-		p.PML.Flush()
-	}
 	if p.DevProf != nil {
 		// A faulted flush (overflow/stale) degrades this epoch's device
 		// evidence; the tracker's stats carry the loss and quarantine

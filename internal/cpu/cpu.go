@@ -654,9 +654,8 @@ func (c *Core) walkFixups(o *trace.Outcome, pte *pagetable.PTE, pfn mem.PFN, set
 	*pte |= pagetable.BitAccessed
 	if setDirty {
 		if !pte.Dirty() {
-			// A 0->1 D-bit transition: the event PML logs, and any
-			// shadow copy of the page goes stale.
-			o.DirtySet = true
+			// A 0->1 D-bit transition: any shadow copy of the page
+			// goes stale.
 			m.Phys.NoteWrite(pfn)
 		}
 		*pte |= pagetable.BitDirty

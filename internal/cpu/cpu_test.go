@@ -494,24 +494,6 @@ func TestHugePageAccessesAcrossChunk(t *testing.T) {
 	}
 }
 
-func TestObserverSeesDirtySetOnce(t *testing.T) {
-	m := testMachine(t, 16, 16)
-	var dirtySets int
-	m.AddObserver(observerFunc(func(o *trace.Outcome, ops int) int64 {
-		if o.DirtySet {
-			dirtySets++
-		}
-		return 0
-	}))
-	m.Execute(store(1, 0x6000)) // fault + D set: one event
-	m.Execute(store(1, 0x6000)) // D already set: no event
-	m.FlushAllTLBs()
-	m.Execute(store(1, 0x6000)) // walk sees D=1: no event
-	if dirtySets != 1 {
-		t.Errorf("DirtySet events = %d, want exactly 1", dirtySets)
-	}
-}
-
 // TestTLBSeparatesAddressSpaces runs two PIDs on one core over the
 // same virtual page. Each must fault in and then read its own frame:
 // an untagged TLB would hand the second PID the first one's

@@ -85,10 +85,6 @@ const (
 type Evidence struct {
 	Abit  uint32 // A-bit observations
 	Trace uint32 // IBS/PEBS samples
-	// Write counts D-bit-set events logged by the PML engine (an
-	// extension; the paper focuses on the A bit for performance and
-	// mentions PML for write tracking).
-	Write uint32
 	// Dev counts accesses observed by a CXL-resident hot-page tracker
 	// (the NeoMem model: counters live on the device and see physical
 	// traffic with zero host sampling cost). Always zero on frames
@@ -105,7 +101,6 @@ type Evidence struct {
 func (e *Evidence) Add(o Evidence) {
 	e.Abit += o.Abit
 	e.Trace += o.Trace
-	e.Write += o.Write
 	e.Dev += o.Dev
 	e.True += o.True
 }
@@ -126,8 +121,8 @@ type PageDescriptor struct {
 	Epoch Evidence
 
 	// PID is the owning process, -1 when free. The allocator rejects
-	// a PID outside 32 bits (ErrPIDRange), the width the binary trace
-	// format already stores.
+	// a PID outside 32 bits (ErrPIDRange): this field stores it in 32
+	// bits, as telemetry's 24-byte migration record does.
 	PID int32
 
 	// ShadowLink pairs a shadowed primary with its shadow frame:

@@ -45,7 +45,7 @@ func TestTierIDString(t *testing.T) {
 }
 
 func TestPageDescriptorResetEpoch(t *testing.T) {
-	pd := PageDescriptor{Epoch: Evidence{Abit: 3, Trace: 5, Write: 2, Dev: 4, True: 7}, TrueTotal: 30}
+	pd := PageDescriptor{Epoch: Evidence{Abit: 3, Trace: 5, Dev: 4, True: 7}, TrueTotal: 30}
 	pd.ResetEpoch()
 	if pd.Epoch != (Evidence{}) {
 		t.Errorf("epoch counters not cleared: %+v", pd)
@@ -56,9 +56,9 @@ func TestPageDescriptorResetEpoch(t *testing.T) {
 }
 
 func TestEvidenceAdd(t *testing.T) {
-	e := Evidence{Abit: 1, Trace: 2, Write: 3, Dev: 4, True: 5}
-	e.Add(Evidence{Abit: 10, Trace: 20, Write: 30, Dev: 40, True: 50})
-	if want := (Evidence{Abit: 11, Trace: 22, Write: 33, Dev: 44, True: 55}); e != want {
+	e := Evidence{Abit: 1, Trace: 2, Dev: 4, True: 5}
+	e.Add(Evidence{Abit: 10, Trace: 20, Dev: 40, True: 50})
+	if want := (Evidence{Abit: 11, Trace: 22, Dev: 44, True: 55}); e != want {
 		t.Errorf("Add = %+v, want %+v", e, want)
 	}
 }
@@ -299,7 +299,7 @@ func TestAllocResetsProfilingState(t *testing.T) {
 	pm := newTestMem(t, 2, 2)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
-	pd.Epoch = Evidence{Abit: 1, Trace: 2, Write: 3, Dev: 4, True: 5}
+	pd.Epoch = Evidence{Abit: 1, Trace: 2, Dev: 4, True: 5}
 	pd.TrueTotal = 6
 	pm.Free(pfn)
 	pfn2, _ := pm.Alloc(FastTier, 2, 7)

@@ -25,8 +25,8 @@ var ErrNoTiers = errors.New("mem: at least one tier required")
 var ErrTooManyFrames = errors.New("mem: frame count exceeds 32-bit PFN range")
 
 // ErrPIDRange rejects an allocation for a PID outside int32: a
-// descriptor stores its owner in 32 bits, as the binary trace format
-// does.
+// descriptor stores its owner in 32 bits (PageDescriptor.PID), and so
+// does telemetry's 24-byte migration record.
 var ErrPIDRange = errors.New("mem: pid outside 32-bit range")
 
 // ErrTierFull is the no-spill allocation failure (AllocIn): the target

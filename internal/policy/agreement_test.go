@@ -35,11 +35,10 @@ func selectionKeys(sel Selection) map[core.PageKey]bool {
 }
 
 // TestSelectorsAgreeOnSharedComparator is the cross-package drift
-// guard the shared comparator exists for: with residency and writes
-// neutralized and fresh per-policy state, History, Oracle, Decay
-// (alpha=1 degrades to History), and WriteBiased (zero writes: score
-// equals rank) must all pick exactly the keys of the full RankedPages
-// prefix.
+// guard the shared comparator exists for: with residency neutralized
+// and fresh per-policy state, History, Oracle and Decay (alpha=1
+// degrades to History) must all pick exactly the keys of the full
+// RankedPages prefix.
 func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 	stats := agreementStats(60)
 	for _, method := range []core.Method{core.MethodAbit, core.MethodTrace, core.MethodCombined} {
@@ -56,7 +55,6 @@ func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 				History{},
 				Oracle{},
 				NewDecay(1.0),
-				WriteBiased{Bias: 2},
 			}
 			for _, p := range policies {
 				// Oracle reads next; everything else reads prev.

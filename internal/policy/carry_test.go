@@ -12,7 +12,7 @@ import (
 
 // carried is a whole evidence record with every source nonzero, so a
 // page transfer that drops any field shows.
-var carried = mem.Evidence{Abit: 1, Trace: 2, Write: 3, Dev: 4, True: 5}
+var carried = mem.Evidence{Abit: 1, Trace: 2, Dev: 4, True: 5}
 
 // markProfile sets the profiling state of the frame pid 1's vpn maps.
 func markProfile(t *testing.T, m *cpu.Machine, vpn mem.VPN, ev mem.Evidence, total uint64) {

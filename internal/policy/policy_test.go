@@ -208,22 +208,3 @@ func TestCapacityForRatio(t *testing.T) {
 		t.Errorf("ratio 0 not treated as 1")
 	}
 }
-
-func TestWriteBiasedPrefersDirtyPages(t *testing.T) {
-	ep := core.EpochStats{Pages: []core.PageStat{
-		{Key: core.PageKey{PID: 1, VPN: 0}, Evidence: mem.Evidence{Abit: 2, Trace: 1, Write: 0, True: 5}},
-		{Key: core.PageKey{PID: 1, VPN: 1}, Evidence: mem.Evidence{Abit: 1, Trace: 0, Write: 4, True: 5}},
-	}}
-	// Read rank: page 0 = 3, page 1 = 1. With bias 2, page 1 scores
-	// 1 + 8 = 9 and must win the single slot.
-	sel := WriteBiased{Bias: 2}.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel[core.PageKey{PID: 1, VPN: 1}]; !ok {
-		t.Errorf("write-biased policy ignored write heat: %v", keys(sel))
-	}
-	// With bias ~0 it must defer to the read rank... bias<=0 resets
-	// to the default, so use a tiny positive bias.
-	sel0 := WriteBiased{Bias: 0.1}.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel0[core.PageKey{PID: 1, VPN: 0}]; !ok {
-		t.Errorf("near-zero bias did not defer to read rank: %v", keys(sel0))
-	}
-}

@@ -101,7 +101,6 @@ func appendDecisionLine(b []byte, key core.PageKey, rec *Record) []byte {
 	b = telemetry.AppendIntField(b, "epoch", int64(rec.Epoch))
 	b = telemetry.AppendUintField(b, "abit", uint64(rec.Abit))
 	b = telemetry.AppendUintField(b, "ibs", uint64(rec.Trace))
-	b = telemetry.AppendUintField(b, "write", uint64(rec.Write))
 	b = telemetry.AppendUintField(b, "dev", uint64(rec.Dev))
 	b = telemetry.AppendUintField(b, "rank", rec.Rank)
 	b = telemetry.AppendIntField(b, "pos", int64(rec.Pos))
@@ -132,7 +131,6 @@ type logLine struct {
 	Epoch    int32  `json:"epoch"`
 	Abit     uint32 `json:"abit"`
 	IBS      uint32 `json:"ibs"`
-	Write    uint32 `json:"write"`
 	Dev      uint32 `json:"dev"`
 	Rank     uint64 `json:"rank"`
 	Pos      int32  `json:"pos"`
@@ -252,7 +250,7 @@ func ReadLog(rd io.Reader) ([]Log, error) {
 			}
 			open.Records = append(open.Records, Record{
 				Epoch: l.Epoch, Pos: l.Pos, Rank: l.Rank,
-				Abit: l.Abit, Trace: l.IBS, Write: l.Write, Dev: l.Dev,
+				Abit: l.Abit, Trace: l.IBS, Dev: l.Dev,
 				Tier: l.Tier, From: l.From, To: l.To,
 				Verdict: v, Fail: f,
 				Selected: l.Selected, Degraded: l.Degraded,

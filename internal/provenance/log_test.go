@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -62,11 +63,41 @@ func TestReadLogRejectsGarbage(t *testing.T) {
 	}
 }
 
+// withWriteKey returns log text as writers before the retired PML
+// evidence source emitted it: every decision line carries a
+// "write":0 key after "ibs".
+func withWriteKey(text string) string {
+	return regexp.MustCompile(`("type":"decision".*"ibs":\d+)`).ReplaceAllString(text, `$1,"write":0`)
+}
+
+// TestReadLogIgnoresWriteKey pins that a log written while decision
+// lines still carried the always-zero "write" key reads into the same
+// records as today's lines, so the schema did not change.
+func TestReadLogIgnoresWriteKey(t *testing.T) {
+	good := sampleLogText(t)
+	old := withWriteKey(good)
+	if n := strings.Count(old, `"write":0`); n != 2 {
+		t.Fatalf("old-format sample has %d write keys, want 2:\n%s", n, old)
+	}
+	want, err := ReadLog(strings.NewReader(good))
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	got, err := ReadLog(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("ReadLog rejected a decision line with a write key: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("write key changed the records:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // FuzzReadLog checks that anything ReadLog accepts survives a
 // WriteLog/ReadLog round trip unchanged.
 func FuzzReadLog(f *testing.F) {
 	good := sampleLogText(f)
 	f.Add(good)
+	f.Add(withWriteKey(good))
 	f.Add(strings.Replace(strings.Replace(good, `"verdict":"promoted"`, `"verdict":"bogus"`, 1),
 		`"method":"tmp"`, `"method":"bogus"`, 1))
 	f.Add(strings.Replace(good, `"records":2`, `"records":3`, 1))

@@ -1,6 +1,6 @@
 // Package provenance is the decision-provenance flight recorder: at
 // each epoch cut it captures, per page, the raw evidence vector the
-// profiler harvested (A-bit / IBS / PML-write / device counts), the
+// profiler harvested (A-bit / IBS / device counts), the
 // page's fused rank position, the selector's verdict with a typed
 // reason (promoted, demoted, held:below-topk, held:quarantine-degraded,
 // deferred:retry-backoff, failed:<reason>), and the resulting tier
@@ -193,7 +193,6 @@ type Record struct {
 	// The raw evidence vector at harvest.
 	Abit  uint32
 	Trace uint32
-	Write uint32
 	Dev   uint32
 	// Tier the page occupied at harvest; -1 when the page was only
 	// seen through a mover action this epoch.
@@ -381,7 +380,7 @@ func (r *Recorder) ObserveHarvest(ep core.EpochStats, selected func(core.PageKey
 		ps := &ep.Pages[i]
 		st, rec := r.note(ps.Key)
 		r.cur = append(r.cur, rec)
-		rec.Abit, rec.Trace, rec.Write, rec.Dev = ps.Abit, ps.Trace, ps.Write, ps.Dev
+		rec.Abit, rec.Trace, rec.Dev = ps.Abit, ps.Trace, ps.Dev
 		rec.Tier = int8(ps.Tier)
 		rec.Rank = ps.Rank(r.method)
 		if selected != nil && selected(ps.Key) {

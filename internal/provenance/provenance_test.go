@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -291,7 +292,7 @@ func TestLogRoundTrip(t *testing.T) {
 	r.FinishEpoch()
 	r.BeginEpoch(1, core.MethodAbit, core.MethodCombined, 0)
 	r.ObserveHarvest(core.EpochStats{Epoch: 1, Pages: []core.PageStat{
-		{Key: k1, Evidence: mem.Evidence{Abit: 4}, Tier: 1}, {Key: k2, Evidence: mem.Evidence{Write: 2}, Tier: 2},
+		{Key: k1, Evidence: mem.Evidence{Abit: 4}, Tier: 1}, {Key: k2, Evidence: mem.Evidence{Dev: 2}, Tier: 2},
 	}}, func(k core.PageKey) bool { return k == k1 })
 	r.NoteMove(k1, true, 0)
 	r.FinishEpoch()
@@ -323,7 +324,11 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 
 	// Reader-side schema check: a bumped schema must be rejected.
-	bad := strings.Replace(first, `"schema":1`, `"schema":99`, 1)
+	schema := fmt.Sprintf(`"schema":%d`, telemetry.SchemaVersion)
+	bad := strings.Replace(first, schema, fmt.Sprintf(`"schema":%d`, telemetry.SchemaVersion+1), 1)
+	if bad == first {
+		t.Fatalf("log has no %s", schema)
+	}
 	if _, err := ReadLog(strings.NewReader(bad)); err == nil {
 		t.Error("ReadLog accepted a mismatched schema version")
 	}

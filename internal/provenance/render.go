@@ -15,7 +15,7 @@ func TimelineTable(pg *PageLog) *report.Table {
 	title := fmt.Sprintf("Decision timeline pid=%d vpn=0x%x (flips=%d, dropped=%d)",
 		pg.Key.PID, uint64(pg.Key.VPN), pg.Flips, pg.Dropped)
 	t := report.NewTable(title,
-		"epoch", "abit", "ibs", "write", "dev", "rank", "pos", "tier", "move", "verdict")
+		"epoch", "abit", "ibs", "dev", "rank", "pos", "tier", "move", "verdict")
 	for i := range pg.Records {
 		rec := &pg.Records[i]
 		move := "-"
@@ -26,7 +26,7 @@ func TimelineTable(pg *PageLog) *report.Table {
 		if rec.Degraded {
 			verdict += " [degraded:" + rec.Method.String() + "]"
 		}
-		t.AddRow(rec.Epoch, rec.Abit, rec.Trace, rec.Write, rec.Dev,
+		t.AddRow(rec.Epoch, rec.Abit, rec.Trace, rec.Dev,
 			rec.Rank, rec.Pos, rec.Tier, move, verdict)
 	}
 	return t
@@ -65,11 +65,11 @@ func PingPongTable(lg *Log, topN int) *report.Table {
 // profiling mechanism supplied the decisive (largest) share of the
 // promoted page's evidence vector — the per-mechanism "who actually
 // drove placement" breakdown. Ties break in mechanism order
-// (abit > ibs > write > dev); promotions with an all-zero vector
-// count under "none".
+// (abit > ibs > dev); promotions with an all-zero vector count under
+// "none".
 func DecisiveTable(lg *Log) *report.Table {
-	names := [5]string{"abit", "ibs", "write", "dev", "none"}
-	var counts [5]int
+	names := [4]string{"abit", "ibs", "dev", "none"}
+	var counts [4]int
 	total := 0
 	for i := range lg.Pages {
 		for j := range lg.Pages[i].Records {
@@ -78,8 +78,8 @@ func DecisiveTable(lg *Log) *report.Table {
 				continue
 			}
 			total++
-			ev := [4]uint32{rec.Abit, rec.Trace, rec.Write, rec.Dev}
-			best, bestV := 4, uint32(0)
+			ev := [3]uint32{rec.Abit, rec.Trace, rec.Dev}
+			best, bestV := 3, uint32(0)
 			for k, v := range ev {
 				if v > bestV {
 					best, bestV = k, v

@@ -167,7 +167,7 @@ func FuzzSnapshotMatchesCopy(f *testing.F) {
 				for j, k := range pages[:5] {
 					if v&(1<<j) != 0 {
 						ep.Pages = append(ep.Pages, core.PageStat{Key: k,
-							Evidence: mem.Evidence{Abit: uint32(i + j), Trace: uint32(v), Write: uint32(j)},
+							Evidence: mem.Evidence{Abit: uint32(i + j), Trace: uint32(v), Dev: uint32(j)},
 							Tier:     mem.TierID(j % 2)})
 					}
 				}

@@ -18,9 +18,9 @@ func rankDump(res Result) string {
 		for _, m := range core.Methods {
 			fmt.Fprintf(&b, "epoch %d method %s\n", ep.Epoch, m)
 			for _, ps := range core.RankedPages(ep, m) {
-				fmt.Fprintf(&b, "%d:%#x tier=%d abit=%d trace=%d write=%d true=%d rank=%d\n",
+				fmt.Fprintf(&b, "%d:%#x tier=%d abit=%d trace=%d true=%d rank=%d\n",
 					ps.Key.PID, uint64(ps.Key.VPN), int(ps.Tier),
-					ps.Abit, ps.Trace, ps.Write, ps.True, ps.Rank(m))
+					ps.Abit, ps.Trace, ps.True, ps.Rank(m))
 			}
 		}
 	}

@@ -153,68 +153,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestPMLCollectsWriteHeat(t *testing.T) {
-	w := workload.MustNew("data-caching", workload.Config{Seed: 3, FirstPID: 100})
-	cfg := DefaultConfig(w, 4096, 1_500_000)
-	cfg.TMP.EnablePML = true
-	r, err := New(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Profiler.PML == nil {
-		t.Fatalf("PML engine not attached")
-	}
-	if r.Profiler.PML.Stats().Logged == 0 {
-		t.Fatalf("PML logged nothing on a write-bearing workload")
-	}
-	var writes uint64
-	for _, ep := range res.Epochs {
-		for _, ps := range ep.Pages {
-			writes += uint64(ps.Write)
-		}
-	}
-	if writes == 0 {
-		t.Errorf("no write heat reached the harvests")
-	}
-	// Write evidence is a subset of accesses: never more D-bit-set
-	// events than ground-truth memory accesses plus TLB-resident
-	// store upgrades; sanity-bound it by total logged.
-	if writes != r.Profiler.PML.Stats().Logged {
-		t.Errorf("harvested writes %d != logged %d", writes, r.Profiler.PML.Stats().Logged)
-	}
-}
-
-func TestWriteBiasedPolicyOnWriteSplit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("placement run is slow")
-	}
-	run := func(p policy.Policy) PlacementResult {
-		w := workload.MustNew("write-split", workload.Config{Seed: 11, FirstPID: 400})
-		cfg := DefaultPlacementConfig(w, 4096, 4_000_000, 8, p, core.MethodCombined)
-		cfg.TMP.EnablePML = true
-		res, err := RunPlacement(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	hist := run(policy.History{})
-	wb := run(policy.WriteBiased{Bias: 4})
-	t.Logf("history: dur=%.2fms hitrate=%.3f; write-biased: dur=%.2fms hitrate=%.3f",
-		float64(hist.DurationNS)/1e6, hist.Hitrate(),
-		float64(wb.DurationNS)/1e6, wb.Hitrate())
-	// With NVM writes twice as expensive as reads, biasing dirty
-	// pages into DRAM must not lose runtime, and typically wins.
-	if float64(wb.DurationNS) > float64(hist.DurationNS)*1.03 {
-		t.Errorf("write-biased policy slower than history: %d vs %d ns",
-			wb.DurationNS, hist.DurationNS)
-	}
-}
-
 // TestZeroEpochMeansScaledSecond: New reads EpochNS <= 0 as the scaled
 // second Config.EpochNS documents, the same default RunPlacement
 // applies, so a zero epoch harvests the default run's epochs.

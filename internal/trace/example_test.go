@@ -1,30 +1,10 @@
 package trace_test
 
 import (
-	"bytes"
 	"fmt"
 
 	"tieredmem/internal/trace"
 )
-
-// ExampleWriter demonstrates the binary trace pipeline: capture
-// samples once, replay them through any analysis later.
-func ExampleWriter() {
-	var buf bytes.Buffer
-	w, _ := trace.NewWriter(&buf)
-	w.Write(trace.Sample{Now: 100, PID: 7, VAddr: 0x1000, Source: trace.SrcTier2})
-	w.Write(trace.Sample{Now: 200, PID: 7, VAddr: 0x2000, Source: trace.SrcTier1})
-	w.Flush()
-
-	r, _ := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	samples, _ := r.ReadAll()
-	for _, s := range samples {
-		fmt.Printf("t=%d pid=%d vaddr=%#x src=%v\n", s.Now, s.PID, s.VAddr, s.Source)
-	}
-	// Output:
-	// t=100 pid=7 vaddr=0x1000 src=tier2
-	// t=200 pid=7 vaddr=0x2000 src=tier1
-}
 
 // ExampleRing shows the threshold-interrupt semantics the sampling
 // hardware uses.

@@ -1,7 +1,7 @@
 // Package trace defines the memory-reference record types that flow
 // between the workload generators, the simulated machine, and the
-// profiling mechanisms, together with binary trace encoding and ring
-// buffers used by the sampling engines.
+// profiling mechanisms, together with the ring buffers the sampling
+// engines use.
 package trace
 
 import "fmt"
@@ -93,10 +93,6 @@ type Outcome struct {
 	// PrefetchHit marks a demand access served by a line the
 	// prefetcher staged; TMP discounts these (§III-A).
 	PrefetchHit bool
-	// DirtySet marks a store whose page walk transitioned the PTE
-	// D bit from 0 to 1 — the event Intel's Page-Modification
-	// Logging records (§II-B).
-	DirtySet bool
 }
 
 // Sample is the record an IBS/PEBS-style engine stores for a tagged

@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"io"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -179,91 +176,5 @@ func TestRingWraparoundOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEncodeDecodeRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	var want []Sample
-	for i := 0; i < 100; i++ {
-		s := Sample{
-			Now:     rng.Int63(),
-			CPU:     rng.Intn(64),
-			PID:     rng.Intn(1 << 15),
-			IP:      rng.Uint64(),
-			VAddr:   rng.Uint64(),
-			PAddr:   rng.Uint64(),
-			Kind:    Kind(rng.Intn(3)),
-			Source:  DataSource(rng.Intn(5)),
-			TLBMiss: rng.Intn(2) == 1,
-			Latency: rng.Int63n(1 << 40),
-		}
-		if err := w.Write(s); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		want = append(want, s)
-	}
-	if w.Count() != 100 {
-		t.Errorf("Count = %d, want 100", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read %d samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestDecodeBadMagic(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}))
-	if err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestDecodeTruncatedHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Errorf("truncated header accepted")
-	}
-}
-
-func TestDecodeTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(Sample{Now: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	r, err := NewReader(bytes.NewReader(trunc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(); err == nil || err == io.EOF {
-		t.Errorf("truncated record read err = %v, want a real error", err)
 	}
 }

@@ -9,10 +9,9 @@ import (
 
 // FuzzSyntheticWorkloads drives the synthetic.go generators
 // (phase-shift, write-split, idlers) with arbitrary seeds, scale
-// shifts, PID bases, and idler shapes — mirroring
-// internal/trace's FuzzReaderRobustness contract: construction and
-// generation must never panic, and every emitted reference must stay
-// consistent with the workload's own metadata:
+// shifts, PID bases, and idler shapes: construction and generation
+// must never panic, and every emitted reference must stay consistent
+// with the workload's own metadata:
 //
 //   - Fill writes exactly len(buf) refs, all from declared PIDs;
 //   - the distinct 4 KiB pages touched never exceed FootprintBytes()
