@@ -82,13 +82,17 @@ func main() {
 	// A bad -faults spec is a usage error, not a runtime failure: the
 	// parse error lists every valid site name, and exit code 2 plus the
 	// flag usage matches what a mistyped flag produces. So is a -refs
-	// or -period that is not positive: the library would clamp such a
-	// period to 1 and sample every op without a word.
+	// or -period that is not positive, or a -scale below the workload
+	// growth bound: the library would clamp such a period to 1 and
+	// sample every op, and such a scale to the bound, without a word.
 	if *refs <= 0 {
 		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
 	}
 	if *period <= 0 {
 		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
+	}
+	if *scale < -workload.MaxGrowShift {
+		usageFatal(fmt.Errorf("-scale %d: must be at least %d (footprints grow at most %dx)", *scale, -workload.MaxGrowShift, 1<<workload.MaxGrowShift))
 	}
 	faultSpec, err := fault.ParseSpec(*faults)
 	if err != nil {

@@ -93,6 +93,18 @@ func TestPeriodZeroIsUsageError(t *testing.T) {
 	}
 }
 
+// TestScaleBelowGrowthBoundIsUsageError pins that a -scale below
+// -workload.MaxGrowShift is rejected before the -out directory is
+// created; it used to run at the bound without a word.
+func TestScaleBelowGrowthBoundIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	text := usageErrorOutput(t, dir, "-exp", "fig2", "-workloads", "gups", "-refs", "20000", "-scale=-8", "-out", "results")
+	wantAll(t, text, "-scale -8", "must be at least -5", "Usage of", "-scale")
+	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-out directory exists after -scale -8 (stat: %v)", err)
+	}
+}
+
 // TestRefsZeroIsUsageError pins the same for -refs 0, which used to
 // exit 1 only after an experiment had started.
 func TestRefsZeroIsUsageError(t *testing.T) {

@@ -42,11 +42,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// A bad -rate, or a -refs or -period that is not positive, is a
-	// usage error reported before anything is profiled: exit code 2
-	// plus the flag usage, as for a mistyped flag. A typoed rate would
-	// profile at some other rate, and a period below 1 would sample
-	// every op; either would invalidate every number printed.
+	// A bad -rate, a -refs or -period that is not positive, or a
+	// -scale below the workload growth bound is a usage error reported
+	// before anything is profiled: exit code 2 plus the flag usage, as
+	// for a mistyped flag. A typoed rate would profile at some other
+	// rate, a period below 1 would sample every op, and a smaller
+	// scale would run the bound's footprint; each would invalidate
+	// every number printed.
 	rate, err := experiments.ParseRate(*rateStr)
 	if err != nil {
 		usageFatal(err)
@@ -56,6 +58,9 @@ func main() {
 	}
 	if *period <= 0 {
 		usageFatal(fmt.Errorf("-period %d: must be positive", *period))
+	}
+	if *scale < -workload.MaxGrowShift {
+		usageFatal(fmt.Errorf("-scale %d: must be at least %d (footprints grow at most %dx)", *scale, -workload.MaxGrowShift, 1<<workload.MaxGrowShift))
 	}
 	if *cpuProf != "" {
 		stop, err := teleout.StartCPUProfile(*cpuProf)

@@ -65,3 +65,11 @@ func TestRefsZeroIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-refs", "0")
 	wantAll(t, text, "-refs 0", "must be positive", "Usage of")
 }
+
+// TestScaleBelowGrowthBoundIsUsageError pins that a -scale below
+// -workload.MaxGrowShift is rejected before anything is profiled; it
+// used to profile at the bound without a word.
+func TestScaleBelowGrowthBoundIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-workload", "gups", "-refs", "20000", "-scale=-8")
+	wantAll(t, text, "-scale -8", "must be at least -5", "Usage of", "-scale")
+}

@@ -74,20 +74,20 @@ func main() {
 	traceOn := *tracOut != "" || *evtsOut != "" || *metrics
 	provOn := *provOut != "" || *why != "" || *metrics
 
+	// A bad -method, -faults, -policy, -workload, -tiers or -why value
+	// is a usage error, not a runtime failure: exit code 2 plus the
+	// flag usage matches what a mistyped flag produces. So is a -refs,
+	// -period or -ratio that is not positive, a -scale below the
+	// workload growth bound, a -admission that is not a finite
+	// fraction, and -method devprof with no device tier.
 	var whyKey core.PageKey
 	if *why != "" {
 		var err error
 		whyKey, err = provenance.ParsePageKey(*why)
 		if err != nil {
-			fatal(err)
+			usageFatal(err)
 		}
 	}
-
-	// A bad -method, -faults, -policy, -workload or -tiers value is a
-	// usage error, not a runtime failure: exit code 2 plus the flag
-	// usage matches what a mistyped flag produces. So is a -refs,
-	// -period or -ratio that is not positive, a -admission that is not
-	// a finite fraction, and -method devprof with no device tier.
 	if *refs <= 0 {
 		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
 	}
@@ -96,6 +96,9 @@ func main() {
 	}
 	if *ratio <= 0 {
 		usageFatal(fmt.Errorf("-ratio %d: must be positive", *ratio))
+	}
+	if *scale < -workload.MaxGrowShift {
+		usageFatal(fmt.Errorf("-scale %d: must be at least %d (footprints grow at most %dx)", *scale, -workload.MaxGrowShift, 1<<workload.MaxGrowShift))
 	}
 	if math.IsNaN(*admfrac) || math.IsInf(*admfrac, 0) {
 		usageFatal(fmt.Errorf("-admission %v: must be a finite fraction", *admfrac))

@@ -155,6 +155,22 @@ func TestDevprofWithoutDeviceTierIsUsageError(t *testing.T) {
 	wantAll(t, text, "devprof needs a device tier", "Usage of", "-method")
 }
 
+// TestWhyBogusIsUsageError pins that a malformed -why page is
+// rejected as a usage error, as tmpwhy -page rejects it; it used to
+// exit 1 without usage.
+func TestWhyBogusIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-why", "bogus")
+	wantAll(t, text, "bad page", "bogus", "pid:vpn", "Usage of", "-why")
+}
+
+// TestScaleBelowGrowthBoundIsUsageError pins that a -scale below
+// -workload.MaxGrowShift is rejected before any run; it used to run at
+// the bound without a word.
+func TestScaleBelowGrowthBoundIsUsageError(t *testing.T) {
+	text := usageErrorOutput(t, "-scale", "-8", "-refs", "20000", "-policy", "none")
+	wantAll(t, text, "-scale -8", "must be at least -5", "Usage of", "-scale")
+}
+
 // TestShardsIsUndefinedFlag pins that tmpsim has one machine model:
 // -shards, which ran each arm as per-core cells, is an unknown flag.
 func TestShardsIsUndefinedFlag(t *testing.T) {

@@ -2,10 +2,11 @@ package tieredmem_test
 
 // Docs-sync tests: the counter and histogram lists in OBSERVABILITY.md
 // are checked in both directions against the names a fully
-// instrumented run actually registers, and ANALYSIS.md's analyzer
-// sections against the tmplint suite. A new runtime metric or analyzer
-// without a doc entry fails, and so does a documented name that no
-// longer exists — the doc cannot drift from the code.
+// instrumented run actually registers, ANALYSIS.md's analyzer sections
+// against the tmplint suite, and DESIGN.md's module inventory against
+// the package tree. A new runtime metric, analyzer or package without
+// a doc entry fails, and so does a documented name that no longer
+// exists — the doc cannot drift from the code.
 
 import (
 	"bytes"
@@ -279,5 +280,42 @@ func TestDocsSyncProvenanceLines(t *testing.T) {
 		} else if got, want := keys(docLines[0]), keys(line); !slices.Equal(got, want) {
 			t.Errorf("OBSERVABILITY.md's %s line has keys %v, WriteLog emits %v", typ, got, want)
 		}
+	}
+}
+
+// TestDocsSyncModules pins DESIGN.md's "System inventory" table to the
+// Go package directories under internal/, cmd/ and examples/ (testdata
+// excluded), both directions: a package without a row fails, and so
+// does a row whose package is gone.
+func TestDocsSyncModules(t *testing.T) {
+	_, section, _ := strings.Cut(readFile(t, "DESIGN.md"), "\n## 3. System inventory")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows, pkgs []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `((?:internal|cmd|examples)/[a-z0-9_/]+)`").FindAllStringSubmatch(section, -1) {
+		rows = append(rows, m[1])
+	}
+	slices.Sort(rows)
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				pkgs = append(pkgs, filepath.ToSlash(filepath.Dir(path)))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(pkgs)
+	pkgs = slices.Compact(pkgs)
+
+	if !slices.Equal(rows, pkgs) {
+		t.Errorf("DESIGN.md §3 rows %v,\nwant the package directories %v", rows, pkgs)
 	}
 }

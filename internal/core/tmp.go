@@ -167,6 +167,18 @@ func (p *PageStat) Rank(m Method) uint64 {
 // with at least 5% CPU or 10% memory).
 type UsageFunc func(pid int) (cpuFrac, memFrac float64)
 
+const (
+	// cpuFilterMin and memFilterMin are the daemon's process filter: a
+	// process is profiled when either share is met.
+	cpuFilterMin = 0.05
+	memFilterMin = 0.10
+	// daemonCore runs the TMP daemon and pays its profiling costs.
+	daemonCore = 0
+	// quarantineMinRounds is the minimum scan/window population
+	// before the A-bit and HWPC fault rates are judged.
+	quarantineMinRounds = 10
+)
+
 // Config parameterizes TMP.
 type Config struct {
 	IBS  ibs.Config
@@ -175,22 +187,15 @@ type Config struct {
 	// Gating enables the HWPC-driven on/off control of the two
 	// expensive mechanisms.
 	Gating bool
-	// CPUFilterMin and MemFilterMin are the daemon's process-filter
-	// thresholds; a process is profiled when either is met.
-	CPUFilterMin float64
-	MemFilterMin float64
 	// FilterInterval is the virtual-ns period between process-filter
 	// re-evaluations (the paper re-evaluates once per second).
 	FilterInterval int64
-	// DaemonCore is the core index that pays profiling costs.
-	DaemonCore int
-	// EnableDevProf attaches the device-side (CXL) hot-page tracker
-	// so harvests also carry per-page device counts (the NeoMem arm;
-	// see the devprof package). Requires a machine with at least one
-	// device-profiled tier.
+	// EnableDevProf attaches the device-side (CXL) hot-page tracker,
+	// configured by devprof.DefaultConfig, so harvests also carry
+	// per-page device counts (the NeoMem arm; see the devprof
+	// package). Requires a machine with at least one device-profiled
+	// tier.
 	EnableDevProf bool
-	// DevProf configures the tracker when EnableDevProf is set.
-	DevProf devprof.Config
 	// QuarantineThreshold is the fault rate (failures over attempts)
 	// above which the profiler permanently disables a monitoring
 	// mechanism and degrades ranks to the survivors. 0 disables
@@ -200,9 +205,6 @@ type Config struct {
 	// population before its fault rate is judged — small denominators
 	// are noise, and quarantine is irreversible.
 	QuarantineMinEvents uint64
-	// QuarantineMinRounds is the minimum scan/window population
-	// before the A-bit and HWPC fault rates are judged.
-	QuarantineMinRounds uint64
 }
 
 // DefaultConfig returns the paper's production settings at a given IBS
@@ -213,14 +215,9 @@ func DefaultConfig(ibsPeriod int) Config {
 		Abit:                abit.DefaultConfig(),
 		HWPC:                hwpc.DefaultConfig(),
 		Gating:              true,
-		CPUFilterMin:        0.05,
-		MemFilterMin:        0.10,
 		FilterInterval:      1_000_000_000,
-		DaemonCore:          0,
-		DevProf:             devprof.DefaultConfig(),
 		QuarantineThreshold: 0.5,
 		QuarantineMinEvents: 200,
-		QuarantineMinRounds: 10,
 	}
 }
 
@@ -313,7 +310,7 @@ func New(cfg Config, m *cpu.Machine, usage UsageFunc) (*Profiler, error) {
 	})
 	m.AddObserver(eng)
 	if cfg.EnableDevProf {
-		tk, err := devprof.New(cfg.DevProf, m.Phys)
+		tk, err := devprof.New(devprof.DefaultConfig(), m.Phys)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +367,7 @@ func (p *Profiler) refilter() {
 			continue
 		}
 		cpuFrac, memFrac := p.usage(pid)
-		if cpuFrac >= p.cfg.CPUFilterMin || memFrac >= p.cfg.MemFilterMin {
+		if cpuFrac >= cpuFilterMin || memFrac >= memFilterMin {
 			p.profiled = append(p.profiled, pid)
 		}
 	}
@@ -397,7 +394,7 @@ func (p *Profiler) Tick(now int64) {
 		p.tel.EmitFilter(now, len(p.profiled), len(p.registered))
 	}
 	if cost > 0 {
-		p.machine.Core(p.cfg.DaemonCore).AdvanceClock(cost)
+		p.machine.Core(daemonCore).AdvanceClock(cost)
 		// The tick span is the roll-up of everything the daemon core
 		// paid this pass (HWPC read + A-bit scan); the per-mechanism
 		// spans emitted by the engines break the same time down.
@@ -501,13 +498,13 @@ func (p *Profiler) checkQuarantine(now int64) {
 		}
 	}
 	if !p.Abit.Quarantined() {
-		if failures, attempts := p.Abit.Stats().FaultRate(); attempts >= p.cfg.QuarantineMinRounds && float64(failures) > thr*float64(attempts) {
+		if failures, attempts := p.Abit.Stats().FaultRate(); attempts >= quarantineMinRounds && float64(failures) > thr*float64(attempts) {
 			p.Abit.Quarantine()
 			p.tel.EmitQuarantine(now, "abit", failures, attempts)
 		}
 	}
 	if !p.Monitor.Quarantined() {
-		if failures, attempts := p.Monitor.FaultRate(); attempts >= p.cfg.QuarantineMinRounds && float64(failures) > thr*float64(attempts) {
+		if failures, attempts := p.Monitor.FaultRate(); attempts >= quarantineMinRounds && float64(failures) > thr*float64(attempts) {
 			p.Monitor.Quarantine()
 			p.tel.EmitQuarantine(now, "hwpc", failures, attempts)
 		}

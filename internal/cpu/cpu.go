@@ -39,12 +39,16 @@ const (
 	LatCtxSwitch = 3000
 )
 
+// OpsPerRef is the number of micro-ops one memory reference represents
+// (the memory op plus its surrounding ALU ops).
+const OpsPerRef = 3
+
 // RetireObserver is notified after every retired memory reference.
 // Implementations return extra virtual time to charge the executing
 // core — that is how profiling overhead becomes visible in end-to-end
-// run time. ops is the number of micro-ops the reference represents
-// (one memory op plus its surrounding ALU ops). The Outcome pointer is
-// only valid for the duration of the call.
+// run time. ops is the number of micro-ops the reference represents,
+// OpsPerRef. The Outcome pointer is only valid for the duration of the
+// call.
 type RetireObserver interface {
 	ObserveRetire(o *trace.Outcome, ops int) int64
 }
@@ -80,7 +84,7 @@ type Core struct {
 	ID    int
 	TLB   *tlb.TLB
 	Cache *cache.Hierarchy
-	PMU   *pmu.PMU
+	PMU   pmu.PMU
 
 	clock      int64
 	nextSwitch int64 // next context-switch time; 0 disables
@@ -106,17 +110,14 @@ func (c *Core) AdvanceClock(ns int64) {
 
 // Config assembles a Machine.
 type Config struct {
-	Cores     int
-	OpsPerRef int // micro-ops represented by one memory reference (mem op + ALU ops)
-	L1TLB     tlb.Config
-	L2TLB     tlb.Config
-	L1D       cache.Config
-	L2        cache.Config
-	LLC       cache.Config
+	Cores int
+	L1TLB tlb.Config
+	L2TLB tlb.Config
+	L1D   cache.Config
+	L2    cache.Config
+	LLC   cache.Config
 	// PrefetchDegree of 0 disables the prefetcher.
 	PrefetchDegree int
-	PMURegisters   int
-	PMUQuantum     int64
 	// SoftCostDiv divides every software/OS cost (fault handling,
 	// IPIs, context switches) to compensate for time compression:
 	// scaled runs compress one testbed second into ScaledSecond of
@@ -141,15 +142,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Cores:          6,
-		OpsPerRef:      3,
 		L1TLB:          tlb.DefaultL1,
 		L2TLB:          tlb.DefaultL2,
 		L1D:            cache.DefaultL1,
 		L2:             cache.DefaultL2,
 		LLC:            cache.DefaultLLC,
 		PrefetchDegree: 2,
-		PMURegisters:   6,
-		PMUQuantum:     1_000_000,
 		CtxSwitchNS:    10_000, // 10 us virtual ≙ 10 ms real at 1000x compression
 	}
 }
@@ -167,9 +165,8 @@ type Machine struct {
 	// asids numbers PIDs in order of first sight. The number is the
 	// PID's address-space id, which tags its TLB entries, and modulo
 	// the core count it is the PID's core.
-	asids     map[int]uint32
-	procs     []proc // PID-indexed copy of asids and tables for Execute
-	opsPerRef int
+	asids map[int]uint32
+	procs []proc // PID-indexed copy of asids and tables for Execute
 
 	fault     FaultHandler
 	hugeHint  HugeHint
@@ -192,9 +189,6 @@ type Machine struct {
 func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cpu: core count %d must be positive", cfg.Cores)
-	}
-	if cfg.OpsPerRef <= 0 {
-		cfg.OpsPerRef = 1
 	}
 	// Check the cap before NewPhysMem allocates a descriptor per frame.
 	limit, total := maxFrames(cfg.PrefetchDegree), 0
@@ -219,12 +213,11 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 		softDiv = 1
 	}
 	m := &Machine{
-		Phys:      phys,
-		LLC:       llc,
-		tables:    make(map[int]*pagetable.Table),
-		asids:     make(map[int]uint32),
-		opsPerRef: cfg.OpsPerRef,
-		softDiv:   softDiv,
+		Phys:    phys,
+		LLC:     llc,
+		tables:  make(map[int]*pagetable.Table),
+		asids:   make(map[int]uint32),
+		softDiv: softDiv,
 	}
 	m.fault = m.defaultFault
 	for i := 0; i < cfg.Cores; i++ {
@@ -244,7 +237,6 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 			ID:        i,
 			TLB:       t,
 			Cache:     hier,
-			PMU:       pmu.New(cfg.PMURegisters, cfg.PMUQuantum),
 			machine:   m,
 			ctxPeriod: cfg.CtxSwitchNS,
 		}
@@ -278,9 +270,6 @@ func (m *Machine) Cores() []*Core { return m.cores }
 
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
-
-// OpsPerRef returns how many micro-ops one reference represents.
-func (m *Machine) OpsPerRef() int { return m.opsPerRef }
 
 // SoftCost compresses a wall-clock software cost into scaled virtual
 // time (minimum 1 ns so no cost fully vanishes).
@@ -474,7 +463,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 			// forces a walk to set the PTE D bit even on a TLB hit
 			// (the PTW sets A as well).
 			lat += LatPageWalk
-			c.PMU.Add(pmu.EvPageWalkCycles, LatPageWalk)
 			pte, huge := table.Resolve(vpn)
 			if pte == nil {
 				return nil, fmt.Errorf("cpu: TLB maps unmapped page pid=%d vpn=%#x", r.PID, uint64(vpn))
@@ -489,10 +477,8 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 		// Full TLB miss: hardware page walk.
 		o.TLBMiss = true
 		o.PageWalk = true
-		c.PMU.Add(pmu.EvDTLBMiss, 1)
 		c.PMU.Add(pmu.EvSTLBMiss, 1)
 		lat += LatPageWalk
-		c.PMU.Add(pmu.EvPageWalkCycles, LatPageWalk)
 
 		pte, huge := table.Resolve(vpn)
 		if pte == nil {
@@ -533,12 +519,9 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 	case cache.HitL2:
 		lat += LatL2
 		o.Source = trace.SrcL2
-		c.PMU.Add(pmu.EvL1Miss, 1)
 	case cache.HitLLC:
 		lat += LatLLC
 		o.Source = trace.SrcLLC
-		c.PMU.Add(pmu.EvL1Miss, 1)
-		c.PMU.Add(pmu.EvL2Miss, 1)
 	case cache.MissAll:
 		tier := m.Phys.TierOf(pfn)
 		spec := m.Phys.TierSpecOf(tier)
@@ -555,8 +538,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 		} else {
 			o.Source = trace.SrcTier2
 		}
-		c.PMU.Add(pmu.EvL1Miss, 1)
-		c.PMU.Add(pmu.EvL2Miss, 1)
 		c.PMU.Add(pmu.EvLLCMiss, 1)
 		// Ground truth for hitrate/Oracle: a demand access served
 		// from memory.
@@ -565,21 +546,13 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table, asid uint32) (*trace
 		}
 	}
 
-	if isStore {
-		c.PMU.Add(pmu.EvRetiredStores, 1)
-	} else {
-		c.PMU.Add(pmu.EvRetiredLoads, 1)
-	}
-	c.PMU.Add(pmu.EvRetiredOps, uint64(m.opsPerRef))
-
 	o.Latency = lat
 	c.clock += lat
 	o.Now = c.clock
-	c.PMU.Tick(c.clock)
 
 	// Retirement observers (IBS/PEBS engines) may add overhead.
 	for _, obs := range m.observers {
-		if extra := obs.ObserveRetire(o, m.opsPerRef); extra > 0 {
+		if extra := obs.ObserveRetire(o, OpsPerRef); extra > 0 {
 			c.clock += extra
 			o.Now = c.clock
 		}

@@ -259,6 +259,22 @@ func TestProfileRejectsNonPositivePeriod(t *testing.T) {
 	}
 }
 
+// TestProfileCountsWithoutGating pins that the PMU counts whether or
+// not HWPC gating reads it: Fig. 2's counts must not read 0 with
+// gating off.
+func TestProfileCountsWithoutGating(t *testing.T) {
+	opts := testOptions("gups")
+	opts.Refs = 20_000
+	opts.Gating = false
+	cp, err := Profile(opts, "gups", ibs.Rate4x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.STLBMisses == 0 || cp.LLCMisses == 0 {
+		t.Errorf("ungated profile: STLBMisses %d, LLCMisses %d, want both nonzero", cp.STLBMisses, cp.LLCMisses)
+	}
+}
+
 func TestCaptureBothKeying(t *testing.T) {
 	cp := &Capture{
 		AbitPages: map[core.PageKey]struct{}{

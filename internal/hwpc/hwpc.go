@@ -39,7 +39,6 @@ func DefaultConfig() Config {
 type Toggleable interface {
 	Enable()
 	Disable()
-	Enabled() bool
 }
 
 // gauge tracks one event stream's windowed activity.
@@ -78,14 +77,6 @@ type Monitor struct {
 	// faults, when non-nil, can corrupt counter reads.
 	faults *fault.Plane
 
-	// Memory-bandwidth monitoring (the resctrl MBM feature the
-	// paper's footnote 3 mentions): bytes fetched from memory per
-	// window, derived from the LLC-miss counters.
-	lastLLC         uint64
-	lastBWValid     bool
-	LastWindowBytes uint64
-	PeakWindowBytes uint64
-
 	// Telemetry (nil handles no-op when telemetry is off).
 	tel         *telemetry.Tracer
 	ctrReads    *telemetry.Counter
@@ -119,9 +110,6 @@ func New(cfg Config, m *cpu.Machine) (*Monitor, error) {
 // paper supplements trace collection with the LLC-miss counter and
 // A-bit profiling with the TLB-miss counter.
 func (mo *Monitor) Gate(event pmu.Event, target Toggleable) {
-	for _, c := range mo.machine.Cores() {
-		c.PMU.Track(event)
-	}
 	mo.gauges = append(mo.gauges, &gauge{event: event, target: target, active: true})
 }
 
@@ -150,17 +138,6 @@ func (mo *Monitor) TickIfDue(now int64) (int64, bool) {
 	mo.Reads++
 	readCost := mo.machine.SoftCost(mo.cfg.ReadCost)
 	mo.OverheadNS += readCost
-
-	// MBM-style bandwidth: one cache line per LLC miss.
-	llc := mo.machineCount(pmu.EvLLCMiss)
-	if mo.lastBWValid {
-		mo.LastWindowBytes = (llc - mo.lastLLC) * 64
-		if mo.LastWindowBytes > mo.PeakWindowBytes {
-			mo.PeakWindowBytes = mo.LastWindowBytes
-		}
-	}
-	mo.lastLLC = llc
-	mo.lastBWValid = true
 
 	for _, g := range mo.gauges {
 		cur := mo.machineCount(g.event)
@@ -199,12 +176,10 @@ func (mo *Monitor) TickIfDue(now int64) (int64, bool) {
 			g.toggles++
 			mo.tel.EmitGate(now, g.event.String(), wantActive, delta, g.maxDelta,
 				uint64(mo.cfg.Threshold*10000+0.5))
-			if g.target != nil {
-				if wantActive {
-					g.target.Enable()
-				} else {
-					g.target.Disable()
-				}
+			if wantActive {
+				g.target.Enable()
+			} else {
+				g.target.Disable()
 			}
 		}
 	}
@@ -241,9 +216,7 @@ func (mo *Monitor) Quarantine() {
 			g.active = true
 			g.toggles++
 		}
-		if g.target != nil {
-			g.target.Enable()
-		}
+		g.target.Enable()
 	}
 }
 

@@ -114,6 +114,16 @@ func appendDecisionLine(b []byte, key core.PageKey, rec *Record) []byte {
 	return append(b, "}\n"...)
 }
 
+// lineKeys lists, per line type, every key WriteLog emits for it
+// besides "type". ReadLog rejects a line that lacks one, because
+// encoding/json would read the missing key as zero.
+var lineKeys = map[string][]string{
+	"run":  {"schema", "label", "last_k", "pingpong_k"},
+	"page": {"pid", "vpn", "flips", "dropped", "records"},
+	"decision": {"pid", "vpn", "epoch", "abit", "ibs", "dev", "rank", "pos", "tier",
+		"verdict", "from", "to", "selected", "degraded", "method"},
+}
+
 // logLine is the union of the three line shapes for the reader.
 type logLine struct {
 	Type      string `json:"type"`
@@ -175,11 +185,12 @@ func parseKey(l *logLine) (core.PageKey, error) {
 }
 
 // ReadLog parses a provenance JSONL stream back into its Logs. It is
-// strict, so downstream consumers detect format drift: every run line
-// must carry this reader's schema version, every page must be followed
-// by exactly its records count of decision lines, every verdict must
-// be one Verdict.Reason produces, and every method one core.ParseMethod
-// accepts.
+// strict, so downstream consumers detect format drift: every line must
+// carry every key WriteLog emits for its type, every run line must
+// carry this reader's schema version, every page must be followed by
+// exactly its records count of decision lines, every verdict must be
+// one Verdict.Reason produces, and every method one core.ParseMethod
+// accepts. Keys it does not know are ignored.
 func ReadLog(rd io.Reader) ([]Log, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -195,6 +206,7 @@ func ReadLog(rd io.Reader) ([]Log, error) {
 		return nil
 	}
 	lineNo := 0
+	keys := make(map[string]json.RawMessage)
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
@@ -204,6 +216,15 @@ func ReadLog(rd io.Reader) ([]Log, error) {
 		var l logLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			return nil, fmt.Errorf("provenance: line %d: %w", lineNo, err)
+		}
+		clear(keys)
+		if err := json.Unmarshal(line, &keys); err != nil {
+			return nil, fmt.Errorf("provenance: line %d: %w", lineNo, err)
+		}
+		for _, k := range lineKeys[l.Type] {
+			if _, ok := keys[k]; !ok {
+				return nil, fmt.Errorf("provenance: line %d: %s line lacks key %q", lineNo, l.Type, k)
+			}
 		}
 		switch l.Type {
 		case "run":

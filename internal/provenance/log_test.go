@@ -2,14 +2,18 @@ package provenance
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"tieredmem/internal/core"
+	"tieredmem/internal/order"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/testalloc"
 )
@@ -60,6 +64,47 @@ func TestReadLogRejectsGarbage(t *testing.T) {
 		if _, err := ReadLog(strings.NewReader(bad)); err == nil {
 			t.Errorf("%s: ReadLog accepted %s", tc.name, tc.new)
 		}
+	}
+}
+
+// TestReadLogRejectsMissingKey deletes, one at a time, every key that
+// WriteLog emits on every line of a sample log, and requires ReadLog to
+// name the line and the key: a reader that read the missing key as zero
+// would move a decision's evidence without a word.
+func TestReadLogRejectsMissingKey(t *testing.T) {
+	lines := strings.SplitAfter(sampleLogText(t), "\n")
+	types := make(map[string]bool)
+	for i, line := range lines {
+		if line == "" {
+			continue
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &fields); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		typ := strings.Trim(string(fields["type"]), `"`)
+		types[typ] = true
+		for _, k := range order.SortedKeys(fields) {
+			if k == "type" {
+				continue
+			}
+			short := maps.Clone(fields)
+			delete(short, k)
+			b, err := json.Marshal(short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := slices.Clone(lines)
+			bad[i] = string(b) + "\n"
+			_, err = ReadLog(strings.NewReader(strings.Join(bad, "")))
+			want := fmt.Sprintf("line %d: %s line lacks key %q", i+1, typ, k)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s line %d without %q: err %v, want %q", typ, i+1, k, err, want)
+			}
+		}
+	}
+	if len(types) != 3 {
+		t.Errorf("sample log has line types %v, want run, page and decision", types)
 	}
 }
 

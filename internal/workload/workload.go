@@ -82,18 +82,20 @@ type Config struct {
 // DefaultConfig seeds a workload deterministically.
 func DefaultConfig() Config { return Config{Seed: 42, FirstPID: 100} }
 
-// maxGrowShift bounds negative ScaleShift (footprint growth) so that
+// MaxGrowShift bounds negative ScaleShift (footprint growth) so that
 // no generator's region set can overflow a process's 16 GiB address
 // budget (region() panics past it): the largest package-default region
 // is 16 MiB and no generator allocates more than a handful per
 // process, so x32 keeps every configuration — including fuzzed ones —
-// comfortably inside procSpacing.
-const maxGrowShift = 5
+// comfortably inside procSpacing. A ScaleShift below -MaxGrowShift
+// grows footprints by exactly this much; the command-line tools reject
+// one instead.
+const MaxGrowShift = 5
 
 func (c Config) scaled(bytes uint64) uint64 {
 	shift := c.ScaleShift
-	if shift < -maxGrowShift {
-		shift = -maxGrowShift
+	if shift < -MaxGrowShift {
+		shift = -MaxGrowShift
 	}
 	if shift > 63 {
 		shift = 63
