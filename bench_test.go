@@ -327,8 +327,9 @@ var machineSink *cpu.Machine
 // BenchmarkNewMachine builds the benchmark's hpc-bigfoot machine:
 // xsbench's footprint over sim.DefaultChain's two tiers at ratio 16.
 // Its B/op is the memory a run sets up before its first reference,
-// most of it one page descriptor per frame, so a change that regrows
-// per-frame state shows in the bench-compare diff.
+// most of it one page descriptor and one flags byte per frame. The
+// bench-compare diff shows it; internal/mem's TestPerFrameBytes is
+// what fails when per-frame state grows back.
 func BenchmarkNewMachine(b *testing.B) {
 	w := workload.MustNew("xsbench", workload.Config{Seed: 42, FirstPID: 100})
 	chain, err := sim.DefaultChain(w, 16, 2)

@@ -72,19 +72,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		stop, err := teleout.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-	}
 	// A bad -faults spec is a usage error, not a runtime failure: the
 	// parse error lists every valid site name, and exit code 2 plus the
 	// flag usage matches what a mistyped flag produces. So is a -refs
 	// or -period that is not positive, or a -scale below the workload
 	// growth bound: the library would clamp such a period to 1 and
 	// sample every op, and such a scale to the bound, without a word.
+	// Every check runs before -cpuprofile creates its file, so a usage
+	// error leaves none.
 	if *refs <= 0 {
 		usageFatal(fmt.Errorf("-refs %d: must be positive", *refs))
 	}
@@ -164,6 +159,15 @@ func main() {
 		}
 	}
 	opts.OnRunnerStats = statsHook
+
+	if *cpuProf != "" {
+		stop, err := teleout.StartCPUProfile(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		stopProfile = stop
+		defer stop()
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
@@ -416,8 +420,15 @@ func runEpochSweep(s *experiments.Suite, out string) error {
 	return writeFile(out, "epochsweep.txt", experiments.RenderEpochSweep(rows))
 }
 
+// stopProfile ends the CPU profile once one has started.
+var stopProfile = func() {}
+
+// fatal reports a runtime failure and exits 1. os.Exit skips deferred
+// calls, so fatal ends a running CPU profile itself: the file it
+// leaves is a whole profile, not an empty one.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmpbench:", err)
+	stopProfile()
 	os.Exit(1)
 }
 

@@ -39,6 +39,20 @@ func usageErrorOutput(t *testing.T, dir string, args ...string) string {
 	return string(out)
 }
 
+// sharedTempDir returns a temporary directory that a re-exec'd child
+// shares with its parent test: the parent makes it and hands it down
+// in TMPBENCH_TEMPDIR, so both build the same absolute paths into the
+// arguments.
+func sharedTempDir(t *testing.T) string {
+	t.Helper()
+	if dir := os.Getenv("TMPBENCH_TEMPDIR"); dir != "" {
+		return dir
+	}
+	dir := t.TempDir()
+	t.Setenv("TMPBENCH_TEMPDIR", dir)
+	return dir
+}
+
 // wantAll fails the test for every want missing from the output.
 func wantAll(t *testing.T, text string, wants ...string) {
 	t.Helper()
@@ -102,6 +116,21 @@ func TestScaleBelowGrowthBoundIsUsageError(t *testing.T) {
 	wantAll(t, text, "-scale -8", "must be at least -5", "Usage of", "-scale")
 	if _, err := os.Stat(filepath.Join(dir, "results")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("-out directory exists after -scale -8 (stat: %v)", err)
+	}
+}
+
+// TestUsageErrorLeavesNoProfile pins that every flag is checked before
+// -cpuprofile creates its file: a usage error exits 2 and leaves no
+// profile and no -out directory behind.
+func TestUsageErrorLeavesNoProfile(t *testing.T) {
+	dir := sharedTempDir(t)
+	prof := filepath.Join(dir, "cpu.pprof")
+	text := usageErrorOutput(t, dir, "-cpuprofile", prof, "-exp", "fig2", "-workloads", "bogus", "-out", "results")
+	wantAll(t, text, "unknown name", "bogus", "Usage of", "-workloads")
+	for _, path := range []string{prof, filepath.Join(dir, "results")} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s exists after a usage error (stat: %v)", path, err)
+		}
 	}
 }
 

@@ -67,6 +67,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		stopProfile = stop
 		defer stop()
 	}
 	opts := experiments.Options{
@@ -160,8 +161,15 @@ func main() {
 	}
 }
 
+// stopProfile ends the CPU profile once one has started.
+var stopProfile = func() {}
+
+// fatal reports a runtime failure and exits 1. os.Exit skips deferred
+// calls, so fatal ends a running CPU profile itself: the file it
+// leaves is a whole profile, not an empty one.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmpprof:", err)
+	stopProfile()
 	os.Exit(1)
 }
 

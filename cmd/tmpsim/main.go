@@ -64,13 +64,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		stop, err := teleout.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-	}
 	traceOn := *tracOut != "" || *evtsOut != "" || *metrics
 	provOn := *provOut != "" || *why != "" || *metrics
 
@@ -79,7 +72,9 @@ func main() {
 	// flag usage matches what a mistyped flag produces. So is a -refs,
 	// -period or -ratio that is not positive, a -scale below the
 	// workload growth bound, a -admission that is not a finite
-	// fraction, and -method devprof with no device tier.
+	// fraction, and -method devprof with no device tier. Every check
+	// runs before -cpuprofile creates its file, so a usage error
+	// leaves none.
 	var whyKey core.PageKey
 	if *why != "" {
 		var err error
@@ -153,6 +148,15 @@ func main() {
 	if *useEmul {
 		c := emul.PaperCosts(0)
 		costs = &c
+	}
+
+	if *cpuProf != "" {
+		stop, err := teleout.StartCPUProfile(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		stopProfile = stop
+		defer stop()
 	}
 
 	// Each arm is one self-contained single-goroutine simulation (its
@@ -315,8 +319,15 @@ func main() {
 	}
 }
 
+// stopProfile ends the CPU profile once one has started.
+var stopProfile = func() {}
+
+// fatal reports a runtime failure and exits 1. os.Exit skips deferred
+// calls, so fatal ends a running CPU profile itself: the file it
+// leaves is a whole profile, not an empty one.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tmpsim:", err)
+	stopProfile()
 	os.Exit(1)
 }
 

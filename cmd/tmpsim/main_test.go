@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,17 +14,17 @@ import (
 	"testing"
 )
 
-// usageErrorOutput re-execs the test binary as tmpsim with args and
-// returns its combined output. It fails the test unless the process
-// exits 2, the code the flag package gives an unknown flag. The child
-// re-enters the calling test via an env guard, so that test must call
-// usageErrorOutput before anything else.
-func usageErrorOutput(t *testing.T, args ...string) string {
+// exitOutput re-execs the test binary as tmpsim with args and returns
+// its combined output. It fails the test unless the process exits with
+// code. The child re-enters the calling test via an env guard, so that
+// test must call exitOutput before anything else; a child whose main
+// returns exits 0.
+func exitOutput(t *testing.T, code int, args ...string) string {
 	t.Helper()
 	if os.Getenv("TMPSIM_RUN_MAIN") == "1" {
 		os.Args = append([]string{"tmpsim"}, args...)
 		main()
-		t.Fatal("main returned; want a usage error")
+		os.Exit(0)
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
 	cmd.Env = append(os.Environ(), "TMPSIM_RUN_MAIN=1")
@@ -30,10 +33,83 @@ func usageErrorOutput(t *testing.T, args ...string) string {
 	if !errors.As(err, &ee) {
 		t.Fatalf("want exit error, got %v\noutput:\n%s", err, out)
 	}
-	if code := ee.ExitCode(); code != 2 {
-		t.Errorf("exit code %d, want 2 (usage error)\noutput:\n%s", code, out)
+	if got := ee.ExitCode(); got != code {
+		t.Errorf("exit code %d, want %d\noutput:\n%s", got, code, out)
 	}
 	return string(out)
+}
+
+// usageErrorOutput is exitOutput for a usage error: exit 2, the code
+// the flag package gives an unknown flag.
+func usageErrorOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	return exitOutput(t, 2, args...)
+}
+
+// sharedTempDir returns a temporary directory that a re-exec'd child
+// shares with its parent test: the parent makes it and hands it down
+// in TMPSIM_TEMPDIR, so both build the same absolute paths into the
+// arguments.
+func sharedTempDir(t *testing.T) string {
+	t.Helper()
+	if dir := os.Getenv("TMPSIM_TEMPDIR"); dir != "" {
+		return dir
+	}
+	dir := t.TempDir()
+	t.Setenv("TMPSIM_TEMPDIR", dir)
+	return dir
+}
+
+// wantProfile fails the test unless path holds a whole pprof profile:
+// a gzip stream of protobuf fields that ends on a field boundary and
+// holds the profile's sample types (field 1) and string table
+// (field 6). A profile that was never stopped is an empty file.
+func wantProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a gzipped profile: %v", path, err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	seen := map[uint64]bool{}
+	for len(data) > 0 {
+		key, n := binary.Uvarint(data)
+		if n <= 0 {
+			t.Fatalf("%s: bad field key", path)
+		}
+		data = data[n:]
+		size := -1
+		switch key & 7 {
+		case 0: // varint
+			if _, m := binary.Uvarint(data); m > 0 {
+				size = m
+			}
+		case 1: // fixed64
+			size = 8
+		case 2: // length-delimited
+			if l, m := binary.Uvarint(data); m > 0 && l <= uint64(len(data)-m) {
+				size = m + int(l)
+			}
+		case 5: // fixed32
+			size = 4
+		}
+		if size < 0 || size > len(data) {
+			t.Fatalf("%s: field %d (wire type %d) is malformed or truncated", path, key>>3, key&7)
+		}
+		data = data[size:]
+		seen[key>>3] = true
+	}
+	if !seen[1] || !seen[6] {
+		t.Errorf("%s lacks sample types or a string table: fields %v", path, seen)
+	}
 }
 
 // mainOutput re-execs the test binary as tmpsim with args, in a fresh
@@ -124,6 +200,31 @@ func TestAdmissionNaNIsUsageError(t *testing.T) {
 func TestRefsZeroIsUsageError(t *testing.T) {
 	text := usageErrorOutput(t, "-refs", "0")
 	wantAll(t, text, "-refs 0", "must be positive", "Usage of")
+}
+
+// TestUsageErrorLeavesNoProfile pins that every flag is checked before
+// -cpuprofile creates its file: a usage error exits 2 and leaves no
+// profile behind.
+func TestUsageErrorLeavesNoProfile(t *testing.T) {
+	prof := filepath.Join(sharedTempDir(t), "cpu.pprof")
+	text := usageErrorOutput(t, "-cpuprofile", prof, "-refs", "0")
+	wantAll(t, text, "-refs 0", "must be positive", "Usage of")
+	if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-cpuprofile file exists after a usage error (stat: %v)", err)
+	}
+}
+
+// TestFatalStopsCPUProfile pins that a run failing after the CPU
+// profile started still ends the profile. fatal exits through
+// os.Exit, which skips main's deferred stop, so it used to leave an
+// empty file that pprof rejects.
+func TestFatalStopsCPUProfile(t *testing.T) {
+	dir := sharedTempDir(t)
+	prof := filepath.Join(dir, "cpu.pprof")
+	text := exitOutput(t, 1, "-cpuprofile", prof, "-refs", "20000", "-policy", "none",
+		"-prov", filepath.Join(dir, "missing", "prov.jsonl"))
+	wantAll(t, text, "tmpsim:", "no such file or directory")
+	wantProfile(t, prof)
 }
 
 // TestPeriodZeroIsUsageError pins it for a -period that is not

@@ -3,23 +3,29 @@ package tieredmem_test
 // Docs-sync tests: the counter and histogram lists in OBSERVABILITY.md
 // are checked in both directions against the names a fully
 // instrumented run actually registers, ANALYSIS.md's analyzer sections
-// against the tmplint suite, and DESIGN.md's module inventory against
-// the package tree. A new runtime metric, analyzer or package without
+// against the tmplint suite, DESIGN.md's module inventory against
+// the package tree, and the stated page-descriptor layout against the
+// struct. A new runtime metric, analyzer or package without
 // a doc entry fails, and so does a documented name that no longer
 // exists — the doc cannot drift from the code.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tieredmem/internal/analysis"
 	"tieredmem/internal/core"
 	"tieredmem/internal/fault"
+	"tieredmem/internal/mem"
 	"tieredmem/internal/order"
 	"tieredmem/internal/policy"
 	"tieredmem/internal/provenance"
@@ -317,5 +323,55 @@ func TestDocsSyncModules(t *testing.T) {
 
 	if !slices.Equal(rows, pkgs) {
 		t.Errorf("DESIGN.md §3 rows %v,\nwant the package directories %v", rows, pkgs)
+	}
+}
+
+// TestDocsSyncLayouts pins the page descriptor's stated layout to the
+// struct: the byte count DESIGN.md §3's `internal/mem` row gives, and
+// PERFORMANCE.md's storage-rules table, whose rows must name
+// mem.PageDescriptor's fields in order with each field's size and no
+// padding left over.
+func TestDocsSyncLayouts(t *testing.T) {
+	typ := reflect.TypeOf(mem.PageDescriptor{})
+	size := int(unsafe.Sizeof(mem.PageDescriptor{}))
+
+	_, design, _ := strings.Cut(readFile(t, "DESIGN.md"), "\n## 3. System inventory")
+	row := regexp.MustCompile("(?m)^\\| `internal/mem` \\|.*$").FindString(design)
+	if m := regexp.MustCompile(`A (\d+)-byte descriptor`).FindStringSubmatch(row); m == nil {
+		t.Errorf("DESIGN.md §3's internal/mem row states no \"A N-byte descriptor\":\n%s", row)
+	} else if m[1] != strconv.Itoa(size) {
+		t.Errorf("DESIGN.md §3 says a %s-byte descriptor; mem.PageDescriptor is %d bytes", m[1], size)
+	}
+
+	_, rules, _ := strings.Cut(readFile(t, "PERFORMANCE.md"), "\n### Storage rules\n")
+	rules, _, _ = strings.Cut(rules, "\n### ")
+	_, table, ok := strings.Cut(rules, "| field | bytes | why this width |")
+	if !ok {
+		t.Fatal("PERFORMANCE.md's storage rules have no descriptor table")
+	}
+	var names []string
+	total := 0
+	for _, m := range regexp.MustCompile("(?m)^ *\\| `(\\w+)` \\| (\\d+) \\|").FindAllStringSubmatch(table, -1) {
+		names = append(names, m[1])
+		n, _ := strconv.Atoi(m[2])
+		total += n
+		if f, ok := typ.FieldByName(m[1]); !ok {
+			t.Errorf("PERFORMANCE.md's descriptor table lists %s, which mem.PageDescriptor lacks", m[1])
+		} else if int(f.Type.Size()) != n {
+			t.Errorf("PERFORMANCE.md gives %s %d bytes; it is %d", m[1], n, f.Type.Size())
+		}
+	}
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if !slices.Equal(names, fields) {
+		t.Errorf("PERFORMANCE.md's descriptor table rows are %v; mem.PageDescriptor's fields are %v", names, fields)
+	}
+	if total != size {
+		t.Errorf("PERFORMANCE.md's descriptor table sums to %d bytes; mem.PageDescriptor is %d", total, size)
+	}
+	if heading := fmt.Sprintf("One evidence record per frame, %d bytes", size); !strings.Contains(rules, heading) {
+		t.Errorf("PERFORMANCE.md's storage rules do not say %q", heading)
 	}
 }

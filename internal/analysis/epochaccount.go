@@ -10,8 +10,10 @@ import (
 // hotness ranks are computed from. Protection is by the struct that
 // declares the field: every field of mem.Evidence (written directly,
 // through mem.PageDescriptor.Epoch, or through core.PageStat's
-// promoted fields), core.PageStat.Evidence, and mem.PageDescriptor's
-// Epoch and TrueTotal. Writes are legal only inside the sanctioned
+// promoted fields), core.PageStat.Evidence, and
+// mem.PageDescriptor.Epoch. The all-time ground-truth total is an
+// unexported mem.PhysMem column, so the compiler already keeps its
+// writes inside mem. Writes are legal only inside the sanctioned
 // accumulation paths — the profiler arms (abit scan, trace drain in
 // core, devprof flush, the machine's ground-truth charge in cpu) and
 // the mem package's own allocation/reset/carry bookkeeping.
@@ -29,7 +31,7 @@ var EpochAccount = &Analyzer{
 var epochProtectedFields = map[string]map[string]bool{
 	"Evidence":       nil,
 	"PageStat":       {"Evidence": true},
-	"PageDescriptor": {"Epoch": true, "TrueTotal": true},
+	"PageDescriptor": {"Epoch": true},
 }
 
 // epochProtected reports whether field of the struct type named owner

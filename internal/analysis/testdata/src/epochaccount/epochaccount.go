@@ -19,11 +19,11 @@ type PageStat struct {
 	Other int
 }
 
-// PageDescriptor mirrors mem.PageDescriptor's counter fields.
+// PageDescriptor mirrors mem.PageDescriptor: Epoch is its one
+// protected field.
 type PageDescriptor struct {
-	Epoch     Evidence
-	TrueTotal uint64
-	Flags     uint8
+	Epoch Evidence
+	PID   int32
 }
 
 func directWrites(ps *PageStat) {
@@ -41,8 +41,7 @@ func descriptorWrites(pd *PageDescriptor) {
 	pd.Epoch.Abit++       // want `write to Evidence.Abit outside sanctioned`
 	pd.Epoch.Dev = 0      // want `write to Evidence.Dev outside sanctioned`
 	pd.Epoch = Evidence{} // want `write to PageDescriptor.Epoch outside sanctioned`
-	pd.TrueTotal += 2     // want `write to PageDescriptor.TrueTotal outside sanctioned`
-	pd.Flags |= 1         // ok: not a protected counter
+	pd.PID = 1            // ok: not a protected counter
 }
 
 func escapeHatch(pd *PageDescriptor) (*uint32, *Evidence) {
@@ -56,5 +55,5 @@ func localEvidence() Evidence {
 }
 
 func readsOK(ps *PageStat, pd *PageDescriptor) uint64 {
-	return uint64(ps.Abit) + uint64(ps.Trace) + uint64(pd.Epoch.Abit) + pd.TrueTotal // ok: reads never corrupt ranks
+	return uint64(ps.Abit) + uint64(ps.Trace) + uint64(pd.Epoch.Abit) + uint64(pd.PID) // ok: reads never corrupt ranks
 }

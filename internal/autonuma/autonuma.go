@@ -100,7 +100,7 @@ func New(cfg Config, m *cpu.Machine) (*Scanner, error) {
 }
 
 // onHintFault records the observation and charges the fault cost.
-func (s *Scanner) onHintFault(o *trace.Outcome, pd *mem.PageDescriptor) int64 {
+func (s *Scanner) onHintFault(o *trace.Outcome, _ mem.PFN) int64 {
 	s.stats.HintFaults++
 	s.bump(core.PageKey{PID: o.PID, VPN: mem.VPNOf(o.VAddr)})
 	cost := s.machine.SoftCost(s.cfg.FaultCost)

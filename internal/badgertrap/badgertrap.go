@@ -90,7 +90,7 @@ func New(cfg Config, m *cpu.Machine) (*Profiler, error) {
 // why full-footprint BadgerTrap tracking is brutally expensive on
 // TLB-thrashing workloads (the BadgerTrap paper reports multi-x
 // slowdowns; Thermostat samples ~0.5% of pages to stay usable).
-func (p *Profiler) onFault(o *trace.Outcome, pd *mem.PageDescriptor) (int64, bool) {
+func (p *Profiler) onFault(o *trace.Outcome, _ mem.PFN) (int64, bool) {
 	p.stats.Faults++
 	p.bump(core.PageKey{PID: o.PID, VPN: mem.VPNOf(o.VAddr)})
 	cost := p.cfg.FaultCost

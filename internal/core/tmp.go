@@ -470,7 +470,7 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 		// Resetting here rather than in a second ResetEpochAll pass is
 		// safe because the reset is a no-op on pages with no evidence,
 		// the ones the harvest skips.
-		pd.ResetEpoch()
+		phys.ResetEpoch(pfn)
 	})
 	dst.Pages = pages
 	p.epoch++

@@ -66,18 +66,20 @@ type FaultHandler func(pid int, vpn mem.VPN, write bool) (mem.PFN, error)
 type HugeHint func(pid int, vpn mem.VPN) bool
 
 // PoisonHandler is invoked when a page walk hits a PTE with the
-// BadgerTrap reserved bit set. It returns the extra latency to inject
-// and whether to unpoison the PTE (BadgerTrap's fault handler
-// unpoisons, installs the translation, and repoisons later; the emul
-// package models the latency-injection variant). The handler may be
-// nil, in which case poisoned PTEs behave like normal present PTEs.
-type PoisonHandler func(o *trace.Outcome, pd *mem.PageDescriptor) (extra int64, unpoison bool)
+// BadgerTrap reserved bit set; pfn is the frame the access targets. It
+// returns the extra latency to inject and whether to unpoison the PTE
+// (BadgerTrap's fault handler unpoisons, installs the translation, and
+// repoisons later; the emul package models the latency-injection
+// variant). The handler may be nil, in which case poisoned PTEs behave
+// like normal present PTEs.
+type PoisonHandler func(o *trace.Outcome, pfn mem.PFN) (extra int64, unpoison bool)
 
 // HintFaultHandler is invoked when a page walk hits a PTE carrying the
-// AutoNUMA PROT_NONE hint bit. The handler returns the fault-handling
-// latency to inject; the walker always clears the hint (NUMA balancing
-// restores the mapping once the faulting task is identified).
-type HintFaultHandler func(o *trace.Outcome, pd *mem.PageDescriptor) int64
+// AutoNUMA PROT_NONE hint bit; pfn is the frame the access targets.
+// The handler returns the fault-handling latency to inject; the walker
+// always clears the hint (NUMA balancing restores the mapping once the
+// faulting task is identified).
+type HintFaultHandler func(o *trace.Outcome, pfn mem.PFN) int64
 
 // Core is one simulated CPU core.
 type Core struct {
@@ -598,24 +600,23 @@ func (m *Machine) handleFault(table *pagetable.Table, pid int, vpn mem.VPN, writ
 
 // walkFixups applies the PTW's architectural side effects for a walk
 // that reached a present leaf PTE: poison check, A-bit set, D-bit set
-// on stores. pfn is the exact frame the access targets (for poison
-// latency injection on the right descriptor). It returns extra latency
-// from poison handling.
+// on stores. pfn is the exact frame the access targets, which the
+// fault handlers receive. It returns extra latency from poison
+// handling.
 func (c *Core) walkFixups(o *trace.Outcome, pte *pagetable.PTE, pfn mem.PFN, setDirty bool) int64 {
 	m := c.machine
 	var extra int64
 	if pte.ProtNone() {
 		m.HintFaults++
 		if m.hintFault != nil {
-			extra += m.hintFault(o, m.Phys.Page(pfn))
+			extra += m.hintFault(o, pfn)
 		}
 		*pte &^= pagetable.BitProtNone
 	}
 	if pte.Poisoned() {
 		m.PoisonFaults++
 		if m.poison != nil {
-			pd := m.Phys.Page(pfn)
-			add, unpoison := m.poison(o, pd)
+			add, unpoison := m.poison(o, pfn)
 			extra += add
 			if unpoison {
 				*pte &^= pagetable.BitPoison

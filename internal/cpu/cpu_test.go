@@ -335,7 +335,7 @@ func TestPoisonHandlerInvoked(t *testing.T) {
 	m := testMachine(t, 16, 16)
 	m.Execute(load(1, 0x2000))
 	var handled int
-	m.SetPoisonHandler(func(o *trace.Outcome, pd *mem.PageDescriptor) (int64, bool) {
+	m.SetPoisonHandler(func(o *trace.Outcome, _ mem.PFN) (int64, bool) {
 		handled++
 		return 12345, true
 	})
@@ -425,11 +425,11 @@ func TestHintAndPoisonBothFire(t *testing.T) {
 	m := testMachine(t, 16, 16)
 	m.Execute(load(1, 0x4000))
 	var hints, poisons int
-	m.SetHintFaultHandler(func(o *trace.Outcome, pd *mem.PageDescriptor) int64 {
+	m.SetHintFaultHandler(func(o *trace.Outcome, _ mem.PFN) int64 {
 		hints++
 		return 100
 	})
-	m.SetPoisonHandler(func(o *trace.Outcome, pd *mem.PageDescriptor) (int64, bool) {
+	m.SetPoisonHandler(func(o *trace.Outcome, _ mem.PFN) (int64, bool) {
 		poisons++
 		return 200, true
 	})

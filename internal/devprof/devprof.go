@@ -277,9 +277,9 @@ func (tk *Tracker) FlushAt(now int64) (int, error) {
 			if s.count == 0 {
 				continue
 			}
-			pd := tk.phys.Page(s.pfn)
-			if pd.Allocated() {
+			if tk.phys.Allocated(s.pfn) {
 				// Saturating fold into the descriptor's device column.
+				pd := tk.phys.Page(s.pfn)
 				if sum := uint64(pd.Epoch.Dev) + uint64(s.count); sum < uint64(^uint32(0)) {
 					pd.Epoch.Dev = uint32(sum)
 				} else {

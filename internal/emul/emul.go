@@ -66,12 +66,15 @@ type Emulator struct {
 }
 
 // New attaches an emulator to a machine and installs its
-// protection-fault handler.
+// protection-fault handler. The hot-page test reads each frame's
+// all-time ground truth, so New turns on the machine's total column;
+// attach the emulator before the machine's first epoch ends.
 func New(cfg Costs, m *cpu.Machine) (*Emulator, error) {
 	if cfg.WindowNS <= 0 {
 		return nil, fmt.Errorf("emul: window %d must be positive", cfg.WindowNS)
 	}
 	e := &Emulator{cfg: cfg, machine: m, next: cfg.WindowNS}
+	m.Phys.TrackTrueTotals()
 	m.SetPoisonHandler(e.handleFault)
 	return e, nil
 }
@@ -79,12 +82,13 @@ func New(cfg Costs, m *cpu.Machine) (*Emulator, error) {
 // handleFault is the trap handler: add slow-memory latency (plus the
 // hot-page penalty), then unpoison so subsequent accesses inside the
 // window run at full speed — BadgerTrap's unpoison-on-fault.
-func (e *Emulator) handleFault(o *trace.Outcome, pd *mem.PageDescriptor) (int64, bool) {
+func (e *Emulator) handleFault(o *trace.Outcome, pfn mem.PFN) (int64, bool) {
 	e.stats.Faults++
 	extra := e.machine.SoftCost(e.cfg.SlowAccessNS)
 	// A page is hot when the current epoch already shows threshold
 	// accesses or its lifetime total implies a sustained rate.
-	if pd.Epoch.True >= e.cfg.HotThreshold || pd.TrueTotal >= 4*uint64(e.cfg.HotThreshold) {
+	phys := e.machine.Phys
+	if phys.Page(pfn).Epoch.True >= e.cfg.HotThreshold || phys.TrueTotal(pfn) >= 4*uint64(e.cfg.HotThreshold) {
 		e.stats.HotFaults++
 		extra += e.machine.SoftCost(e.cfg.HotExtraNS)
 	}

@@ -141,14 +141,13 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 					continue
 				}
 				*own = ownerMark{stamp: stamp, pid: pid, vpn: pv}
-				pd := phys.Page(pfn)
-				if !pd.Allocated() {
+				if !phys.Allocated(pfn) {
 					if !add("dangling-mapping", "pid %d vpn %#x -> PFN %d which is free", pid, uint64(pv), pfn) {
 						return false
 					}
 					continue
 				}
-				if int(pd.PID) != pid || pd.VPage != pv {
+				if pd := phys.Page(pfn); int(pd.PID) != pid || pd.VPage != pv {
 					if !add("descriptor-mismatch", "PFN %d descriptor says pid=%d vpn=%#x, mapping says pid=%d vpn=%#x",
 						pfn, pd.PID, uint64(pd.VPage), pid, uint64(pv)) {
 						return false
@@ -175,15 +174,16 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 	// 4. Shadow conservation: shadow frames and shadowed primaries form
 	// a bijection — every shadow's link names an allocated primary in a
 	// faster tier that links back and agrees on page identity — and the
-	// per-tier shadow counters match the flags. The pass walks the raw
-	// frame array, not a walk bounded by those counters, so a counter
-	// drifting to zero cannot hide flagged frames from the check.
+	// per-tier shadow counters match the flags. The pass reads every
+	// frame's flags byte, not a span bounded by those counters, so a
+	// counter drifting to zero cannot hide flagged frames from the
+	// check; only shadow frames cost a descriptor read.
 	shadowSeen := make(map[mem.TierID]int)
 	for pfn := mem.PFN(0); int(pfn) < total; pfn++ {
-		spd := phys.Page(pfn)
-		if spd.Flags&mem.FlagShadow == 0 {
+		if phys.Flags(pfn)&mem.FlagShadow == 0 {
 			continue
 		}
+		spd := phys.Page(pfn)
 		tier := phys.TierOf(pfn)
 		shadowSeen[tier]++
 		if c.owner[pfn].stamp == stamp {
@@ -194,7 +194,7 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		link := mem.PFN(spd.ShadowLink)
 		primary := phys.Page(link)
 		switch {
-		case !primary.Allocated() || primary.Flags&mem.FlagShadowed == 0:
+		case !phys.Allocated(link) || phys.Flags(link)&mem.FlagShadowed == 0:
 			add("shadow-conservation", "shadow PFN %d links to PFN %d which is not a shadowed primary",
 				pfn, link)
 		case mem.PFN(primary.ShadowLink) != pfn:
@@ -209,7 +209,7 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 		}
 	}
 	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
-		if pd.Flags&mem.FlagShadowed != 0 && phys.Page(mem.PFN(pd.ShadowLink)).Flags&mem.FlagShadow == 0 {
+		if phys.Flags(pfn)&mem.FlagShadowed != 0 && phys.Flags(mem.PFN(pd.ShadowLink))&mem.FlagShadow == 0 {
 			add("shadow-conservation", "shadowed primary PFN %d links to PFN %d which holds no shadow",
 				pfn, pd.ShadowLink)
 		}

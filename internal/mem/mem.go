@@ -108,21 +108,27 @@ func (e *Evidence) Add(o Evidence) {
 // PageDescriptor is the per-frame metadata record. TMP accumulates
 // profiling observations here (the paper's extended struct page): the
 // current epoch's Evidence, which the profiler harvests and clears at
-// each epoch horizon, and the all-time ground-truth total.
+// each epoch horizon.
 //
-// The descriptor holds no frame number and no tier: the frame is its
-// index in PhysMem's array, and the tier is the one whose PFN range
-// holds that index (PhysMem.TierOf). The field order packs the record
-// to 48 bytes, paid once per simulated frame.
+// The descriptor holds no frame number, tier or flags: the frame is
+// its index in PhysMem's array, the tier is the one whose PFN range
+// holds that index (PhysMem.TierOf), and the page-state bits are the
+// frame's byte in PhysMem's flags column (PhysMem.Flags). A zeroed
+// descriptor and flags byte are a free frame, so a new machine is
+// ready without a pass over its frames. The record is 32 bytes, paid
+// once per simulated frame.
 type PageDescriptor struct {
 	VPage VPN // virtual page currently mapped to this frame
 
 	// Epoch is the evidence observed this epoch.
 	Epoch Evidence
 
-	// PID is the owning process, -1 when free. The allocator rejects
-	// a PID outside 32 bits (ErrPIDRange): this field stores it in 32
-	// bits, as telemetry's 24-byte migration record does.
+	// PID is the owning process. Like VPage it means something only
+	// while the frame is allocated or holds a shadow copy; a freed
+	// frame keeps its last owner until it is claimed again. The
+	// allocator rejects a PID outside 32 bits (ErrPIDRange): this
+	// field stores it in 32 bits, as telemetry's 24-byte migration
+	// record does.
 	PID int32
 
 	// ShadowLink pairs a shadowed primary with its shadow frame:
@@ -131,28 +137,4 @@ type PageDescriptor struct {
 	// flags is set. NewPhysMem rejects a machine whose PFNs do not
 	// fit 32 bits (ErrTooManyFrames).
 	ShadowLink uint32
-
-	Flags PageFlags
-
-	// TrueTotal is Epoch.True summed over finished epochs; emul's
-	// hot-page test reads it.
-	TrueTotal uint64
 }
-
-// ResetEpoch folds the epoch's ground truth into TrueTotal and clears
-// the epoch evidence.
-func (pd *PageDescriptor) ResetEpoch() {
-	pd.TrueTotal += uint64(pd.Epoch.True)
-	pd.Epoch = Evidence{}
-}
-
-// CarryProfile copies src's profiling state (Epoch and TrueTotal) into
-// pd: hotness belongs to the logical page, not the frame, so every
-// path that moves a page to a new frame carries it.
-func (pd *PageDescriptor) CarryProfile(src *PageDescriptor) {
-	pd.Epoch = src.Epoch
-	pd.TrueTotal = src.TrueTotal
-}
-
-// Allocated reports whether the frame backs a live mapping.
-func (pd *PageDescriptor) Allocated() bool { return pd.Flags&FlagAllocated != 0 }

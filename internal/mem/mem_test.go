@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -44,14 +45,27 @@ func TestTierIDString(t *testing.T) {
 	}
 }
 
+// TestPageDescriptorResetEpoch: the epoch fold clears a frame's
+// evidence and, on a machine that tracks totals, adds its ground truth
+// to the frame's all-time total.
 func TestPageDescriptorResetEpoch(t *testing.T) {
-	pd := PageDescriptor{Epoch: Evidence{Abit: 3, Trace: 5, Dev: 4, True: 7}, TrueTotal: 30}
-	pd.ResetEpoch()
+	pm := newTestMem(t, 2, 2)
+	pfn, _ := pm.Alloc(FastTier, 1, 0)
+	pd := pm.Page(pfn)
+	pd.Epoch = Evidence{Abit: 3, Trace: 5, Dev: 4, True: 7}
+	pm.ResetEpoch(pfn)
+	if pd.Epoch != (Evidence{}) || pm.TrueTotal(pfn) != 0 {
+		t.Errorf("untracked fold: epoch %+v, total %d; want zero, 0", pd.Epoch, pm.TrueTotal(pfn))
+	}
+	pm.TrackTrueTotals()
+	pm.trueTotal[pfn] = 30
+	pd.Epoch = Evidence{Abit: 3, Trace: 5, Dev: 4, True: 7}
+	pm.ResetEpoch(pfn)
 	if pd.Epoch != (Evidence{}) {
 		t.Errorf("epoch counters not cleared: %+v", pd)
 	}
-	if pd.TrueTotal != 37 {
-		t.Errorf("truth not accumulated: %+v", pd)
+	if got := pm.TrueTotal(pfn); got != 37 {
+		t.Errorf("truth not accumulated: total %d, want 37", got)
 	}
 }
 
@@ -67,8 +81,45 @@ func TestEvidenceAdd(t *testing.T) {
 // descriptor array is sized to the whole machine, so every byte here
 // is paid once per simulated frame.
 func TestPageDescriptorSize(t *testing.T) {
-	if got := unsafe.Sizeof(PageDescriptor{}); got > 48 {
-		t.Errorf("PageDescriptor is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(PageDescriptor{}); got > 32 {
+		t.Errorf("PageDescriptor is %d bytes, want at most 32", got)
+	}
+}
+
+// heapBytes returns the bytes of heap f allocates, from the
+// process-wide allocation total.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPerFrameBytes holds everything NewPhysMem allocates per frame to
+// 33 bytes: the 32-byte descriptor and the flags byte. The all-time
+// ground-truth column costs 8 bytes more per frame, and only on a
+// machine with an emulator attached (TrackTrueTotals). Fixed costs
+// (the tier table, rounding to whole heap pages) spread over the
+// frames; the slack below covers them, not a byte per frame.
+func TestPerFrameBytes(t *testing.T) {
+	const frames = 87_124 // the largest benchmark machine's frame count
+	const slack = 16 << 10
+	var pm *PhysMem
+	got := heapBytes(func() {
+		var err error
+		if pm, err = NewPhysMem(DefaultTiers(5_125, frames-5_125)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := uint64(33*frames + slack); got > budget {
+		t.Errorf("NewPhysMem of %d frames allocated %d bytes (%.2f per frame), want at most %d: 33 per frame",
+			frames, got, float64(got)/frames, budget)
+	}
+	got = heapBytes(pm.TrackTrueTotals)
+	if budget := uint64(8*frames + slack); got > budget {
+		t.Errorf("TrackTrueTotals on %d frames allocated %d bytes (%.2f per frame), want at most %d: 8 per frame",
+			frames, got, float64(got)/frames, budget)
 	}
 }
 
@@ -179,7 +230,7 @@ func TestAllocBasics(t *testing.T) {
 		t.Fatalf("Alloc: %v", err)
 	}
 	pd := pm.Page(pfn)
-	if !pd.Allocated() || pd.PID != 1 || pd.VPage != 100 || pm.TierOf(pfn) != FastTier {
+	if !pm.Allocated(pfn) || pd.PID != 1 || pd.VPage != 100 || pm.TierOf(pfn) != FastTier {
 		t.Errorf("descriptor not initialized: %+v", pd)
 	}
 	if pm.UsedFrames(FastTier) != 1 || pm.FreeFrames(FastTier) != 3 {
@@ -263,7 +314,7 @@ func TestFreeAndReuse(t *testing.T) {
 	pm := newTestMem(t, 2, 2)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pm.Free(pfn)
-	if pm.Page(pfn).Allocated() {
+	if pm.Allocated(pfn) {
 		t.Errorf("freed frame still allocated")
 	}
 	if pm.FreeFrames(FastTier) != 2 {
@@ -297,10 +348,12 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestAllocResetsProfilingState(t *testing.T) {
 	pm := newTestMem(t, 2, 2)
+	pm.TrackTrueTotals()
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
 	pd.Epoch = Evidence{Abit: 1, Trace: 2, Dev: 4, True: 5}
-	pd.TrueTotal = 6
+	pm.trueTotal[pfn] = 6
+	pm.SetNonMigratable(pfn, true)
 	pm.Free(pfn)
 	pfn2, _ := pm.Alloc(FastTier, 2, 7)
 	if pfn2 != pfn {
@@ -309,8 +362,8 @@ func TestAllocResetsProfilingState(t *testing.T) {
 		pfn2, _ = pm.Alloc(FastTier, 2, 7)
 	}
 	pd2 := pm.Page(pfn2)
-	if pd2.Epoch != (Evidence{}) || pd2.TrueTotal != 0 {
-		t.Errorf("profiling state leaked across allocations: %+v", pd2)
+	if pd2.Epoch != (Evidence{}) || pm.TrueTotal(pfn2) != 0 || pm.Flags(pfn2) != FlagAllocated {
+		t.Errorf("profiling state leaked across allocations: %+v, total %d, flags %#x", pd2, pm.TrueTotal(pfn2), pm.Flags(pfn2))
 	}
 }
 
@@ -325,7 +378,7 @@ func TestAllocHugeAlignedContiguous(t *testing.T) {
 	}
 	for i := 0; i < HugePages; i++ {
 		pd := pm.Page(base + PFN(i))
-		if !pd.Allocated() || pd.PID != 1 || pd.VPage != VPN(i) {
+		if !pm.Allocated(base+PFN(i)) || pd.PID != 1 || pd.VPage != VPN(i) {
 			t.Fatalf("frame %d not claimed correctly: %+v", i, pd)
 		}
 	}
@@ -435,12 +488,13 @@ func TestForEachAllocated(t *testing.T) {
 
 func TestResetEpochAll(t *testing.T) {
 	pm := newTestMem(t, 4, 4)
+	pm.TrackTrueTotals()
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
 	pd.Epoch = Evidence{Abit: 5, True: 5}
 	pm.ResetEpochAll()
-	if pd.Epoch != (Evidence{}) || pd.TrueTotal != 5 {
-		t.Errorf("ResetEpochAll: %+v", pd)
+	if pd.Epoch != (Evidence{}) || pm.TrueTotal(pfn) != 5 {
+		t.Errorf("ResetEpochAll: %+v, total %d", pd, pm.TrueTotal(pfn))
 	}
 }
 

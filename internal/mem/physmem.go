@@ -77,25 +77,32 @@ func DefaultTiers(fastFrames, slowFrames int) []TierSpec {
 	}
 }
 
-// tierState is the allocator state for one tier: a free bitmap with a
+// busy is the flag set that keeps a frame from the allocator: a frame
+// is free exactly when it is neither allocated nor a shadow copy.
+const busy = FlagAllocated | FlagShadow
+
+// tierState is the allocator state for one tier: its part of the
+// machine's flags column, which doubles as the free map, with a
 // next-fit cursor for base pages (allocating upward) and a separate
 // downward cursor for huge runs, which keeps small and huge
 // allocations from fragmenting each other.
 type tierState struct {
-	spec      TierSpec
-	base      PFN // first frame of this tier's contiguous PFN range
-	free      []bool
+	spec TierSpec
+	base PFN // first frame of this tier's contiguous PFN range
+	// flags is PhysMem.flags[base : base+spec.Frames], indexed by
+	// the tier-local frame number.
+	flags     []PageFlags
 	freeCount int
 	cursor    int // next-fit position for base pages
 	hugeCur   int // next-fit position (from top) for huge runs
 	inUse     int
 	// shadowCount tracks frames holding shadow copies: neither free
 	// nor in use. Conservation per tier is
-	// inUse + freeCount + shadowCount == len(free).
+	// inUse + freeCount + shadowCount == len(flags).
 	shadowCount int
 	// hiWater is one past the highest local index ever claimed: the
 	// dense allocated-PFN span the per-epoch walks cover. Frees do
-	// not lower it (the walks still check Allocated()), but base
+	// not lower it (the walks still test each frame's flags), but base
 	// allocation is next-fit from the bottom and huge allocation
 	// top-down from hugeCur, so in practice the span stays tight to
 	// the working set and the epoch walks skip the unallocated tail
@@ -104,11 +111,21 @@ type tierState struct {
 }
 
 // PhysMem is the machine's physical memory: a contiguous PFN space
-// carved into tiers, a page descriptor per frame, and per-tier frame
-// allocators.
+// carved into tiers, a page descriptor and a flags byte per frame, and
+// per-tier frame allocators.
 type PhysMem struct {
 	tiers []tierState
 	pds   []PageDescriptor
+	// flags holds each frame's PageFlags, one byte per frame. The
+	// allocation scans read it and touch a descriptor only for the
+	// frames that pass.
+	flags []PageFlags
+	// trueTotal, once TrackTrueTotals has run, holds each frame's
+	// Epoch.True summed over finished epochs. Only emul's hot-page
+	// test reads it, so a machine without an emulator pays nothing
+	// for it. Unexported: only this package's epoch fold, claim and
+	// carry write it.
+	trueTotal []uint64
 
 	// Telemetry counters; nil (free no-ops) when telemetry is off.
 	ctrAlloc         *telemetry.Counter
@@ -161,27 +178,45 @@ func NewPhysMem(specs []TierSpec) (*PhysMem, error) {
 	if uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("mem: %d frames: %w", total, ErrTooManyFrames)
 	}
+	// Zeroed descriptors and flags are free frames: nothing walks
+	// the frames here.
 	pm := &PhysMem{
 		tiers: make([]tierState, len(specs)),
 		pds:   make([]PageDescriptor, total),
+		flags: make([]PageFlags, total),
 	}
-	next := PFN(0)
+	next := 0
 	for i, s := range specs {
 		ts := &pm.tiers[i]
 		ts.spec = s
-		ts.base = next
-		ts.free = make([]bool, s.Frames)
-		for f := range ts.free {
-			ts.free[f] = true
-		}
+		ts.base = PFN(next)
+		ts.flags = pm.flags[next : next+s.Frames : next+s.Frames]
 		ts.freeCount = s.Frames
 		ts.hugeCur = s.Frames
-		next += PFN(s.Frames)
-	}
-	for i := range pm.pds {
-		pm.pds[i].PID = -1
+		next += s.Frames
 	}
 	return pm, nil
+}
+
+// TrackTrueTotals gives the machine its all-time ground-truth column:
+// from now on each epoch fold adds a frame's Epoch.True to its total,
+// and migration carries the total with the page. Totals start at
+// zero, so the emulator that reads them attaches before the first
+// epoch ends. A second call changes nothing.
+func (pm *PhysMem) TrackTrueTotals() {
+	if pm.trueTotal == nil {
+		pm.trueTotal = make([]uint64, len(pm.pds))
+	}
+}
+
+// TrueTotal returns a frame's all-time ground-truth total: Epoch.True
+// summed over finished epochs. It is 0 on a machine that does not
+// track totals.
+func (pm *PhysMem) TrueTotal(pfn PFN) uint64 {
+	if pm.trueTotal == nil {
+		return 0
+	}
+	return pm.trueTotal[pfn]
 }
 
 // Tiers returns the number of tiers.
@@ -218,7 +253,7 @@ func (pm *PhysMem) TierOf(pfn PFN) TierID {
 // range holds pfn.
 func (pm *PhysMem) TierRange(t TierID) (lo, hi PFN) {
 	ts := &pm.tiers[t]
-	return ts.base, ts.base + PFN(len(ts.free))
+	return ts.base, ts.base + PFN(len(ts.flags))
 }
 
 // PhysToPage returns the page descriptor for the frame holding paddr,
@@ -235,21 +270,61 @@ func (pm *PhysMem) Page(pfn PFN) *PageDescriptor {
 	return &pm.pds[pfn]
 }
 
+// Flags returns a frame's page-state bits.
+func (pm *PhysMem) Flags(pfn PFN) PageFlags { return pm.flags[pfn] }
+
+// Allocated reports whether the frame backs a live mapping.
+func (pm *PhysMem) Allocated(pfn PFN) bool { return pm.flags[pfn]&FlagAllocated != 0 }
+
+// SetNonMigratable sets or clears an allocated frame's
+// FlagNonMigratable: a pinned page the policy must not move. The next
+// claim of the frame clears it.
+func (pm *PhysMem) SetNonMigratable(pfn PFN, pinned bool) {
+	if !pm.Allocated(pfn) {
+		panic(fmt.Sprintf("mem: SetNonMigratable on unallocated PFN %d", pfn))
+	}
+	if pinned {
+		pm.flags[pfn] |= FlagNonMigratable
+	} else {
+		pm.flags[pfn] &^= FlagNonMigratable
+	}
+}
+
+// ResetEpoch folds a frame's epoch ground truth into its all-time
+// total, when the machine tracks totals, and clears the epoch
+// evidence.
+func (pm *PhysMem) ResetEpoch(pfn PFN) {
+	pd := &pm.pds[pfn]
+	if pm.trueTotal != nil {
+		pm.trueTotal[pfn] += uint64(pd.Epoch.True)
+	}
+	pd.Epoch = Evidence{}
+}
+
+// CarryProfile copies src's profiling state (its epoch evidence and,
+// when tracked, its all-time total) to dst: hotness belongs to the
+// logical page, not the frame, so every path that moves a page to a
+// new frame carries it.
+func (pm *PhysMem) CarryProfile(dst, src PFN) {
+	pm.pds[dst].Epoch = pm.pds[src].Epoch
+	if pm.trueTotal != nil {
+		pm.trueTotal[dst] = pm.trueTotal[src]
+	}
+}
+
 // claim marks one frame allocated and initializes its descriptor.
 func (pm *PhysMem) claim(ts *tierState, local int, pid int32, vpn VPN) PFN {
-	ts.free[local] = false
+	ts.flags[local] = FlagAllocated
 	ts.freeCount--
 	ts.inUse++
 	if local >= ts.hiWater {
 		ts.hiWater = local + 1
 	}
 	pfn := ts.base + PFN(local)
-	pd := &pm.pds[pfn]
-	pd.PID = pid
-	pd.VPage = vpn
-	pd.Flags = FlagAllocated
-	pd.ShadowLink = 0
-	pd.Epoch, pd.TrueTotal = Evidence{}, 0
+	pm.pds[pfn] = PageDescriptor{VPage: vpn, PID: pid}
+	if pm.trueTotal != nil {
+		pm.trueTotal[pfn] = 0
+	}
 	pm.ctrAlloc.Add(1)
 	return pfn
 }
@@ -266,14 +341,14 @@ func (pm *PhysMem) allocIn(ti int, pid int32, vpn VPN) (PFN, bool) {
 		}
 		pm.reclaimShadowIn(ts)
 	}
-	n := len(ts.free)
+	n := len(ts.flags)
 	for scanned := 0; scanned < n; scanned++ {
 		i := ts.cursor
 		ts.cursor++
 		if ts.cursor == n {
 			ts.cursor = 0
 		}
-		if ts.free[i] {
+		if ts.flags[i]&busy == 0 {
 			return pm.claim(ts, i, pid, vpn), true
 		}
 	}
@@ -352,8 +427,8 @@ func (pm *PhysMem) AllocHuge(t TierID, pid int, vpnBase VPN) (PFN, error) {
 			return pfn, nil
 		}
 		// Wrap once: retry from the top of the tier.
-		if ts.hugeCur != len(ts.free) {
-			if pfn, ok := pm.allocHugeIn(ts, p, vpnBase, len(ts.free)); ok {
+		if ts.hugeCur != len(ts.flags) {
+			if pfn, ok := pm.allocHugeIn(ts, p, vpnBase, len(ts.flags)); ok {
 				pm.ctrAllocHuge.Add(1)
 				return pfn, nil
 			}
@@ -376,8 +451,8 @@ func (pm *PhysMem) allocHugeIn(ts *tierState, pid int32, vpnBase VPN, from int) 
 	}
 	for ; start >= 0; start -= HugePages {
 		runFree := true
-		for i := start; i < start+HugePages; i++ {
-			if !ts.free[i] {
+		for _, f := range ts.flags[start : start+HugePages] {
+			if f&busy != 0 {
 				runFree = false
 				break
 			}
@@ -394,24 +469,21 @@ func (pm *PhysMem) allocHugeIn(ts *tierState, pid int32, vpnBase VPN, from int) 
 	return 0, false
 }
 
-// Free returns a frame to its tier's free bitmap. Freeing a shadowed
-// primary drops its shadow too — the page's identity is gone, so the
-// shadow backs nothing. Shadow frames themselves are not Allocated and
-// must go through the shadow lifecycle, never Free.
+// Free returns a frame to its tier: clearing its flags byte frees it.
+// Freeing a shadowed primary drops its shadow too — the page's
+// identity is gone, so the shadow backs nothing. Shadow frames
+// themselves are not Allocated and must go through the shadow
+// lifecycle, never Free.
 func (pm *PhysMem) Free(pfn PFN) {
-	pd := &pm.pds[pfn]
-	if !pd.Allocated() {
+	f := pm.flags[pfn]
+	if f&FlagAllocated == 0 {
 		panic(fmt.Sprintf("mem: double free of PFN %d", pfn))
 	}
-	if pd.Flags&FlagShadowed != 0 {
-		pm.dropShadow(PFN(pd.ShadowLink))
+	if f&FlagShadowed != 0 {
+		pm.dropShadow(PFN(pm.pds[pfn].ShadowLink))
 	}
-	pd.Flags = 0
-	pd.PID = -1
-	pd.ShadowLink = 0
+	pm.flags[pfn] = 0
 	ts := &pm.tiers[pm.TierOf(pfn)]
-	local := int(pfn - ts.base)
-	ts.free[local] = true
 	ts.freeCount++
 	ts.inUse--
 	pm.ctrFree.Add(1)
@@ -444,16 +516,16 @@ func (pm *PhysMem) ForEachAllocatedIn(t TierID, fn func(PFN, *PageDescriptor)) {
 	if ts.inUse == 0 {
 		return
 	}
-	lo := int(ts.base)
-	for i := lo; i < lo+ts.hiWater; i++ {
-		if pm.pds[i].Allocated() {
-			fn(PFN(i), &pm.pds[i])
+	for i, f := range ts.flags[:ts.hiWater] {
+		if f&FlagAllocated != 0 {
+			pfn := ts.base + PFN(i)
+			fn(pfn, &pm.pds[pfn])
 		}
 	}
 }
 
 // ResetEpochAll resets every allocated frame's epoch evidence, the
-// bulk form of PageDescriptor.ResetEpoch used at epoch horizons. Like
+// bulk form of ResetEpoch used at epoch horizons. Like
 // ForEachAllocated it walks only the claimed spans.
 func (pm *PhysMem) ResetEpochAll() {
 	for t := range pm.tiers {
@@ -461,10 +533,9 @@ func (pm *PhysMem) ResetEpochAll() {
 		if ts.inUse == 0 {
 			continue
 		}
-		lo := int(ts.base)
-		for i := lo; i < lo+ts.hiWater; i++ {
-			if pm.pds[i].Allocated() {
-				pm.pds[i].ResetEpoch()
+		for i, f := range ts.flags[:ts.hiWater] {
+			if f&FlagAllocated != 0 {
+				pm.ResetEpoch(ts.base + PFN(i))
 			}
 		}
 	}
@@ -491,33 +562,32 @@ func (pm *PhysMem) ShadowFrames(t TierID) int { return pm.tiers[t].shadowCount }
 // The caller has already copied the page's state to newPFN and
 // remapped; oldPFN must still be Allocated.
 func (pm *PhysMem) MakeShadow(oldPFN, newPFN PFN) {
-	old := &pm.pds[oldPFN]
-	if !old.Allocated() {
+	f := pm.flags[oldPFN]
+	if f&FlagAllocated == 0 {
 		panic(fmt.Sprintf("mem: MakeShadow on unallocated PFN %d", oldPFN))
 	}
-	if old.Flags&FlagShadowed != 0 {
+	old := &pm.pds[oldPFN]
+	if f&FlagShadowed != 0 {
 		pm.dropShadow(PFN(old.ShadowLink))
 		pm.ctrShadowInvalid.Add(1)
 	}
-	old.Flags = FlagShadow
+	pm.flags[oldPFN] = FlagShadow
 	old.ShadowLink = uint32(newPFN)
 	ts := &pm.tiers[pm.TierOf(oldPFN)]
 	ts.inUse--
 	ts.shadowCount++
-	pd := &pm.pds[newPFN]
-	pd.Flags |= FlagShadowed
-	pd.ShadowLink = uint32(oldPFN)
+	pm.flags[newPFN] |= FlagShadowed
+	pm.pds[newPFN].ShadowLink = uint32(oldPFN)
 	pm.ctrShadowMade.Add(1)
 }
 
 // ShadowFor returns the frame holding a valid shadow of pfn's page in
 // tier t, if one exists.
 func (pm *PhysMem) ShadowFor(pfn PFN, t TierID) (PFN, bool) {
-	pd := &pm.pds[pfn]
-	if pd.Flags&FlagShadowed == 0 {
+	if pm.flags[pfn]&FlagShadowed == 0 {
 		return 0, false
 	}
-	if spfn := PFN(pd.ShadowLink); pm.TierOf(spfn) == t {
+	if spfn := PFN(pm.pds[pfn].ShadowLink); pm.TierOf(spfn) == t {
 		return spfn, true
 	}
 	return 0, false
@@ -529,19 +599,15 @@ func (pm *PhysMem) ShadowFor(pfn PFN, t TierID) (PFN, bool) {
 // the adopted PFN is returned. The caller remaps the page to it and
 // frees the old primary — no copy happens, which is the entire point.
 func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
-	pd := &pm.pds[pfn]
-	if pd.Flags&FlagShadowed == 0 {
+	if pm.flags[pfn]&FlagShadowed == 0 {
 		panic(fmt.Sprintf("mem: AdoptShadow on unshadowed PFN %d", pfn))
 	}
+	pd := &pm.pds[pfn]
 	spfn := PFN(pd.ShadowLink)
-	spd := &pm.pds[spfn]
-	spd.PID = pd.PID
-	spd.VPage = pd.VPage
-	spd.Flags = FlagAllocated
-	spd.ShadowLink = 0
-	spd.CarryProfile(pd)
-	pd.Flags &^= FlagShadowed
-	pd.ShadowLink = 0
+	pm.pds[spfn] = PageDescriptor{VPage: pd.VPage, PID: pd.PID}
+	pm.flags[spfn] = FlagAllocated
+	pm.CarryProfile(spfn, pfn)
+	pm.flags[pfn] &^= FlagShadowed
 	ts := &pm.tiers[pm.TierOf(spfn)]
 	ts.inUse++
 	ts.shadowCount--
@@ -552,13 +618,11 @@ func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
 // no longer matches the page content (a write landed, or the fault
 // plane said so).
 func (pm *PhysMem) InvalidateShadowOf(pfn PFN) {
-	pd := &pm.pds[pfn]
-	if pd.Flags&FlagShadowed == 0 {
+	if pm.flags[pfn]&FlagShadowed == 0 {
 		return
 	}
-	pm.dropShadow(PFN(pd.ShadowLink))
-	pd.Flags &^= FlagShadowed
-	pd.ShadowLink = 0
+	pm.dropShadow(PFN(pm.pds[pfn].ShadowLink))
+	pm.flags[pfn] &^= FlagShadowed
 	pm.ctrShadowInvalid.Add(1)
 }
 
@@ -566,23 +630,19 @@ func (pm *PhysMem) InvalidateShadowOf(pfn PFN) {
 // transition: the first store to a clean page makes any shadow of it
 // stale. A page without a shadow costs one flag test.
 func (pm *PhysMem) NoteWrite(pfn PFN) {
-	if pm.pds[pfn].Flags&FlagShadowed != 0 {
+	if pm.flags[pfn]&FlagShadowed != 0 {
 		pm.InvalidateShadowOf(pfn)
 	}
 }
 
-// dropShadow returns a shadow frame to the free bitmap. The caller
-// owns the primary's FlagShadowed bookkeeping.
+// dropShadow frees a shadow frame by clearing its flags byte. The
+// caller owns the primary's FlagShadowed bookkeeping.
 func (pm *PhysMem) dropShadow(spfn PFN) {
-	spd := &pm.pds[spfn]
-	if spd.Flags&FlagShadow == 0 {
+	if pm.flags[spfn]&FlagShadow == 0 {
 		panic(fmt.Sprintf("mem: dropShadow on non-shadow PFN %d", spfn))
 	}
-	spd.Flags = 0
-	spd.PID = -1
-	spd.ShadowLink = 0
+	pm.flags[spfn] = 0
 	ts := &pm.tiers[pm.TierOf(spfn)]
-	ts.free[int(spfn-ts.base)] = true
 	ts.freeCount++
 	ts.shadowCount--
 }
@@ -592,15 +652,12 @@ func (pm *PhysMem) dropShadow(spfn PFN) {
 // Lowest index first is arbitrary but fixed — reclaim order must be a
 // pure function of allocator state for byte-identical replays.
 func (pm *PhysMem) reclaimShadowIn(ts *tierState) {
-	for i := 0; i < ts.hiWater; i++ {
-		spfn := ts.base + PFN(i)
-		spd := &pm.pds[spfn]
-		if spd.Flags&FlagShadow == 0 {
+	for i, f := range ts.flags[:ts.hiWater] {
+		if f&FlagShadow == 0 {
 			continue
 		}
-		primary := &pm.pds[spd.ShadowLink]
-		primary.Flags &^= FlagShadowed
-		primary.ShadowLink = 0
+		spfn := ts.base + PFN(i)
+		pm.flags[pm.pds[spfn].ShadowLink] &^= FlagShadowed
 		pm.dropShadow(spfn)
 		pm.ctrShadowReclaim.Add(1)
 		return

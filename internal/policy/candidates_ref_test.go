@@ -25,7 +25,7 @@ func refCandidates(mv *Mover, sel Selection, queuedKeys map[core.PageKey]struct{
 	demoteByTier := make([][]demoteCand, nt)
 	promoteByTier := make([][]core.PageKey, nt)
 	phys.ForEachAllocated(func(pfn mem.PFN, pd *mem.PageDescriptor) {
-		if pd.Flags&mem.FlagNonMigratable != 0 {
+		if phys.Flags(pfn)&mem.FlagNonMigratable != 0 {
 			return
 		}
 		key := core.PageKey{PID: int(pd.PID), VPN: pd.VPage}
@@ -88,23 +88,29 @@ func newCandRig(t *testing.T, chain string, seed int64) *candRig {
 }
 
 // frames lists each tier's allocated frames, ascending PFN.
-func (r *candRig) frames() [][]*mem.PageDescriptor {
-	out := make([][]*mem.PageDescriptor, r.m.Phys.Tiers())
+func (r *candRig) frames() [][]mem.PFN {
+	out := make([][]mem.PFN, r.m.Phys.Tiers())
 	for t := range out {
-		r.m.Phys.ForEachAllocatedIn(mem.TierID(t), func(_ mem.PFN, pd *mem.PageDescriptor) { out[t] = append(out[t], pd) })
+		r.m.Phys.ForEachAllocatedIn(mem.TierID(t), func(pfn mem.PFN, _ *mem.PageDescriptor) { out[t] = append(out[t], pfn) })
 	}
 	return out
 }
 
-// pick returns the i-th allocated page of tier t%tiers, or false when
-// that tier holds none.
-func pick(frames [][]*mem.PageDescriptor, t, i int) (core.PageKey, *mem.PageDescriptor, bool) {
+// pageKey is the page an allocated frame backs.
+func (r *candRig) pageKey(pfn mem.PFN) core.PageKey {
+	pd := r.m.Phys.Page(pfn)
+	return core.PageKey{PID: int(pd.PID), VPN: pd.VPage}
+}
+
+// pick returns the i-th allocated frame of tier t%tiers and its page,
+// or false when that tier holds none.
+func (r *candRig) pick(frames [][]mem.PFN, t, i int) (core.PageKey, mem.PFN, bool) {
 	fs := frames[t%len(frames)]
 	if len(fs) == 0 {
-		return core.PageKey{}, nil, false
+		return core.PageKey{}, 0, false
 	}
-	pd := fs[i%len(fs)]
-	return core.PageKey{PID: int(pd.PID), VPN: pd.VPage}, pd, true
+	pfn := fs[i%len(fs)]
+	return r.pageKey(pfn), pfn, true
 }
 
 // touch runs n references from (pid, vpn) through Machine.Execute.
@@ -129,8 +135,8 @@ func (r *candRig) choose(rng *rand.Rand, n int, bulkTier int, queue bool) {
 	r.extra = r.extra[:0]
 	frames := r.frames()
 	if bulkTier >= 0 {
-		for _, pd := range frames[bulkTier%len(frames)] {
-			r.sel[core.PageKey{PID: int(pd.PID), VPN: pd.VPage}] = struct{}{}
+		for _, pfn := range frames[bulkTier%len(frames)] {
+			r.sel[r.pageKey(pfn)] = struct{}{}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -138,7 +144,7 @@ func (r *candRig) choose(rng *rand.Rand, n int, bulkTier int, queue bool) {
 		switch rng.Intn(5) {
 		case 0, 1: // a mapped page, in any tier
 			var ok bool
-			if k, _, ok = pick(frames, rng.Intn(4), rng.Int()); !ok {
+			if k, _, ok = r.pick(frames, rng.Intn(4), rng.Int()); !ok {
 				continue
 			}
 		case 2: // never mapped
@@ -156,7 +162,7 @@ func (r *candRig) choose(rng *rand.Rand, n int, bulkTier int, queue bool) {
 	}
 	if queue {
 		for i := 0; i < 4; i++ {
-			if k, _, ok := pick(frames, rng.Intn(4), rng.Int()); ok {
+			if k, _, ok := r.pick(frames, rng.Intn(4), rng.Int()); ok {
 				r.extra = append(r.extra, k)
 			}
 		}
@@ -219,8 +225,8 @@ func (r *candRig) step(t *testing.T, op [4]byte) {
 	case 3:
 		r.col.Collapse([]int{1, 2, 3}, 2)
 	default:
-		if _, pd, ok := pick(r.frames(), int(op[1]), int(op[2])); ok {
-			pd.Flags ^= mem.FlagNonMigratable
+		if _, pfn, ok := r.pick(r.frames(), int(op[1]), int(op[2])); ok {
+			r.m.Phys.SetNonMigratable(pfn, r.m.Phys.Flags(pfn)&mem.FlagNonMigratable == 0)
 		}
 	}
 }

@@ -14,15 +14,21 @@ import (
 // page transfer that drops any field shows.
 var carried = mem.Evidence{Abit: 1, Trace: 2, Dev: 4, True: 5}
 
-// markProfile sets the profiling state of the frame pid 1's vpn maps.
+// markProfile sets the profiling state of the frame pid 1's vpn maps:
+// its epoch evidence and an all-time total of at least the frame's
+// current one. Only an epoch fold writes a total, so markProfile folds
+// the difference in first.
 func markProfile(t *testing.T, m *cpu.Machine, vpn mem.VPN, ev mem.Evidence, total uint64) {
 	t.Helper()
 	pfn, ok := m.Table(1).Frame(vpn)
 	if !ok {
 		t.Fatalf("vpn %d not mapped", vpn)
 	}
+	m.Phys.TrackTrueTotals()
 	pd := m.Phys.Page(pfn)
-	pd.Epoch, pd.TrueTotal = ev, total
+	pd.Epoch = mem.Evidence{True: uint32(total - m.Phys.TrueTotal(pfn))}
+	m.Phys.ResetEpoch(pfn)
+	pd.Epoch = ev
 }
 
 // checkProfile asserts the frame pid 1's vpn maps now carries ev and
@@ -33,9 +39,9 @@ func checkProfile(t *testing.T, m *cpu.Machine, what string, vpn mem.VPN, ev mem
 	if !ok {
 		t.Fatalf("%s: vpn %d not mapped", what, vpn)
 	}
-	if pd := m.Phys.Page(pfn); pd.Epoch != ev || pd.TrueTotal != total {
+	if pd := m.Phys.Page(pfn); pd.Epoch != ev || m.Phys.TrueTotal(pfn) != total {
 		t.Errorf("%s: vpn %d arrived with Epoch %+v, TrueTotal %d; want %+v, %d",
-			what, vpn, pd.Epoch, pd.TrueTotal, ev, total)
+			what, vpn, pd.Epoch, m.Phys.TrueTotal(pfn), ev, total)
 	}
 }
 

@@ -137,7 +137,7 @@ func (c *Collapser) collapseOne(cand chunk) bool {
 		vpn := cand.base + mem.VPN(i)
 		old, _ := table.Frame(vpn)
 		oldPFNs[i] = old
-		phys.Page(newBase + mem.PFN(i)).CarryProfile(phys.Page(old))
+		phys.CarryProfile(newBase+mem.PFN(i), old)
 		table.Unmap(vpn)
 	}
 	table.MapHuge(cand.base, newBase, true)

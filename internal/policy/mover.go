@@ -264,10 +264,9 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) provenance.FailRea
 	if phys.TierOf(oldPFN) == target {
 		return provenance.FailNone
 	}
-	oldPD := phys.Page(oldPFN)
 	// A non-migratable frame, or a transient elevated refcount (DMA,
 	// gup): the EBUSY case.
-	if oldPD.Flags&mem.FlagNonMigratable != 0 || mv.faults.PinPage() {
+	if phys.Flags(oldPFN)&mem.FlagNonMigratable != 0 || mv.faults.PinPage() {
 		return provenance.FailPinned
 	}
 	if mv.Transactional {
@@ -277,7 +276,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) provenance.FailRea
 	if err != nil {
 		return allocFail(err)
 	}
-	phys.Page(newPFN).CarryProfile(oldPD)
+	phys.CarryProfile(newPFN, oldPFN)
 
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
@@ -356,7 +355,7 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 		phys.Free(newPFN)
 		return provenance.FailCopyAbort
 	}
-	phys.Page(newPFN).CarryProfile(phys.Page(oldPFN))
+	phys.CarryProfile(newPFN, oldPFN)
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
 		mv.TxRemapFailed++
@@ -468,8 +467,8 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 	}
 	for t := 0; t < nt-1; t++ {
 		cands := demote[t][:0]
-		phys.ForEachAllocatedIn(mem.TierID(t), func(_ mem.PFN, pd *mem.PageDescriptor) {
-			if pd.Flags&mem.FlagNonMigratable != 0 {
+		phys.ForEachAllocatedIn(mem.TierID(t), func(pfn mem.PFN, pd *mem.PageDescriptor) {
+			if phys.Flags(pfn)&mem.FlagNonMigratable != 0 {
 				return
 			}
 			key := core.PageKey{PID: int(pd.PID), VPN: pd.VPage}
@@ -494,8 +493,7 @@ func (mv *Mover) candidates(sel Selection, queued map[core.PageKey]struct{}) (de
 		if !ok {
 			continue
 		}
-		pd := phys.Page(pfn)
-		if !pd.Allocated() || phys.TierOf(pfn) == mem.FastTier || pd.Flags&mem.FlagNonMigratable != 0 || isQueued(key) {
+		if f := phys.Flags(pfn); f&mem.FlagAllocated == 0 || f&mem.FlagNonMigratable != 0 || phys.TierOf(pfn) == mem.FastTier || isQueued(key) {
 			continue
 		}
 		frames = append(frames, pfn)

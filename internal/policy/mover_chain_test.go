@@ -165,7 +165,7 @@ func TestChainPinnedPageMidChain(t *testing.T) {
 	if !ok {
 		t.Fatal("vpn 5 not mapped")
 	}
-	m.Phys.Page(pfn).Flags |= mem.FlagNonMigratable
+	m.Phys.SetNonMigratable(pfn, true)
 
 	mv := NewMover(m)
 	// Selected: the pinned page must not climb.

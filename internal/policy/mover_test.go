@@ -124,8 +124,11 @@ func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 	m := moverMachine(t, 4, 16)
 	touchPages(t, m, 1, 6)
 	oldPFN, _ := m.Table(1).Frame(4)
+	m.Phys.TrackTrueTotals()
 	pd := m.Phys.Page(oldPFN)
-	pd.Epoch.Abit, pd.Epoch.Trace, pd.TrueTotal = 3, 4, 50
+	pd.Epoch.True = 50
+	m.Phys.ResetEpoch(oldPFN)
+	pd.Epoch.Abit, pd.Epoch.Trace = 3, 4
 
 	mv := NewMover(m)
 	mv.ApplySelection(Selection{core.PageKey{PID: 1, VPN: 4}: {}}, core.Ranks{})
@@ -138,10 +141,10 @@ func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 		t.Fatalf("page did not move")
 	}
 	npd := m.Phys.Page(newPFN)
-	if npd.Epoch.Abit != 3 || npd.Epoch.Trace != 4 || npd.TrueTotal != 50 {
-		t.Errorf("profiling state lost in migration: %+v", npd)
+	if npd.Epoch.Abit != 3 || npd.Epoch.Trace != 4 || m.Phys.TrueTotal(newPFN) != 50 {
+		t.Errorf("profiling state lost in migration: %+v, total %d", npd, m.Phys.TrueTotal(newPFN))
 	}
-	if m.Phys.Page(oldPFN).Allocated() {
+	if m.Phys.Allocated(oldPFN) {
 		t.Errorf("old frame not freed")
 	}
 	// The page must still be usable after migration.
@@ -212,7 +215,7 @@ func pinPage(t *testing.T, m *cpu.Machine, pid int, vpn mem.VPN) {
 	if !ok {
 		t.Fatalf("vpn %d not mapped", vpn)
 	}
-	m.Phys.Page(pfn).Flags |= mem.FlagNonMigratable
+	m.Phys.SetNonMigratable(pfn, true)
 }
 
 func unpinPage(t *testing.T, m *cpu.Machine, pid int, vpn mem.VPN) {
@@ -221,7 +224,7 @@ func unpinPage(t *testing.T, m *cpu.Machine, pid int, vpn mem.VPN) {
 	if !ok {
 		t.Fatalf("vpn %d not mapped", vpn)
 	}
-	m.Phys.Page(pfn).Flags &^= mem.FlagNonMigratable
+	m.Phys.SetNonMigratable(pfn, false)
 }
 
 func TestMigrateTypedErrors(t *testing.T) {
